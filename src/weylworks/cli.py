@@ -389,7 +389,7 @@ def _run_skewhowe(cfg: RunConfig):
     big_n = cfg.params["N"]
     lam = cfg.params.get("lam")
     if lam is None:
-        pairs = skewhowe.decompose_howe(n, m, big_n)
+        pairs = skewhowe.decompose_howe(n, m, big_n, **cfg.guard_kwargs())
         entries = []
         for wn, wm in pairs:
             entries.append(

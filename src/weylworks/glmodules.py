@@ -19,7 +19,7 @@ from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
-from .linalg import EchelonBasis, RatMat, kernel
+from .linalg import EchelonBasis, RatMat, Scalar, kernel
 from .weights import (
     WeightVec,
     as_partition,
@@ -252,17 +252,14 @@ def highest_weight_vectors(
     """
     result = []
     for w, idxs in weight_decompose(mod).items():
-        rows_by_key: dict[tuple[int, int], list] = {}
+        rows_by_key: dict[tuple[int, int], dict[int, Scalar]] = {}
         for pos, idx in enumerate(idxs):
             for i, mat in enumerate(mod.E):
                 for r, v in mat.column(idx).items():
-                    row = rows_by_key.setdefault((i, r), [Fraction(0)] * len(idxs))
-                    row[pos] = Fraction(v)
+                    rows_by_key.setdefault((i, r), {})[pos] = v
         basis, _ = kernel(list(rows_by_key.values()), len(idxs))
         if basis:
-            vectors = [
-                {idxs[t]: val for t, val in enumerate(vec) if val} for vec in basis
-            ]
+            vectors = [{idxs[t]: val for t, val in vec.items()} for vec in basis]
             result.append((w, vectors))
     return result
 

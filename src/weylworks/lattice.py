@@ -69,13 +69,25 @@ class LatticeSubspace:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LatticeSubspace":
-        n = int(data["n"])
-        D = int(data["D"])
+    def from_dict(cls, data) -> "LatticeSubspace":
+        """Inverse of to_dict; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a subspace is a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("n", "D", "basis") if key not in data]
+        if missing:
+            raise ValueError(f"subspace lacks the key(s) {', '.join(missing)}")
+        try:
+            n = int(data["n"])
+            D = int(data["D"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"n and D must be integers: {exc}") from exc
         if n < 1 or D < 1:
             raise ValueError("n and D must be at least 1")
+        basis = data["basis"]
+        if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
+            raise ValueError("basis must be a list of rows")
         rows = []
-        for row in data["basis"]:
+        for row in basis:
             if len(row) != n * D:
                 raise ValueError(
                     f"basis row has length {len(row)}, expected n*D = {n * D}"

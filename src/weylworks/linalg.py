@@ -201,48 +201,41 @@ class EchelonBasis:
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a dense matrix; returns (rows, pivot cols).
 
-    Pivoting always takes the first nonzero entry in the current column.
+    The nonzero rows come back in pivot order as dense Fraction lists.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        src = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if src is None:
-            continue
-        mat[r], mat[src] = mat[src], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                coeff = mat[i][c]
-                mat[i] = [x - coeff * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+    ncols = len(rows[0])
+    eb = EchelonBasis()
+    for row in rows:
+        eb.insert({c: v for c, v in enumerate(map(Fraction, row)) if v})
+    reduced = []
+    for i in eb.sorted_order():
+        dense = [Fraction(0)] * ncols
+        for c, v in eb.rows[i].items():
+            dense[c] = v
+        reduced.append(dense)
+    return reduced, sorted(eb.pivots)
 
 
-def kernel(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Kernel basis of the linear map given by dense ``rows``.
+def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:
+    """Kernel basis of the linear map given by sparse ``rows`` (col -> value).
 
     Returns (basis, free_cols).  Basis vector i has a 1 in column
     free_cols[i] and 0 in every other free column, so the coordinates of
-    any kernel element are simply its values at the free columns.
+    any kernel element are simply its values at the free columns.  The
+    vectors are sparse, keys ascending; since RREF is canonical the basis
+    depends only on the row space.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
+    eb = EchelonBasis()
+    for row in rows:
+        eb.insert(row)
+    pivot_set = set(eb.pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            if row[f]:
-                vec[p] = -row[f]
-        basis.append(vec)
-    return basis, free
+    slot = {f: t for t, f in enumerate(free)}
+    basis: list[SparseVec] = [{f: Fraction(1)} for f in free]
+    for row, p in zip(eb.rows, eb.pivots):
+        for c, v in row.items():
+            if c != p:
+                basis[slot[c]][p] = -v
+    return [{c: vec[c] for c in sorted(vec)} for vec in basis], free

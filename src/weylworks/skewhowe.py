@@ -1,27 +1,39 @@
 """Commuting gl(n) x gl(m) actions on Lambda^N(C^n (x) C^m).
 
-The wedge basis is indexed by N-subsets of the nm pairs (i, a), ordered
-lexicographically; both generator families act by derivations with the
-same wedge sign convention as glmodules.ext_power.  The joint kernel of
-the gl(m) raising operators inside a bi-weight slice realizes weight
-spaces of one gl(n) irreducible, and stitching those slices together
-yields the whole irreducible with restricted generator matrices.
+The wedge basis is indexed by sorted N-subsets of the nm pairs (i, a),
+pair (i, a) numbered i*m + a, and a subset's ambient index is its rank in
+lexicographic order.  Both generator families act by derivations with the
+same wedge sign convention as glmodules.ext_power.
+
+A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
+n x m matrices with row sums mu and column sums lam (Howe, "Remarks on
+classical invariant theory", Trans. AMS 1989).  Hom spaces, joint
+highest-weight lines and the induced gl(n) module are computed from their
+slices alone: the slice is enumerated directly, generators are applied to
+subsets on the fly, and the whole wedge is never built.  The dimension
+guard (max_dim, else WEYLWORKS_MAX_DIM) applies to each slice there.
+
+build_bimodule is cheap: BiModule's basis, weights and generator matrices
+are built on first access, and only then is C(nm, N) checked against the
+guard.  verify_commuting_actions, gln_module and glm_module need them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
-from .characters import dim_irrep
-from .errors import InvariantViolation, check_dimension
+from .characters import DEFAULT_SIZE_GUARD, dim_irrep
+from .errors import InvariantViolation, check_dimension, max_dimension
 from .glmodules import ExplicitModule, wedge_replace
-from .linalg import RatMat, kernel, vec_add_scaled
+from .linalg import RatMat, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
+    compositions,
     conjugate,
     pad,
     partitions,
@@ -30,47 +42,147 @@ from .weights import (
     weight_sum,
 )
 
+Subset = tuple[int, ...]
+# A generator moving one wedge factor from row (along_rows) or column
+# index frm to index to: (along_rows, frm, to).
+Move = tuple[bool, int, int]
 
-@dataclass
+
+def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
+    """The raising (E_i) or lowering (F_i) generators of gl(count)."""
+    return [
+        (along_rows, i + 1, i) if raising else (along_rows, i, i + 1)
+        for i in range(count - 1)
+    ]
+
+
+def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]:
+    """(sign, image subset) terms of one generator applied to one wedge
+    basis vector: one term per factor in the source row or column that
+    does not collide."""
+    along_rows, frm, to = move
+    out = []
+    for p in subset:
+        i, a = divmod(p, m)
+        if along_rows and i == frm:
+            hit = wedge_replace(subset, p, to * m + a)
+        elif not along_rows and a == frm:
+            hit = wedge_replace(subset, p, i * m + to)
+        else:
+            continue
+        if hit is not None:
+            out.append(hit)
+    return out
+
+
+def _rank(subset: Subset, size: int) -> int:
+    """Lexicographic rank of a sorted subset among all subsets of
+    range(size) with as many elements."""
+    k = len(subset)
+    rank = comb(size, k) - 1
+    for j, c in enumerate(subset):
+        rank -= comb(size - 1 - c, k - j)
+    return rank
+
+
+def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
+    """Sorted subsets with gl(n) weight wn and gl(m) weight wm, in
+    lexicographic order.
+
+    Rows are filled in turn, choosing wn[i] columns that still have
+    capacity; a column needing more ones than rows remain is pruned.
+    Refused as soon as the count passes the dimension guard.
+    """
+    if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
+        return ()
+    cap = max_dim if max_dim is not None else max_dimension()
+    remaining = list(wm)
+    found: list[Subset] = []
+
+    def fill(i: int, prefix: Subset) -> None:
+        if i == n:
+            found.append(prefix)
+            if len(found) > cap:
+                check_dimension(len(found), cap)
+            return
+        rows_after = n - 1 - i
+        open_cols = [a for a in range(m) if remaining[a]]
+        for cols in itertools.combinations(open_cols, wn[i]):
+            for a in cols:
+                remaining[a] -= 1
+            if all(c <= rows_after for c in remaining):
+                fill(i + 1, prefix + tuple(i * m + a for a in cols))
+            for a in cols:
+                remaining[a] += 1
+
+    fill(0, ())
+    return tuple(found)
+
+
+@dataclass(frozen=True)
 class BiModule:
-    """Lambda^N(C^n (x) C^m) with both generator families materialized.
+    """Lambda^N(C^n (x) C^m); everything but its size is built on demand.
 
-    basis holds sorted N-subsets of pair indices (i*m + a for the pair
-    (i, a)).  The slice map is built lazily on first use and then only
-    read, so sharing a BiModule between threads after a warm-up call is
-    safe.
+    basis holds the sorted N-subsets of pair indices in lexicographic
+    order; the weights and the four generator families follow it.  The
+    first access checks dim against max_dim (else WEYLWORKS_MAX_DIM).
     """
 
     n: int
     m: int
     N: int
     dim: int
-    basis: tuple[tuple[int, ...], ...]
-    gln_weights: tuple[WeightVec, ...]
-    glm_weights: tuple[WeightVec, ...]
-    En: tuple[RatMat, ...]
-    Fn: tuple[RatMat, ...]
-    Em: tuple[RatMat, ...]
-    Fm: tuple[RatMat, ...]
-    _slices: dict[tuple[WeightVec, WeightVec], tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    max_dim: int | None = None
 
-    def slice_indices(self, wn: WeightVec, wm: WeightVec) -> tuple[int, ...]:
-        """Basis indices with gl(n) weight wn and gl(m) weight wm."""
-        if self._slices is None:
-            groups: dict[tuple[WeightVec, WeightVec], list[int]] = {}
-            for idx in range(self.dim):
-                key = (self.gln_weights[idx], self.glm_weights[idx])
-                groups.setdefault(key, []).append(idx)
-            self._slices = {k: tuple(v) for k, v in groups.items()}
-        return self._slices.get((tuple(wn), tuple(wm)), ())
+    @cached_property
+    def basis(self) -> tuple[Subset, ...]:
+        check_dimension(self.dim, self.max_dim)
+        return tuple(itertools.combinations(range(self.n * self.m), self.N))
 
-    def biweights(self) -> list[tuple[WeightVec, WeightVec]]:
-        """All occurring (gl(n) weight, gl(m) weight) pairs, descending."""
-        self.slice_indices((0,) * self.n, (0,) * self.m)  # ensure cache
-        assert self._slices is not None
-        return sorted(self._slices, reverse=True)
+    @cached_property
+    def gln_weights(self) -> tuple[WeightVec, ...]:
+        return tuple(
+            tuple(sum(1 for p in s if p // self.m == i) for i in range(self.n))
+            for s in self.basis
+        )
+
+    @cached_property
+    def glm_weights(self) -> tuple[WeightVec, ...]:
+        return tuple(
+            tuple(sum(1 for p in s if p % self.m == a) for a in range(self.m))
+            for s in self.basis
+        )
+
+    def _family(self, moves: list[Move]) -> tuple[RatMat, ...]:
+        size = self.n * self.m
+        return tuple(
+            RatMat.from_entries(
+                self.dim,
+                self.dim,
+                (
+                    (_rank(image, size), t, sign)
+                    for t, s in enumerate(self.basis)
+                    for sign, image in _move_images(s, self.m, move)
+                ),
+            )
+            for move in moves
+        )
+
+    @cached_property
+    def En(self) -> tuple[RatMat, ...]:
+        return self._family(_moves(self.n, True, True))
+
+    @cached_property
+    def Fn(self) -> tuple[RatMat, ...]:
+        return self._family(_moves(self.n, True, False))
+
+    @cached_property
+    def Em(self) -> tuple[RatMat, ...]:
+        return self._family(_moves(self.m, False, True))
+
+    @cached_property
+    def Fm(self) -> tuple[RatMat, ...]:
+        return self._family(_moves(self.m, False, False))
 
     def gln_module(self) -> ExplicitModule:
         return ExplicitModule(self.n, self.dim, self.gln_weights, self.En, self.Fn)
@@ -83,10 +195,11 @@ class BiModule:
 class HomSpace:
     """Joint kernel of the gl(m) raising operators in one bi-weight slice.
 
-    vectors are sparse dicts in the ambient wedge basis.  free_positions
-    are positions within slice_indices where each kernel vector carries
-    its defining 1, so coordinates of any vector in the span can be read
-    off directly.
+    vectors are sparse dicts in the ambient wedge basis.  slice_indices
+    are the ambient indices of the slice, ascending, and subsets the
+    wedge basis vectors they name.  free_positions are positions within
+    slice_indices where each kernel vector carries its defining 1, so
+    coordinates of any vector in the span can be read off directly.
     """
 
     lam: tuple[int, ...]
@@ -95,63 +208,20 @@ class HomSpace:
     vectors: tuple[dict[int, Fraction], ...]
     slice_indices: tuple[int, ...]
     free_positions: tuple[int, ...]
+    subsets: tuple[Subset, ...]
 
 
 def build_bimodule(n: int, m: int, N: int, *, max_dim: int | None = None) -> BiModule:
-    """Construct Lambda^N(C^n (x) C^m) with all four generator families."""
+    """Lambda^N(C^n (x) C^m); basis and generators are built on first use.
+
+    max_dim guards what is actually built: C(nm, N) when the basis or
+    generator matrices are first touched, each slice's size in hom_space.
+    """
     if n < 1 or m < 1:
         raise ValueError("both ranks must be at least 1")
     if not 0 <= N <= n * m:
         raise ValueError(f"N={N} outside 0..{n * m}")
-    dim = comb(n * m, N)
-    check_dimension(dim, max_dim)
-    basis = tuple(itertools.combinations(range(n * m), N))
-    index = {s: t for t, s in enumerate(basis)}
-    gln_weights, glm_weights = [], []
-    for s in basis:
-        wn = [0] * n
-        wm = [0] * m
-        for p in s:
-            wn[p // m] += 1
-            wm[p % m] += 1
-        gln_weights.append(tuple(wn))
-        glm_weights.append(tuple(wm))
-
-    def substitution_family(count: int, source, target) -> tuple[list[RatMat], list[RatMat]]:
-        raising, lowering = [], []
-        for i in range(count - 1):
-            r_entries, l_entries = [], []
-            for t, s in enumerate(basis):
-                for pair in s:
-                    if source(pair) == i + 1:
-                        hit = wedge_replace(s, pair, target(pair, i))
-                        if hit is not None:
-                            sign, new = hit
-                            r_entries.append((index[new], t, sign))
-                    if source(pair) == i:
-                        hit = wedge_replace(s, pair, target(pair, i + 1))
-                        if hit is not None:
-                            sign, new = hit
-                            l_entries.append((index[new], t, sign))
-            raising.append(RatMat.from_entries(dim, dim, r_entries))
-            lowering.append(RatMat.from_entries(dim, dim, l_entries))
-        return raising, lowering
-
-    En, Fn = substitution_family(n, lambda p: p // m, lambda p, row: row * m + p % m)
-    Em, Fm = substitution_family(m, lambda p: p % m, lambda p, col: (p // m) * m + col)
-    return BiModule(
-        n=n,
-        m=m,
-        N=N,
-        dim=dim,
-        basis=basis,
-        gln_weights=tuple(gln_weights),
-        glm_weights=tuple(glm_weights),
-        En=tuple(En),
-        Fn=tuple(Fn),
-        Em=tuple(Em),
-        Fm=tuple(Fm),
-    )
+    return BiModule(n=n, m=m, N=N, dim=comb(n * m, N), max_dim=max_dim)
 
 
 def verify_commuting_actions(bim: BiModule) -> None:
@@ -166,32 +236,35 @@ def verify_commuting_actions(bim: BiModule) -> None:
 
 
 def _joint_kernel(
-    bim: BiModule, slice_idx: tuple[int, ...], operators: list[RatMat]
-) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Kernel of the stacked operators restricted to the given slice."""
-    rows_by_key: dict[tuple[int, int], list] = {}
-    for pos, idx in enumerate(slice_idx):
-        for op_no, op in enumerate(operators):
-            for r, v in op.column(idx).items():
-                row = rows_by_key.setdefault((op_no, r), [Fraction(0)] * len(slice_idx))
-                row[pos] = Fraction(v)
-    basis, free = kernel(list(rows_by_key.values()), len(slice_idx))
-    vectors = [
-        {slice_idx[t]: val for t, val in enumerate(vec) if val} for vec in basis
-    ]
-    return vectors, free
+    m: int, subsets: tuple[Subset, ...], moves: list[Move]
+) -> tuple[list[SparseVec], list[int]]:
+    """Kernel of the stacked generators on the span of subsets (one
+    slice), keyed by position in subsets.  Rows are keyed by (generator,
+    image subset)."""
+    rows: dict[tuple[int, Subset], SparseVec] = {}
+    for pos, s in enumerate(subsets):
+        for move_no, move in enumerate(moves):
+            for sign, image in _move_images(s, m, move):
+                rows.setdefault((move_no, image), {})[pos] = sign
+    return kernel(list(rows.values()), len(subsets))
 
 
 def decompose_howe(
-    n: int, m: int, N: int, *, check: bool = False
+    n: int,
+    m: int,
+    N: int,
+    *,
+    check: bool = False,
+    size_guard: int | None = DEFAULT_SIZE_GUARD,
 ) -> list[tuple[WeightVec, WeightVec]]:
     """Summands of Lambda^N(C^n (x) C^m) as (gl(n) weight, gl(m) weight) pairs.
 
     One pair per partition lam of N with at most m parts, each part at
     most n; the gl(n) side is the conjugate.  The dimension identity
-    against binomial(nm, N) is always verified.  With check=True the
-    bimodule is built and each pair is confirmed to carry exactly one
-    joint highest-weight line.
+    against binomial(nm, N) is always verified, with size_guard bounding
+    the tableau enumeration of dim_irrep.  With check=True each pair's
+    bi-weight slice is confirmed to carry exactly one joint
+    highest-weight line.
     """
     if n < 1 or m < 1 or not 0 <= N <= n * m:
         raise ValueError(f"bad decomposition parameters n={n}, m={m}, N={N}")
@@ -200,7 +273,8 @@ def decompose_howe(
         for lam in partitions(N, max_parts=m, max_part=n)
     ]
     pairs.sort(key=lambda p: p[1], reverse=True)
-    total = sum(dim_irrep(wn, n) * dim_irrep(wm, m) for wn, wm in pairs)
+    guard = {"size_guard": size_guard}
+    total = sum(dim_irrep(wn, n, **guard) * dim_irrep(wm, m, **guard) for wn, wm in pairs)
     if total != comb(n * m, N):
         raise InvariantViolation(
             f"summand dimensions add to {total}, wedge has {comb(n * m, N)}"
@@ -208,15 +282,11 @@ def decompose_howe(
     if check:
         bim = build_bimodule(n, m, N)
         for wn, wm in pairs:
-            vectors, _ = _joint_kernel(
-                bim,
-                bim.slice_indices(wn, wm),
-                list(bim.En) + list(bim.Em),
-            )
-            if len(vectors) != 1:
+            found = joint_highest_weight_dim(bim, wn, wm)
+            if found != 1:
                 raise InvariantViolation(
                     f"expected one joint highest-weight line at {(wn, wm)}, "
-                    f"found {len(vectors)}"
+                    f"found {found}"
                 )
     return pairs
 
@@ -224,10 +294,9 @@ def decompose_howe(
 def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     """Dimension of the space of vectors of bi-weight (wn, wm) killed by all
     raising operators of both families."""
-    vectors, _ = _joint_kernel(
-        bim, bim.slice_indices(tuple(wn), tuple(wm)), list(bim.En) + list(bim.Em)
-    )
-    return len(vectors)
+    moves = _moves(bim.n, True, True) + _moves(bim.m, False, True)
+    subsets = _slice(bim.n, bim.m, wn, wm, bim.max_dim)
+    return len(_joint_kernel(bim.m, subsets, moves)[0])
 
 
 def hom_space(bim: BiModule, lam, mu) -> HomSpace:
@@ -249,16 +318,18 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
         )
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
-    wm = pad(shape, bim.m)
-    slice_idx = bim.slice_indices(mu, wm)
-    vectors, free = _joint_kernel(bim, slice_idx, list(bim.Em))
+    subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m), bim.max_dim)
+    slice_idx = tuple(_rank(s, bim.n * bim.m) for s in subsets)
+    basis, free = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
+    vectors = tuple({slice_idx[t]: v for t, v in vec.items()} for vec in basis)
     return HomSpace(
         lam=shape,
         mu=mu,
         dim=len(vectors),
-        vectors=tuple(vectors),
+        vectors=vectors,
         slice_indices=slice_idx,
         free_positions=tuple(free),
+        subsets=subsets,
     )
 
 
@@ -275,40 +346,33 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
         raise ValueError(f"|lam| must equal N={bim.N}, got {sum(shape)}")
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
-    wm = pad(shape, bim.m)
-    mus = sorted(
-        {wn for wn, w in bim.biweights() if w == wm},
-        reverse=True,
-    )
+    size = bim.n * bim.m
     spaces: dict[WeightVec, HomSpace] = {}
     offsets: dict[WeightVec, int] = {}
     weights: list[WeightVec] = []
-    pos = 0
-    for mu in mus:
+    for mu in compositions(bim.N, bim.n):  # descending
         hs = hom_space(bim, shape, mu)
         if hs.dim == 0:
             continue
         spaces[mu] = hs
-        offsets[mu] = pos
+        offsets[mu] = len(weights)
         weights.extend([mu] * hs.dim)
-        pos += hs.dim
-    dim = pos
+    dim = len(weights)
 
-    def restricted(ambient_mats: tuple[RatMat, ...], direction: int) -> list[RatMat]:
+    def restricted(raising: bool) -> list[RatMat]:
         mats = []
-        for i in range(bim.n - 1):
+        for i, move in enumerate(_moves(bim.n, True, raising)):
             alpha = simple_root(i, bim.n)
             entries = []
             col = 0
-            for mu in mus:
-                hs = spaces.get(mu)
-                if hs is None:
-                    continue
-                target = (
-                    weight_sum(mu, alpha) if direction > 0 else weight_diff(mu, alpha)
-                )
+            for mu, hs in spaces.items():
+                target = weight_sum(mu, alpha) if raising else weight_diff(mu, alpha)
+                subset_at = dict(zip(hs.slice_indices, hs.subsets))
                 for vec in hs.vectors:
-                    image = ambient_mats[i].apply(vec)
+                    image: SparseVec = {}
+                    for idx, coeff in vec.items():
+                        for sign, new in _move_images(subset_at[idx], bim.m, move):
+                            vec_add_scaled(image, {_rank(new, size): sign}, coeff)
                     if image:
                         ths = spaces.get(target)
                         if ths is None:
@@ -324,8 +388,8 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
             mats.append(RatMat.from_entries(dim, dim, entries))
         return mats
 
-    E = restricted(bim.En, +1)
-    F = restricted(bim.Fn, -1)
+    E = restricted(True)
+    F = restricted(False)
     return ExplicitModule(bim.n, dim, tuple(weights), tuple(E), tuple(F))
 
 

@@ -298,3 +298,30 @@ def test_jnum_policy():
     assert _jnum(2**53 - 1) == 2**53 - 1
     assert _jnum(2**53) == str(2**53)
     assert _jnum(-(2**60)) == str(-(2**60))
+
+
+def test_skewhowe_pairs_honour_size_guard():
+    # dim_irrep of the gl(4) side counts 13-box tableaux
+    code, _, err = run_cli(["skewhowe", "-n", "4", "-m", "4", "-N", "13"])
+    assert code == 1 and "guard" in err
+    payload = payload_of(
+        ["skewhowe", "-n", "4", "-m", "4", "-N", "13", "--size-guard", "20"]
+    )
+    assert payload["dim"] == 560
+
+
+def test_crossval_beyond_the_old_wedge_guard():
+    # the whole wedge has C(25, 8) = 1,081,575 > 10^6 dimensions
+    payload = payload_of(["crossval", "--lambda", "3,3,2", "-n", "5", "-m", "5"])
+    assert payload["match"] is True
+
+
+@pytest.mark.parametrize("content", ["[]", "{}", '{"n": 1, "D": 1, "basis": 3}'])
+def test_malformed_subspace_file_is_one_error_line(tmp_path, content):
+    path = tmp_path / "sub.json"
+    path.write_text(content)
+    code, out, err = run_cli(["lattice", "jordan", "--subspace", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

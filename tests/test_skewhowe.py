@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import pytest
 
 from weylworks.characters import character_table, dim_irrep, kostka
+from weylworks.cli import cross_validate
+from weylworks.errors import ResourceLimitError
 from weylworks.glmodules import decompose, verify_chevalley_relations
 from weylworks.skewhowe import (
+    _rank,
+    _slice,
     build_bimodule,
     decompose_howe,
     hom_space,
@@ -163,3 +168,48 @@ def test_induced_module_full_sweep():
             mod = induced_gln_module(bim, lam)
             verify_chevalley_relations(mod)
             assert decompose(mod).multiplicities == {pad(conjugate(lam), 3): 1}
+
+
+SLICE_CASES = [(3, 3, 3), (3, 4, 5), (4, 3, 5), (4, 4, 6), (2, 5, 4)]
+
+
+@pytest.mark.parametrize("n,m,N", SLICE_CASES)
+def test_slices_are_the_filtered_combinations(n, m, N):
+    expected = {}
+    for idx, s in enumerate(itertools.combinations(range(n * m), N)):
+        wn = tuple(sum(1 for p in s if p // m == i) for i in range(n))
+        wm = tuple(sum(1 for p in s if p % m == a) for a in range(m))
+        expected.setdefault((wn, wm), []).append(idx)
+    for wn in compositions(N, n):
+        for wm in compositions(N, m):
+            subsets = _slice(n, m, wn, wm, None)
+            assert [_rank(s, n * m) for s in subsets] == expected.get((wn, wm), [])
+
+
+@pytest.mark.parametrize("n,m,N", SLICE_CASES)
+def test_slice_hom_dims_are_kostka(n, m, N):
+    bim = build_bimodule(n, m, N)
+    for lam in partitions(N, max_parts=m, max_part=n):
+        lv = conjugate(lam)
+        for mu in compositions(N, n):
+            hs = hom_space(bim, lam, mu)
+            assert hs.dim == kostka(lv, mu), (lam, mu)
+            assert list(hs.slice_indices) == [_rank(s, n * m) for s in hs.subsets]
+
+
+def test_wedge_is_never_built_for_hom_spaces(monkeypatch):
+    # C(25, 6) = 177,100 is far above the guard, the largest slice (78) below
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "1000")
+    report = cross_validate((2, 2, 1, 1), 5, 5)
+    assert report.match
+    assert len(report.rows) == math.comb(10, 4)
+    with pytest.raises(ResourceLimitError):
+        build_bimodule(5, 5, 6).basis
+
+
+def test_slice_guard_refuses_large_slices():
+    # the slice of permutation matrices has 5! = 120 elements
+    bim = build_bimodule(5, 5, 5, max_dim=100)
+    with pytest.raises(ResourceLimitError):
+        hom_space(bim, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
+    assert hom_space(bim, (1, 1, 1, 1, 1), (5, 0, 0, 0, 0)).dim == 1
