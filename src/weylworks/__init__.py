@@ -16,7 +16,6 @@ from .characters import (
     dim_irrep,
     kostka,
 )
-from .cli import CrossvalReport, CrossvalRow, RunConfig, cross_validate
 from .errors import (
     InvariantViolation,
     ResourceLimitError,
@@ -79,6 +78,17 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # weylworks.cli is loaded on first use: importing it with the package
+    # would put it in sys.modules before `python -m weylworks.cli` runs it.
+    if name in ("CrossvalReport", "CrossvalRow", "RunConfig", "cross_validate"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BiModule",

@@ -210,11 +210,16 @@ def cross_validate(lam, n: int, m: int, *,
 # module expressions for `decompose`
 
 
+MAX_EXPR_DEPTH = 100
+
+
 def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
     """Build an ExplicitModule from a tiny expression language.
 
     Grammar: std | det | adjoint | sym(K) | ext(K) | irrep(P1,P2,...)
-    | tensor(EXPR, EXPR).  Whitespace is ignored.
+    | tensor(EXPR, EXPR).  Whitespace is ignored.  The parser recurses once
+    per level, so nesting deeper than MAX_EXPR_DEPTH is refused (ValueError)
+    to stay far below Python's recursion limit.
     """
     pos = 0
 
@@ -266,7 +271,9 @@ def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
         expect(")")
         return vals
 
-    def expr():
+    def expr(depth: int):
+        if depth > MAX_EXPR_DEPTH:
+            raise error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         head = name().lower()
         if head in ("std", "standard"):
             return glmodules.standard_module(n)
@@ -284,14 +291,14 @@ def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
             return glmodules.irrep_plucker(int_args(), n, max_dim=max_dim)
         if head == "tensor":
             expect("(")
-            left = expr()
+            left = expr(depth + 1)
             expect(",")
-            right = expr()
+            right = expr(depth + 1)
             expect(")")
             return glmodules.tensor(left, right, max_dim=max_dim)
         raise error(f"unknown constructor {head!r}")
 
-    module = expr()
+    module = expr(0)
     skip()
     if pos != len(text):
         raise error("trailing input")

@@ -19,7 +19,7 @@ from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
-from .linalg import EchelonBasis, RatMat, Scalar, kernel
+from .linalg import EchelonBasis, RatMat, Scalar, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
@@ -107,34 +107,86 @@ def wedge_replace(
     return sign, tuple(sorted(others + [new]))
 
 
+Subset = tuple[int, ...]
+# A generator moving one wedge factor from row (along_rows) or column
+# index frm to index to: (along_rows, frm, to).  Wedge factors are pairs
+# (i, a) numbered i*m + a; with m = 1 they are just the indices i.
+Move = tuple[bool, int, int]
+
+
+def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
+    """The raising (E_i) or lowering (F_i) generators of gl(count)."""
+    return [
+        (along_rows, i + 1, i) if raising else (along_rows, i, i + 1)
+        for i in range(count - 1)
+    ]
+
+
+def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]:
+    """(sign, image subset) terms of one generator applied to one wedge
+    basis vector: one term per factor in the source row or column that
+    does not collide."""
+    along_rows, frm, to = move
+    out = []
+    for p in subset:
+        i, a = divmod(p, m)
+        if along_rows and i == frm:
+            hit = wedge_replace(subset, p, to * m + a)
+        elif not along_rows and a == frm:
+            hit = wedge_replace(subset, p, i * m + to)
+        else:
+            continue
+        if hit is not None:
+            out.append(hit)
+    return out
+
+
+def _rank(subset: Subset, size: int) -> int:
+    """Lexicographic rank of a sorted subset among all subsets of
+    range(size) with as many elements."""
+    k = len(subset)
+    rank = comb(size, k) - 1
+    for j, c in enumerate(subset):
+        rank -= comb(size - 1 - c, k - j)
+    return rank
+
+
+def wedge_generators(
+    basis: list[Subset] | tuple[Subset, ...], size: int, m: int, moves: list[Move]
+) -> tuple[RatMat, ...]:
+    """Matrices of the given generators on a wedge basis.
+
+    basis must list every sorted k-subset of range(size) in lexicographic
+    order (itertools.combinations), so that an image subset's row is its
+    lexicographic rank.
+    """
+    dim = len(basis)
+    return tuple(
+        RatMat.from_entries(
+            dim,
+            dim,
+            (
+                (_rank(image, size), t, sign)
+                for t, s in enumerate(basis)
+                for sign, image in _move_images(s, m, move)
+            ),
+        )
+        for move in moves
+    )
+
+
 def ext_power(k: int, n: int, *, max_dim: int | None = None) -> ExplicitModule:
     """Lambda^k(C^n) on sorted k-subsets of {0, ..., n-1}."""
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
     check_dimension(comb(n, k), max_dim)
     basis = list(itertools.combinations(range(n), k))
-    index = {s: t for t, s in enumerate(basis)}
-    dim = len(basis)
     weights = tuple(
         tuple(1 if j in s else 0 for j in range(n)) for s in basis
     )
-    E, F = [], []
-    for i in range(n - 1):
-        e_entries, f_entries = [], []
-        for t, s in enumerate(basis):
-            if i + 1 in s:
-                hit = wedge_replace(s, i + 1, i)
-                if hit is not None:
-                    sign, target = hit
-                    e_entries.append((index[target], t, sign))
-            if i in s:
-                hit = wedge_replace(s, i, i + 1)
-                if hit is not None:
-                    sign, target = hit
-                    f_entries.append((index[target], t, sign))
-        E.append(RatMat.from_entries(dim, dim, e_entries))
-        F.append(RatMat.from_entries(dim, dim, f_entries))
-    return ExplicitModule(n, dim, weights, tuple(E), tuple(F))
+    E = wedge_generators(basis, n, 1, _moves(n, True, True))
+    F = wedge_generators(basis, n, 1, _moves(n, True, False))
+    return ExplicitModule(n, len(basis), weights, E, F)
 
 
 def tensor(a: ExplicitModule, b: ExplicitModule, *, max_dim: int | None = None) -> ExplicitModule:
@@ -309,18 +361,9 @@ def verify_chevalley_relations(mod: ExplicitModule) -> None:
                         f"F_{i} maps weight {w} outside weight {down}"
                     )
             commutator = mod.E[i].apply(mod.F[i].column(idx))
-            ef = mod.F[i].apply(mod.E[i].column(idx))
-            for r, v in ef.items():
-                nv = commutator.get(r, 0) - v
-                if nv:
-                    commutator[r] = nv
-                else:
-                    commutator.pop(r, None)
+            vec_add_scaled(commutator, mod.F[i].apply(mod.E[i].column(idx)), -1)
             expected = w[i] - w[i + 1]
-            want = {idx: expected} if expected else {}
-            if {k: v for k, v in commutator.items() if v} != {
-                k: v for k, v in want.items()
-            }:
+            if commutator != ({idx: expected} if expected else {}):
                 raise InvariantViolation(
                     f"[E_{i}, F_{i}] fails on basis vector {idx} of weight {w}"
                 )

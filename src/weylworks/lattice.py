@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, character
-from .linalg import EchelonBasis, rref
+from .linalg import EchelonBasis, power_ranks, rref
 from .weights import Partition, as_partition, conjugate, dominance_leq, pad
 
 
@@ -116,7 +116,8 @@ def fixed_point(mu, n: int) -> LatticeSubspace:
     """The monomial subspace spanned by z^j e_i for j < mu_i.
 
     mu is a nonnegative integer vector of length n.  These are exactly
-    the shift-stable subspaces spanned by monomials.
+    the shift-stable subspaces spanned by monomials, and each is the
+    shift closure of its top monomials z^(mu_i - 1) e_i.
     """
     mu = tuple(int(x) for x in mu)
     if len(mu) != n:
@@ -124,14 +125,13 @@ def fixed_point(mu, n: int) -> LatticeSubspace:
     if any(x < 0 for x in mu):
         raise ValueError(f"mu must be nonnegative, got {mu}")
     D = max(mu, default=0) + 1
-    rows = []
+    tops = []
     for i in range(n):
-        for j in range(mu[i]):
-            row = [Fraction(0)] * (n * D)
-            row[coordinate_index(j, i, n, D)] = Fraction(1)
-            rows.append(row)
-    reduced, _ = rref(rows)
-    return LatticeSubspace(n=n, D=D, basis=tuple(tuple(r) for r in reduced))
+        if mu[i]:
+            top = [0] * (n * D)
+            top[coordinate_index(mu[i] - 1, i, n, D)] = 1
+            tops.append(top)
+    return close_under_shift(n, D, tops)
 
 
 def close_under_shift(n: int, D: int, vectors) -> LatticeSubspace:
@@ -149,13 +149,7 @@ def close_under_shift(n: int, D: int, vectors) -> LatticeSubspace:
         stored = eb.insert(shift_vector(vec, n, D))
         if stored is not None:
             queue.append(stored)
-    dense = []
-    for ri in eb.sorted_order():
-        row = [Fraction(0)] * (n * D)
-        for c, v in eb.rows[ri].items():
-            row[c] = v
-        dense.append(tuple(row))
-    return LatticeSubspace(n=n, D=D, basis=tuple(dense))
+    return LatticeSubspace(n=n, D=D, basis=tuple(map(tuple, eb.dense_rows(n * D))))
 
 
 def jordan_type(sub: LatticeSubspace) -> Partition:
@@ -166,17 +160,9 @@ def jordan_type(sub: LatticeSubspace) -> Partition:
     ValueError if the subspace is not shift-stable.
     """
     _require_shift_stable(sub)
-    current = [_sparse(row) for row in sub.basis]
-    ranks = [len(current)]
-    while ranks[-1] > 0:
-        eb = EchelonBasis()
-        nxt = []
-        for vec in current:
-            img = shift_vector(vec, sub.n, sub.D)
-            if eb.insert(img) is not None:
-                nxt.append(img)
-        ranks.append(eb.dim)
-        current = nxt
+    ranks = power_ranks(
+        map(_sparse, sub.basis), lambda vec: shift_vector(vec, sub.n, sub.D)
+    )
     drops = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     return conjugate(as_partition(drops))
 

@@ -1,10 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and over prime fields F_p.
 
 Sparse vectors are dicts mapping coordinate index to a nonzero int or
 Fraction.  RatMat stores a sparse matrix column-major.  EchelonBasis keeps
 a growing subspace in reduced row echelon form, which is the canonical
-basis of the subspace, so results never depend on insertion order.
-No floating point anywhere.
+basis of the subspace, so results never depend on insertion order; it is
+the package's one Gauss-Jordan elimination, over Q or, given modulus=p,
+over F_p with entries in range(p).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,12 +18,22 @@ Scalar = int | Fraction
 SparseVec = dict[int, Scalar]
 
 
-def vec_add_scaled(target: SparseVec, src: SparseVec, coeff: Scalar) -> None:
-    """target += coeff * src, in place, dropping zeros."""
+def vec_add_scaled(
+    target: SparseVec, src: SparseVec, coeff: Scalar, modulus: int | None = None
+) -> None:
+    """target += coeff * src, in place, dropping zeros; mod modulus if given."""
     if not coeff:
         return
+    if modulus is None:
+        for k, v in src.items():
+            nv = target.get(k, 0) + coeff * v
+            if nv:
+                target[k] = nv
+            else:
+                target.pop(k, None)
+        return
     for k, v in src.items():
-        nv = target.get(k, 0) + coeff * v
+        nv = (target.get(k, 0) + coeff * v) % modulus
         if nv:
             target[k] = nv
         else:
@@ -128,14 +139,16 @@ class RatMat:
 
 
 class EchelonBasis:
-    """A subspace maintained in reduced row echelon form over the rationals.
+    """A subspace maintained in reduced row echelon form over Q, or over
+    F_modulus for a prime modulus (input integers are reduced on entry).
 
     Rows are sparse vectors; every pivot entry is 1 and pivot columns are
     zero in all other rows.  Because RREF is a normal form, the stored
     rows depend only on the subspace, not on the insertion history.
     """
 
-    def __init__(self):
+    def __init__(self, modulus: int | None = None):
+        self.modulus = modulus
         self.rows: list[SparseVec] = []
         self.pivots: list[int] = []
         self._pivot_row: dict[int, int] = {}
@@ -145,17 +158,18 @@ class EchelonBasis:
         return len(self.rows)
 
     def _eliminate(self, vec: SparseVec, record: dict[int, Scalar] | None) -> SparseVec:
-        v = dict(vec)
+        p = self.modulus
+        v = dict(vec) if p is None else {c: x % p for c, x in vec.items() if x % p}
         # RREF rows contain no foreign pivot columns, so one sorted pass
         # over the pivot columns initially present in v is complete.
-        for p in sorted(c for c in v if c in self._pivot_row):
-            coeff = v.get(p)
+        for c in sorted(c for c in v if c in self._pivot_row):
+            coeff = v.get(c)
             if not coeff:
                 continue
-            ri = self._pivot_row[p]
+            ri = self._pivot_row[c]
             if record is not None:
                 record[ri] = coeff
-            vec_add_scaled(v, self.rows[ri], -coeff)
+            vec_add_scaled(v, self.rows[ri], -coeff, p)
         return v
 
     def residual(self, vec: SparseVec) -> SparseVec:
@@ -171,12 +185,16 @@ class EchelonBasis:
         if not v:
             return None
         pivot = min(v)
-        inv = Fraction(1, 1) / v[pivot]
-        v = {c: val * inv for c, val in v.items()}
-        v[pivot] = Fraction(1)
+        p = self.modulus
+        if p is None:
+            inv = Fraction(1, 1) / v[pivot]
+            v = {c: val * inv for c, val in v.items()}
+        else:
+            inv = pow(v[pivot], -1, p)
+            v = {c: val * inv % p for c, val in v.items()}
         for row in self.rows:
             if pivot in row:
-                vec_add_scaled(row, v, -row[pivot])
+                vec_add_scaled(row, v, -row[pivot], p)
         self._pivot_row[pivot] = len(self.rows)
         self.rows.append(v)
         self.pivots.append(pivot)
@@ -197,6 +215,30 @@ class EchelonBasis:
         """Row indices ordered by pivot column."""
         return sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
 
+    def dense_rows(self, ncols: int) -> list[list[Scalar]]:
+        """The rows ordered by pivot column, as dense lists of length ncols."""
+        zero = Fraction(0) if self.modulus is None else 0
+        return [
+            [self.rows[i].get(c, zero) for c in range(ncols)]
+            for i in self.sorted_order()
+        ]
+
+
+def power_ranks(vectors, apply, modulus: int | None = None) -> list[int]:
+    """Ranks of T^0, T^1, ... on the span of vectors, ending at the first 0.
+
+    apply maps a sparse vector to its image under T, which must be
+    nilpotent on the span; ranks are taken over Q, or over F_modulus.
+    """
+    ranks = []
+    while True:
+        eb = EchelonBasis(modulus)
+        vectors = [row for row in map(eb.insert, vectors) if row is not None]
+        ranks.append(eb.dim)
+        if not vectors:
+            return ranks
+        vectors = [apply(row) for row in vectors]
+
 
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a dense matrix; returns (rows, pivot cols).
@@ -209,13 +251,7 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     eb = EchelonBasis()
     for row in rows:
         eb.insert({c: v for c, v in enumerate(map(Fraction, row)) if v})
-    reduced = []
-    for i in eb.sorted_order():
-        dense = [Fraction(0)] * ncols
-        for c, v in eb.rows[i].items():
-            dense[c] = v
-        reduced.append(dense)
-    return reduced, sorted(eb.pivots)
+    return eb.dense_rows(ncols), sorted(eb.pivots)
 
 
 def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:

@@ -2,8 +2,8 @@
 
 The wedge basis is indexed by sorted N-subsets of the nm pairs (i, a),
 pair (i, a) numbered i*m + a, and a subset's ambient index is its rank in
-lexicographic order.  Both generator families act by derivations with the
-same wedge sign convention as glmodules.ext_power.
+lexicographic order.  Both generator families act by derivations through
+the wedge action shared with glmodules.ext_power (glmodules.wedge_generators).
 
 A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
 n x m matrices with row sums mu and column sums lam (Howe, "Remarks on
@@ -28,7 +28,15 @@ from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension, max_dimension
-from .glmodules import ExplicitModule, wedge_replace
+from .glmodules import (
+    ExplicitModule,
+    Move,
+    Subset,
+    _move_images,
+    _moves,
+    _rank,
+    wedge_generators,
+)
 from .linalg import RatMat, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
@@ -41,49 +49,6 @@ from .weights import (
     weight_diff,
     weight_sum,
 )
-
-Subset = tuple[int, ...]
-# A generator moving one wedge factor from row (along_rows) or column
-# index frm to index to: (along_rows, frm, to).
-Move = tuple[bool, int, int]
-
-
-def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
-    """The raising (E_i) or lowering (F_i) generators of gl(count)."""
-    return [
-        (along_rows, i + 1, i) if raising else (along_rows, i, i + 1)
-        for i in range(count - 1)
-    ]
-
-
-def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]:
-    """(sign, image subset) terms of one generator applied to one wedge
-    basis vector: one term per factor in the source row or column that
-    does not collide."""
-    along_rows, frm, to = move
-    out = []
-    for p in subset:
-        i, a = divmod(p, m)
-        if along_rows and i == frm:
-            hit = wedge_replace(subset, p, to * m + a)
-        elif not along_rows and a == frm:
-            hit = wedge_replace(subset, p, i * m + to)
-        else:
-            continue
-        if hit is not None:
-            out.append(hit)
-    return out
-
-
-def _rank(subset: Subset, size: int) -> int:
-    """Lexicographic rank of a sorted subset among all subsets of
-    range(size) with as many elements."""
-    k = len(subset)
-    rank = comb(size, k) - 1
-    for j, c in enumerate(subset):
-        rank -= comb(size - 1 - c, k - j)
-    return rank
-
 
 def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
     """Sorted subsets with gl(n) weight wn and gl(m) weight wm, in
@@ -154,19 +119,7 @@ class BiModule:
         )
 
     def _family(self, moves: list[Move]) -> tuple[RatMat, ...]:
-        size = self.n * self.m
-        return tuple(
-            RatMat.from_entries(
-                self.dim,
-                self.dim,
-                (
-                    (_rank(image, size), t, sign)
-                    for t, s in enumerate(self.basis)
-                    for sign, image in _move_images(s, self.m, move)
-                ),
-            )
-            for move in moves
-        )
+        return wedge_generators(self.basis, self.n * self.m, self.m, moves)
 
     @cached_property
     def En(self) -> tuple[RatMat, ...]:

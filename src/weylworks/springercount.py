@@ -7,7 +7,8 @@ recurses on the quotient; the number of choices of F_1 inducing a given
 quotient type depends only on how F_1 meets the socle filtration
 S_j = (ker X) meet (im X^{j-1}), which gives a closed product of q-binomials.
 A literal echelon-form enumeration is kept alongside as an independent
-cross-check.
+cross-check; it tests membership with the package's one eliminator,
+linalg.EchelonBasis, run over F_q.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, kostka
 from .errors import InvariantViolation, ResourceLimitError, WeylworksError
+from .linalg import EchelonBasis, RatMat, SparseVec, power_ranks
 from .weights import Partition, as_partition, conjugate
 
 
@@ -164,6 +166,14 @@ def jordan_matrix(nu) -> list[list[int]]:
     return mat
 
 
+def _as_ratmat(mat) -> RatMat:
+    """Sparse copy of a square dense integer matrix."""
+    size = len(mat)
+    return RatMat.from_entries(
+        size, size, ((r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row))
+    )
+
+
 @dataclass(frozen=True)
 class NilpotentOperator:
     """A Jordan-form nilpotent together with its type, over a prime field."""
@@ -175,19 +185,8 @@ class NilpotentOperator:
 
     def rank_sequence(self) -> tuple[int, ...]:
         """Ranks of matrix^0, matrix^1, ... down to the first zero power."""
-        ranks = [self.N]
-        power = [list(row) for row in self.matrix]
-        mat = [list(row) for row in self.matrix]
-        while True:
-            _, pivots = _rref_modq(power, self.q)
-            ranks.append(len(pivots))
-            if not pivots:
-                return tuple(ranks)
-            power = [
-                [sum(row[t] * mat[t][c] for t in range(self.N)) % self.q
-                 for c in range(self.N)]
-                for row in power
-            ]
+        unit_vectors = ({c: 1} for c in range(self.N))
+        return tuple(power_ranks(unit_vectors, _as_ratmat(self.matrix).apply, self.q))
 
 
 def jordan_nilpotent(nu, q: int) -> NilpotentOperator:
@@ -201,47 +200,12 @@ def jordan_nilpotent(nu, q: int) -> NilpotentOperator:
     )
 
 
-def _mat_vec_modq(mat: list[list[int]], vec: list[int], q: int) -> list[int]:
-    return [sum(row[c] * vec[c] for c in range(len(vec))) % q for row in mat]
-
-
-def _rref_modq(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon form over F_q, rows sorted by pivot column."""
-    work = [[x % q for x in r] for r in rows]
-    out: list[list[int]] = []
-    pivots: list[int] = []
-    for row in work:
-        for r, p in zip(out, pivots):
-            c = row[p]
-            if c:
-                row = [(a - c * b) % q for a, b in zip(row, r)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        inv = pow(row[pivot], -1, q)
-        row = [(inv * x) % q for x in row]
-        for r in out:
-            c = r[pivot]
-            if c:
-                r[:] = [(a - c * b) % q for a, b in zip(r, row)]
-        out.append(row)
-        pivots.append(pivot)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order], sorted(pivots)
-
-
-def _reduce_modq(vec: list[int], rows: list[list[int]], pivots: list[int], q: int) -> list[int]:
-    """Residual of vec against an RREF basis, all mod q."""
-    vec = [x % q for x in vec]
-    for r, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            vec = [(a - c * b) % q for a, b in zip(vec, r)]
-    return vec
-
-
-def _subspaces_modq(dim: int, k: int, q: int, tick) -> Iterator[list[list[int]]]:
-    """All k-dimensional subspaces of F_q^dim as reduced echelon bases."""
+def _subspaces_modq(
+    coords: list[int], k: int, q: int, tick
+) -> Iterator[list[SparseVec]]:
+    """All k-dimensional subspaces over F_q of the span of the unit vectors
+    at coords, as reduced echelon bases of sparse rows."""
+    dim = len(coords)
     for pivots in itertools.combinations(range(dim), k):
         free = [
             (r, c)
@@ -251,11 +215,10 @@ def _subspaces_modq(dim: int, k: int, q: int, tick) -> Iterator[list[list[int]]]
         ]
         for values in itertools.product(range(q), repeat=len(free)):
             tick()
-            rows = [[0] * dim for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
+            rows = [{coords[p]: 1} for p in pivots]
             for (r, c), v in zip(free, values):
-                rows[r][c] = v
+                if v:
+                    rows[r][coords[c]] = v
             yield rows
 
 
@@ -264,9 +227,11 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
     """Count the same chains as count_fiber_points by direct enumeration.
 
     Walks every echelon form at every step and tests X F_i <= F_{i-1}
-    generator by generator.  Exponentially slower than the recursion and
-    kept purely as an independent check for small inputs; budget bounds
-    the number of echelon forms generated before ResourceLimitError.
+    generator by generator; the flag and the membership tests run on the
+    shared eliminator, linalg.EchelonBasis(q).  Exponentially slower than
+    the recursion and kept purely as an independent check for small
+    inputs; budget bounds the number of echelon forms generated before
+    ResourceLimitError.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime for direct enumeration, got {q}")
@@ -286,7 +251,7 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
         raise ResourceLimitError(
             f"estimated {estimate} echelon forms exceeds the budget of {budget}"
         )
-    xmat = jordan_matrix(nu)
+    xop = _as_ratmat(jordan_matrix(nu))
     spent = [0]
 
     def tick() -> None:
@@ -296,28 +261,21 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
                 f"echelon enumeration exceeded the budget of {budget} forms"
             )
 
-    def extend(rows: list[list[int]], pivots: list[int], i: int) -> int:
+    def extend(flag: EchelonBasis, i: int) -> int:
         if i == len(steps):
             return 1
-        complement = [c for c in range(size) if c not in pivots]
+        complement = [c for c in range(size) if c not in flag.pivots]
         total = 0
-        for small in _subspaces_modq(len(complement), steps[i], q, tick):
-            lifted = []
-            for srow in small:
-                big = [0] * size
-                for val, c in zip(srow, complement):
-                    big[c] = val
-                lifted.append(big)
-            if any(
-                any(_reduce_modq(_mat_vec_modq(xmat, v, q), rows, pivots, q))
-                for v in lifted
-            ):
+        for lifted in _subspaces_modq(complement, steps[i], q, tick):
+            if any(flag.residual(xop.apply(v)) for v in lifted):
                 continue
-            new_rows, new_pivots = _rref_modq([list(r) for r in rows] + lifted, q)
-            total += extend(new_rows, new_pivots, i + 1)
+            grown = EchelonBasis(q)
+            for row in flag.rows + lifted:
+                grown.insert(row)
+            total += extend(grown, i + 1)
         return total
 
-    return extend([], [], 0)
+    return extend(EchelonBasis(q), 0)
 
 
 def _poly_eval(coeffs, x):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weylworks.cli import (
+    MAX_EXPR_DEPTH,
     RunConfig,
     _jnum,
     build_parser,
@@ -125,7 +130,10 @@ def test_parse_module_expr():
     assert parse_module_expr("irrep(2,1)", 3).dim == 8
     assert parse_module_expr("tensor(std, ext(2))", 3).dim == 9
     assert parse_module_expr("tensor(tensor(std,std),std)", 2).dim == 8
-    for bad in ["foo", "sym", "sym(2", "tensor(std)", "std junk", "irrep()"]:
+    nested = "tensor(" * MAX_EXPR_DEPTH + "std" + ",std)" * MAX_EXPR_DEPTH
+    assert parse_module_expr(nested, 1).dim == 1
+    too_deep = "tensor(" + nested + ",std)"
+    for bad in ["foo", "sym", "sym(2", "tensor(std)", "std junk", "irrep()", too_deep]:
         with pytest.raises(ValueError):
             parse_module_expr(bad, 3)
 
@@ -325,3 +333,25 @@ def test_malformed_subspace_file_is_one_error_line(tmp_path, content):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deeply_nested_module_is_one_error_line():
+    text = "tensor(" * 2000 + "std" + ",std)" * 2000
+    code, out, err = run_cli(["decompose", "--module", text, "-n", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "weylworks.cli",
+         "character", "--lambda", "1,0", "-n", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["dim"] == 2

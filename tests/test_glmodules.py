@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from weylworks.characters import character, character_table, dim_irrep
+from weylworks.errors import InvariantViolation
 from weylworks.glmodules import (
+    ExplicitModule,
     adjoint_module,
     decompose,
     ext_power,
@@ -160,6 +162,12 @@ def test_chevalley_relations_across_constructors():
     ]
     for mod in mods:
         verify_chevalley_relations(mod)
+    # doubling F keeps every weight shift but makes [E_i, F_i] = 2 H_i
+    for mod in mods[:4]:
+        doubled = tuple(f + f for f in mod.F)
+        bad = ExplicitModule(mod.n, mod.dim, mod.basis_weights, mod.E, doubled)
+        with pytest.raises(InvariantViolation, match=r"\[E_"):
+            verify_chevalley_relations(bad)
 
 
 def test_irrep_plucker_row_is_sym():

@@ -46,6 +46,12 @@ def test_fixed_point_examples():
     cells = {(0, 0), (1, 0), (0, 1)}
     assert sub.basis == monomial_subspace(2, sub.D, cells).basis
     assert fixed_point((0, 0), 2).dim == 0
+    for n in (1, 2, 3):
+        for mu in itertools.product(range(4), repeat=n):
+            sub = fixed_point(mu, n)
+            cells = {(j, i) for i in range(n) for j in range(mu[i])}
+            assert sub.D == max(mu) + 1
+            assert sub.basis == monomial_subspace(n, sub.D, cells).basis, mu
     with pytest.raises(ValueError):
         fixed_point((1, -1), 2)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from weylworks.linalg import kernel, rref
+from weylworks.linalg import EchelonBasis, kernel, rref
 
 
 def dense_rref(rows):
@@ -23,6 +23,32 @@ def dense_rref(rows):
         pivots.append(c)
         r += 1
     return mat[:r], pivots
+
+
+def dense_rref_modq(rows, q):
+    """Dense Gauss-Jordan elimination over F_q, kept as the reference for
+    EchelonBasis(modulus=q); rows come back sorted by pivot column."""
+    work = [[x % q for x in r] for r in rows]
+    out = []
+    pivots = []
+    for row in work:
+        for r, p in zip(out, pivots):
+            c = row[p]
+            if c:
+                row = [(a - c * b) % q for a, b in zip(row, r)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        inv = pow(row[pivot], -1, q)
+        row = [(inv * x) % q for x in row]
+        for r in out:
+            c = r[pivot]
+            if c:
+                r[:] = [(a - c * b) % q for a, b in zip(r, row)]
+        out.append(row)
+        pivots.append(pivot)
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return [out[i] for i in order], sorted(pivots)
 
 
 def kernel_from_rref(rows, ncols):
@@ -50,6 +76,26 @@ matrices = st.integers(1, 6).flatmap(
 def test_rref_matches_dense_reference(case):
     rows, _ = case
     assert rref(rows) == dense_rref(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+            max_size=6,
+        ).map(lambda rows: (rows, ncols))
+    ),
+)
+def test_modular_echelon_matches_dense_reference(q, case):
+    rows, ncols = case
+    eb = EchelonBasis(modulus=q)
+    for row in rows:
+        eb.insert({c: v for c, v in enumerate(row) if v})
+    assert (eb.dense_rows(ncols), sorted(eb.pivots)) == dense_rref_modq(rows, q)
+    for row in rows:
+        assert not eb.residual({c: v for c, v in enumerate(row) if v})
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,8 @@ import pytest
 from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import ResourceLimitError
-from weylworks.glmodules import decompose, verify_chevalley_relations
+from weylworks.glmodules import _rank, decompose, ext_power, verify_chevalley_relations
 from weylworks.skewhowe import (
-    _rank,
     _slice,
     build_bimodule,
     decompose_howe,
@@ -25,6 +24,19 @@ def test_build_bimodule_dimensions():
     assert bim.dim == math.comb(6, 3) == 20
     assert build_bimodule(2, 2, 0).dim == 1
     assert build_bimodule(3, 2, 6).dim == 1
+
+
+def test_ext_power_is_the_one_column_bimodule():
+    for n in range(1, 6):
+        for k in range(n + 1):
+            ext = ext_power(k, n)
+            wedge = build_bimodule(n, 1, k).gln_module()
+            assert (ext.n, ext.dim, ext.basis_weights) == (
+                wedge.n, wedge.dim, wedge.basis_weights
+            )
+            for ours, theirs in zip(ext.E + ext.F, wedge.E + wedge.F, strict=True):
+                assert (ours.nrows, ours.ncols) == (theirs.nrows, theirs.ncols)
+                assert ours.entries() == theirs.entries()
 
 
 def test_bimodule_weights_count_pairs():

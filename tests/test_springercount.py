@@ -227,18 +227,19 @@ def test_component_count_is_kostka_everywhere_small():
 
 
 def test_jordan_nilpotent_rank_sequence():
-    for total in range(1, 6):
-        for nu in partitions(total):
-            op = jordan_nilpotent(nu, 3)
-            ranks = op.rank_sequence()
-            expected = [sum(nu)]
-            k = 1
-            while expected[-1] > 0:
-                expected.append(sum(max(part - k, 0) for part in nu))
-                k += 1
-            assert list(ranks) == expected, nu
-            # first vanishing power is the largest block, and the
-            # conjugated rank drops recover the type
-            assert len(ranks) - 1 == nu[0]
-            drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-            assert conjugate(tuple(drops)) == nu
+    for q in (2, 3, 5):
+        for total in range(1, 6):
+            for nu in partitions(total):
+                op = jordan_nilpotent(nu, q)
+                ranks = op.rank_sequence()
+                expected = [sum(nu)]
+                k = 1
+                while expected[-1] > 0:
+                    expected.append(sum(max(part - k, 0) for part in nu))
+                    k += 1
+                assert list(ranks) == expected, (q, nu)
+                # first vanishing power is the largest block, and the
+                # conjugated rank drops recover the type
+                assert len(ranks) - 1 == nu[0]
+                drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
+                assert conjugate(tuple(drops)) == nu
