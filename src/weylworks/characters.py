@@ -3,6 +3,9 @@
 The weight multiplicity of mu in the irreducible with highest weight
 lambda is a Kostka number, computed here by backtracking over
 semistandard fillings (rows weakly increase, columns strictly increase).
+One backtracking, _ssyt_content_counts, serves every count: kostka bounds
+each entry by its content, so only tableaux of that content are visited;
+character_table (and dim_irrep, its total) leaves every entry unbounded.
 Highest weights with negative entries are handled by the determinant
 twist: shifting every entry of lambda and mu by the same constant does
 not change the multiplicity, so everything reduces to partition shapes.
@@ -40,40 +43,18 @@ def kostka(lam, mu, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> int:
     if sum(shape) != sum(content):
         return 0
     _check_size(shape, size_guard)
-    if not shape:
-        return 1
-    m = len(content)
-    if len(shape) > m:
-        return 0
-    counts = list(content)
-
-    def fill(r: int, prev_row: list[int]) -> int:
-        if r == len(shape):
-            return 1
-        width = shape[r]
-        row = [0] * width
-        total = 0
-
-        def cell(j: int, lo: int) -> None:
-            nonlocal total
-            if j == width:
-                total += fill(r + 1, row)
-                return
-            for v in range(max(lo, prev_row[j] + 1), m + 1):
-                if counts[v - 1] > 0:
-                    counts[v - 1] -= 1
-                    row[j] = v
-                    cell(j + 1, v)
-                    counts[v - 1] += 1
-
-        cell(0, 1)
-        return total
-
-    return fill(0, [0] * shape[0])
+    return _ssyt_content_counts(shape, content).get(content, 0)
 
 
-def _ssyt_content_counts(shape, m: int) -> dict[tuple[int, ...], int]:
-    """Content vector -> number of semistandard tableaux, entries in 1..m."""
+def _ssyt_content_counts(shape, budget) -> dict[tuple[int, ...], int]:
+    """Content vector -> number of semistandard tableaux of the given
+    shape in which entry v (1-based) occurs at most budget[v-1] times.
+
+    Rows are filled left to right and top to bottom; a cell takes the
+    values allowed by its left and upper neighbours that still have
+    budget, so a tight budget enumerates exactly one content.
+    """
+    m = len(budget)
     table: dict[tuple[int, ...], int] = {}
     if not shape:
         table[(0,) * m] = 1
@@ -95,10 +76,11 @@ def _ssyt_content_counts(shape, m: int) -> dict[tuple[int, ...], int]:
                 fill(r + 1, row)
                 return
             for v in range(max(lo, prev_row[j] + 1), m + 1):
-                content[v - 1] += 1
-                row[j] = v
-                cell(j + 1, v)
-                content[v - 1] -= 1
+                if content[v - 1] < budget[v - 1]:
+                    content[v - 1] += 1
+                    row[j] = v
+                    cell(j + 1, v)
+                    content[v - 1] -= 1
 
         cell(0, 1)
 
@@ -136,12 +118,7 @@ def character(lam, mu, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> int:
 
 def dim_irrep(lam, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> int:
     """Dimension of the irreducible gl(n) module with highest weight lam."""
-    lam = pad(lam, n) if len(lam) < n else tuple(int(x) for x in lam)
-    if len(lam) != n:
-        raise ValueError(f"highest weight {lam} does not fit rank {n}")
-    shape, _ = _twist(lam)
-    _check_size(shape, size_guard)
-    return sum(_ssyt_content_counts(shape, n).values())
+    return character_table(lam, n, size_guard=size_guard).dim()
 
 
 @dataclass(frozen=True)
@@ -169,6 +146,6 @@ def character_table(
         raise ValueError(f"highest weight {lam} does not fit rank {n}")
     shape, c = _twist(lam)
     _check_size(shape, size_guard)
-    raw = _ssyt_content_counts(shape, n)
+    raw = _ssyt_content_counts(shape, [sum(shape)] * n)
     entries = {tuple(x - c for x in content): count for content, count in raw.items()}
     return CharacterTable(lam=lam, n=n, entries=entries)

@@ -310,10 +310,7 @@ def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
 
 
 def _weight_table(mod) -> list[tuple[tuple[int, ...], int]]:
-    counts: dict[tuple[int, ...], int] = {}
-    for w in mod.basis_weights:
-        counts[w] = counts.get(w, 0) + 1
-    return [(w, counts[w]) for w in sorted(counts, reverse=True)]
+    return [(w, len(idxs)) for w, idxs in glmodules.weight_decompose(mod).items()]
 
 
 def _matrix_json(mat: RatMat) -> dict:
@@ -513,10 +510,11 @@ def _run_springer(cfg: RunConfig):
     nu = cfg.params["nu"]
     mu = cfg.params["mu"]
     n = cfg.params["n"]
+    # The Kostka referee runs first, so that --size-guard refuses before
+    # any point is counted; point_count_table then validates mu against n.
+    content = tuple(mu) + (0,) * (n - len(mu))
+    expected = characters.kostka(conjugate(nu), content, **cfg.guard_kwargs())
     table = springercount.point_count_table(nu, mu, n, primes=cfg.primes)
-    expected = characters.kostka(
-        conjugate(table.nu), table.mu, **cfg.guard_kwargs()
-    )
     lead = table.leading_coefficient
     match = lead == expected
     payload = {
@@ -776,6 +774,9 @@ def main(argv=None) -> int:
         return run(cfg)
     except (WeylworksError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 1
 
 

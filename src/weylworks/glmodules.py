@@ -6,6 +6,11 @@ in entry (i, i+1) on the standard module; F_i is its transpose).  All
 constructors act by derivations on symmetric, exterior, and tensor
 products, so the defining commutation relations hold exactly over the
 rationals, not just numerically.
+
+submodule restricts an ambient module's generators to a weight-graded
+subspace given by one echelon basis per weight, checking exactly that the
+subspace is closed.  Both constructions of an irreducible end with it:
+irrep_plucker here and skewhowe.induced_gln_module.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
-from .linalg import EchelonBasis, RatMat, Scalar, kernel, vec_add_scaled
+from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
@@ -60,10 +65,7 @@ def standard_module(n: int) -> ExplicitModule:
     """The vector representation on C^n."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    weights = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    E = tuple(RatMat.from_entries(n, n, [(i, i + 1, 1)]) for i in range(n - 1))
-    F = tuple(RatMat.from_entries(n, n, [(i + 1, i, 1)]) for i in range(n - 1))
-    return ExplicitModule(n, n, weights, E, F)
+    return ext_power(1, n)
 
 
 def sym_power(k: int, n: int, *, max_dim: int | None = None) -> ExplicitModule:
@@ -378,6 +380,7 @@ def irrep_plucker(lam, n: int, *, max_dim: int | None = None) -> ExplicitModule:
     columns.  Its closure under the lowering generators is computed with
     exact echelon reduction, one weight space at a time; the resulting
     reduced echelon bases are canonical, so the output is deterministic.
+    The generators are restricted to that span by submodule.
     """
     shape = as_partition(lam)
     if len(shape) > n:
@@ -403,42 +406,52 @@ def irrep_plucker(lam, n: int, *, max_dim: int | None = None) -> ExplicitModule:
             stored = bases.setdefault(tw, EchelonBasis()).insert(image)
             if stored is not None:
                 queue.append((tw, stored))
+    return submodule(
+        n, bases, [m.apply for m in ambient.E], [m.apply for m in ambient.F]
+    )
 
-    order = sorted((w for w in bases if bases[w].dim), reverse=True)
+
+def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitModule:
+    """The gl(n) module on a weight-graded subspace of an ambient module.
+
+    spaces maps each weight to an EchelonBasis of its weight space in
+    ambient coordinates; E[i] and F[i] map a sparse ambient vector to its
+    image under the i-th raising and lowering generator.  The basis is
+    each space's rows in pivot order, weights descending.  Every image is
+    expanded exactly in the space of its target weight: an image outside
+    that span, or with a target weight that has no space, raises
+    InvariantViolation, since then the spaces are not a submodule.
+    """
     offsets: dict[WeightVec, tuple[int, dict[int, int]]] = {}
-    vectors: list[dict] = []
+    vectors: list[SparseVec] = []
     weights: list[WeightVec] = []
-    pos = 0
-    for w in order:
-        eb = bases[w]
-        row_order = eb.sorted_order()
-        offsets[w] = (pos, {ri: p for p, ri in enumerate(row_order)})
-        for ri in row_order:
-            vectors.append(eb.rows[ri])
-            weights.append(w)
-        pos += eb.dim
-    dim = pos
+    for w in sorted((w for w in spaces if spaces[w].dim), reverse=True):
+        row_order = spaces[w].sorted_order()
+        offsets[w] = (len(vectors), {ri: p for p, ri in enumerate(row_order)})
+        vectors.extend(spaces[w].rows[ri] for ri in row_order)
+        weights.extend([w] * len(row_order))
+    dim = len(vectors)
 
-    def restricted(ambient_mats, direction: int) -> list[RatMat]:
+    def restricted(maps, shift) -> tuple[RatMat, ...]:
         mats = []
-        for i in range(n - 1):
+        for i, apply in enumerate(maps):
             alpha = simple_root(i, n)
             entries = []
             for col, (w, vec) in enumerate(zip(weights, vectors)):
-                image = ambient_mats[i].apply(vec)
+                image = apply(vec)
                 if not image:
                     continue
-                tw = weight_sum(w, alpha) if direction > 0 else weight_diff(w, alpha)
-                if tw not in bases or not bases[tw].dim:
+                tw = shift(w, alpha)
+                if tw not in offsets:
                     raise InvariantViolation(
-                        "generator image escapes the cyclic submodule"
+                        f"generator image at weight {tw} leaves the submodule"
                     )
                 base, placement = offsets[tw]
-                for ri, coeff in bases[tw].coords(image).items():
+                for ri, coeff in spaces[tw].coords(image).items():
                     entries.append((base + placement[ri], col, coeff))
             mats.append(RatMat.from_entries(dim, dim, entries))
-        return mats
+        return tuple(mats)
 
-    E = restricted(ambient.E, +1)
-    F = restricted(ambient.F, -1)
-    return ExplicitModule(n, dim, tuple(weights), tuple(E), tuple(F))
+    return ExplicitModule(
+        n, dim, tuple(weights), restricted(E, weight_sum), restricted(F, weight_diff)
+    )

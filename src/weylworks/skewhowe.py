@@ -13,6 +13,10 @@ slices alone: the slice is enumerated directly, generators are applied to
 subsets on the fly, and the whole wedge is never built.  The dimension
 guard (max_dim, else WEYLWORKS_MAX_DIM) applies to each slice there.
 
+The induced module takes each hom space, in reduced echelon form, as its
+weight space mu and restricts the gl(n) generators to them through
+glmodules.submodule, the same step that ends irrep_plucker.
+
 build_bimodule is cheap: BiModule's basis, weights and generator matrices
 are built on first access, and only then is C(nm, N) checked against the
 guard.  verify_commuting_actions, gln_module and glm_module need them.
@@ -35,9 +39,10 @@ from .glmodules import (
     _move_images,
     _moves,
     _rank,
+    submodule,
     wedge_generators,
 )
-from .linalg import RatMat, SparseVec, kernel, vec_add_scaled
+from .linalg import EchelonBasis, RatMat, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
@@ -45,9 +50,6 @@ from .weights import (
     conjugate,
     pad,
     partitions,
-    simple_root,
-    weight_diff,
-    weight_sum,
 )
 
 def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
@@ -148,11 +150,10 @@ class BiModule:
 class HomSpace:
     """Joint kernel of the gl(m) raising operators in one bi-weight slice.
 
-    vectors are sparse dicts in the ambient wedge basis.  slice_indices
-    are the ambient indices of the slice, ascending, and subsets the
-    wedge basis vectors they name.  free_positions are positions within
-    slice_indices where each kernel vector carries its defining 1, so
-    coordinates of any vector in the span can be read off directly.
+    vectors are a kernel basis, as sparse dicts in the ambient wedge
+    basis; only their span is meaningful.  slice_indices are the ambient
+    indices of the slice, ascending, and subsets the wedge basis vectors
+    they name, so a gl(n) generator can act on a vector subset by subset.
     """
 
     lam: tuple[int, ...]
@@ -160,7 +161,6 @@ class HomSpace:
     dim: int
     vectors: tuple[dict[int, Fraction], ...]
     slice_indices: tuple[int, ...]
-    free_positions: tuple[int, ...]
     subsets: tuple[Subset, ...]
 
 
@@ -190,8 +190,8 @@ def verify_commuting_actions(bim: BiModule) -> None:
 
 def _joint_kernel(
     m: int, subsets: tuple[Subset, ...], moves: list[Move]
-) -> tuple[list[SparseVec], list[int]]:
-    """Kernel of the stacked generators on the span of subsets (one
+) -> list[SparseVec]:
+    """Kernel basis of the stacked generators on the span of subsets (one
     slice), keyed by position in subsets.  Rows are keyed by (generator,
     image subset)."""
     rows: dict[tuple[int, Subset], SparseVec] = {}
@@ -199,7 +199,7 @@ def _joint_kernel(
         for move_no, move in enumerate(moves):
             for sign, image in _move_images(s, m, move):
                 rows.setdefault((move_no, image), {})[pos] = sign
-    return kernel(list(rows.values()), len(subsets))
+    return kernel(list(rows.values()), len(subsets))[0]
 
 
 def decompose_howe(
@@ -249,7 +249,7 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     raising operators of both families."""
     moves = _moves(bim.n, True, True) + _moves(bim.m, False, True)
     subsets = _slice(bim.n, bim.m, wn, wm, bim.max_dim)
-    return len(_joint_kernel(bim.m, subsets, moves)[0])
+    return len(_joint_kernel(bim.m, subsets, moves))
 
 
 def hom_space(bim: BiModule, lam, mu) -> HomSpace:
@@ -273,7 +273,7 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m), bim.max_dim)
     slice_idx = tuple(_rank(s, bim.n * bim.m) for s in subsets)
-    basis, free = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
+    basis = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
     vectors = tuple({slice_idx[t]: v for t, v in vec.items()} for vec in basis)
     return HomSpace(
         lam=shape,
@@ -281,7 +281,6 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
         dim=len(vectors),
         vectors=vectors,
         slice_indices=slice_idx,
-        free_positions=tuple(free),
         subsets=subsets,
     )
 
@@ -289,9 +288,9 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
 def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
     """The gl(n) module carried by all hom spaces of one gl(m) weight lam.
 
-    Its basis is the union of the hom-space kernels over the gl(n)
-    weights mu, and the restricted raising and lowering matrices are
-    computed exactly; the result is the irreducible with highest weight
+    Each hom space, in reduced echelon form, is the weight space mu of
+    the module; glmodules.submodule restricts the gl(n) generators to
+    them exactly.  The result is the irreducible with highest weight
     conjugate(lam).
     """
     shape = as_partition(lam)
@@ -300,65 +299,28 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     size = bim.n * bim.m
-    spaces: dict[WeightVec, HomSpace] = {}
-    offsets: dict[WeightVec, int] = {}
-    weights: list[WeightVec] = []
-    for mu in compositions(bim.N, bim.n):  # descending
+    spaces: dict[WeightVec, EchelonBasis] = {}
+    subset_at: dict[int, Subset] = {}
+    for mu in compositions(bim.N, bim.n):
         hs = hom_space(bim, shape, mu)
-        if hs.dim == 0:
-            continue
-        spaces[mu] = hs
-        offsets[mu] = len(weights)
-        weights.extend([mu] * hs.dim)
-    dim = len(weights)
+        spaces[mu] = EchelonBasis()
+        for vec in hs.vectors:
+            spaces[mu].insert(vec)
+        subset_at.update(zip(hs.slice_indices, hs.subsets))
 
-    def restricted(raising: bool) -> list[RatMat]:
-        mats = []
-        for i, move in enumerate(_moves(bim.n, True, raising)):
-            alpha = simple_root(i, bim.n)
-            entries = []
-            col = 0
-            for mu, hs in spaces.items():
-                target = weight_sum(mu, alpha) if raising else weight_diff(mu, alpha)
-                subset_at = dict(zip(hs.slice_indices, hs.subsets))
-                for vec in hs.vectors:
-                    image: SparseVec = {}
-                    for idx, coeff in vec.items():
-                        for sign, new in _move_images(subset_at[idx], bim.m, move):
-                            vec_add_scaled(image, {_rank(new, size): sign}, coeff)
-                    if image:
-                        ths = spaces.get(target)
-                        if ths is None:
-                            raise InvariantViolation(
-                                "generator image leaves the induced module"
-                            )
-                        coeffs = _express_in_hom_basis(image, ths)
-                        base = offsets[target]
-                        for t, coeff in enumerate(coeffs):
-                            if coeff:
-                                entries.append((base + t, col, coeff))
-                    col += 1
-            mats.append(RatMat.from_entries(dim, dim, entries))
-        return mats
+    def action(move: Move):
+        def apply(vec: SparseVec) -> SparseVec:
+            image: SparseVec = {}
+            for idx, coeff in vec.items():
+                for sign, new in _move_images(subset_at[idx], bim.m, move):
+                    vec_add_scaled(image, {_rank(new, size): sign}, coeff)
+            return image
 
-    E = restricted(True)
-    F = restricted(False)
-    return ExplicitModule(bim.n, dim, tuple(weights), tuple(E), tuple(F))
+        return apply
 
-
-def _express_in_hom_basis(image: dict, hs: HomSpace) -> list[Fraction]:
-    """Coordinates of image in the kernel basis of hs, verified exactly.
-
-    Each kernel vector owns one free position, so the candidate
-    coordinates can be read off; the residual check then proves the
-    expansion is exact (it also catches support outside the slice).
-    """
-    coeffs = [
-        image.get(hs.slice_indices[f], Fraction(0)) for f in hs.free_positions
-    ]
-    residual = dict(image)
-    for coeff, vec in zip(coeffs, hs.vectors):
-        vec_add_scaled(residual, vec, -coeff)
-    if residual:
-        raise InvariantViolation("image is not a combination of hom-space vectors")
-    return coeffs
+    return submodule(
+        bim.n,
+        spaces,
+        [action(move) for move in _moves(bim.n, True, True)],
+        [action(move) for move in _moves(bim.n, True, False)],
+    )

@@ -97,8 +97,11 @@ def test_kostka_matches_pieri_oracle():
     for total in range(7):
         for lam in partitions(total):
             for k in range(1, 5):
+                table = character_table(pad(lam, k), k).entries if len(lam) <= k else {}
                 for mu in compositions(total, k):
-                    assert kostka(lam, mu) == oracle_kostka(lam, mu), (lam, mu)
+                    expected = oracle_kostka(lam, mu)
+                    assert kostka(lam, mu) == expected, (lam, mu)
+                    assert table.get(mu, 0) == expected, (lam, mu)
 
 
 def test_character_pinned_values():

@@ -343,6 +343,35 @@ def test_deeply_nested_module_is_one_error_line():
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "character --lambda 1500 -n 1 --size-guard 5000",
+        "springer --nu 1 --mu 1 -n 1500",
+        "crossval --lambda 1 -n 1500 -m 1",
+    ],
+)
+def test_recursion_depth_is_one_error_line(argv):
+    code, out, err = run_cli(argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_springer_guard_refuses_before_counting(monkeypatch):
+    from weylworks import springercount
+
+    def never(*args, **kwargs):
+        raise AssertionError("point counts computed before the size guard")
+
+    monkeypatch.setattr(springercount, "point_count_table", never)
+    argv = ["springer", "--nu", "4,3,3,2,1", "--mu", ",".join(["1"] * 13), "-n", "13"]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the guard 12" in err
+
+
 def test_module_entry_point_runs_without_warnings():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -12,11 +12,13 @@ from weylworks.glmodules import (
     highest_weight_vectors,
     irrep_plucker,
     standard_module,
+    submodule,
     sym_power,
     tensor,
     verify_chevalley_relations,
     weight_decompose,
 )
+from weylworks.linalg import EchelonBasis
 from weylworks.weights import partitions
 
 
@@ -202,3 +204,31 @@ def test_irrep_plucker_character_and_uniqueness():
 def test_irrep_plucker_rejects_long_shapes():
     with pytest.raises(ValueError):
         irrep_plucker((1, 1, 1), 2)
+
+
+def _spaces(vectors_by_weight):
+    spaces = {}
+    for w, vectors in vectors_by_weight.items():
+        spaces[w] = EchelonBasis()
+        for vec in vectors:
+            spaces[w].insert(vec)
+    return spaces
+
+
+def test_submodule_rejects_spaces_not_closed_under_the_generators():
+    std = standard_module(2)
+    gens = ([m.apply for m in std.E], [m.apply for m in std.F])
+    full = submodule(2, _spaces({(1, 0): [{0: 1}], (0, 1): [{1: 1}]}), *gens)
+    assert full.basis_weights == std.basis_weights
+    assert [m.entries() for m in full.E + full.F] == [
+        m.entries() for m in std.E + std.F
+    ]
+    # F_0 e_1 = e_2 has weight (0, 1), which has no space
+    with pytest.raises(InvariantViolation, match="leaves the submodule"):
+        submodule(2, _spaces({(1, 0): [{0: 1}]}), *gens)
+    # in C^2 (x) C^2, F_0 (e_1 (x) e_1) = e_2 (x) e_1 + e_1 (x) e_2, which is
+    # not in the span of e_1 (x) e_2 although its weight (1, 1) has a space
+    sq = tensor(std, std)
+    spaces = _spaces({(2, 0): [{0: 1}], (1, 1): [{1: 1}], (0, 2): [{3: 1}]})
+    with pytest.raises(InvariantViolation, match="outside the spanned subspace"):
+        submodule(2, spaces, [m.apply for m in sq.E], [m.apply for m in sq.F])

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from weylworks import skewhowe
 from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
-from weylworks.errors import ResourceLimitError
+from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.glmodules import _rank, decompose, ext_power, verify_chevalley_relations
 from weylworks.skewhowe import (
     _slice,
@@ -180,6 +181,21 @@ def test_induced_module_full_sweep():
             mod = induced_gln_module(bim, lam)
             verify_chevalley_relations(mod)
             assert decompose(mod).multiplicities == {pad(conjugate(lam), 3): 1}
+
+
+def test_induced_module_rejects_corrupted_gln_signs(monkeypatch):
+    honest = skewhowe._move_images
+
+    def unsigned_gln_moves(subset, m, move):
+        along_rows = move[0]
+        images = honest(subset, m, move)
+        return [(1, image) for _, image in images] if along_rows else images
+
+    # the gl(m) moves, and with them the hom spaces, stay correct; the
+    # unsigned gl(n) moves send hom-space vectors outside the hom spaces
+    monkeypatch.setattr(skewhowe, "_move_images", unsigned_gln_moves)
+    with pytest.raises(InvariantViolation):
+        induced_gln_module(build_bimodule(3, 3, 3), (2, 1))
 
 
 SLICE_CASES = [(3, 3, 3), (3, 4, 5), (4, 3, 5), (4, 4, 6), (2, 5, 4)]
