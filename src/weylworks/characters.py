@@ -1,11 +1,15 @@
 """Characters of irreducible gl(n) modules via tableau combinatorics.
 
 The weight multiplicity of mu in the irreducible with highest weight
-lambda is a Kostka number, computed here by backtracking over
-semistandard fillings (rows weakly increase, columns strictly increase).
-One backtracking, _ssyt_content_counts, serves every count: kostka bounds
-each entry by its content, so only tableaux of that content are visited;
-character_table (and dim_irrep, its total) leaves every entry unbounded.
+lambda is a Kostka number: the number of semistandard tableaux (rows
+weakly increase, columns strictly increase) of shape lambda and content
+mu.  The tableaux are counted, not listed: the cells holding one entry
+form a horizontal strip, so one forward pass over the entries, keeping
+{sub-shape: number of ways}, gives the count (_count_tableaux).  kostka
+is that count; character_table counts each dominant content mu below
+lambda once and copies the value to every rearrangement of mu, since
+the multiplicity is invariant under the Weyl group; dim_irrep is the
+table's total.
 Highest weights with negative entries are handled by the determinant
 twist: shifting every entry of lambda and mu by the same constant does
 not change the multiplicity, so everything reduces to partition shapes.
@@ -13,6 +17,7 @@ not change the multiplicity, so everything reduces to partition shapes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -43,49 +48,107 @@ def kostka(lam, mu, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> int:
     if sum(shape) != sum(content):
         return 0
     _check_size(shape, size_guard)
-    return _ssyt_content_counts(shape, content).get(content, 0)
+    return _count_tableaux(shape, content)
 
 
-def _ssyt_content_counts(shape, budget) -> dict[tuple[int, ...], int]:
-    """Content vector -> number of semistandard tableaux of the given
-    shape in which entry v (1-based) occurs at most budget[v-1] times.
+def _horizontal_strips(nu, shape, size, floor):
+    """Sub-shapes of shape obtained from nu by adding a horizontal strip of
+    size cells, with row i ending at least at floor[i].
 
-    Rows are filled left to right and top to bottom; a cell takes the
-    values allowed by its left and upper neighbours that still have
-    budget, so a tight budget enumerates exactly one content.
+    A horizontal strip has at most one cell per column, so row i may grow
+    to the old length of row i - 1 and no further.  Only the rows with a
+    choice are branched on, one at a time from a work list (no recursion,
+    so a shape with thousands of rows is fine); the room left in the
+    later rows prunes every choice that cannot reach the required size.
     """
-    m = len(budget)
-    table: dict[tuple[int, ...], int] = {}
-    if not shape:
-        table[(0,) * m] = 1
-        return table
-    if len(shape) > m:
-        return table
-    content = [0] * m
+    lo = [max(a, b) for a, b in zip(nu, floor)]
+    hi = [shape[0]] + [min(a, b) for a, b in zip(shape[1:], nu)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return []
+    free = [(i, b - a) for i, (a, b) in enumerate(zip(lo, hi)) if b > a]
+    room = [0] * (len(free) + 1)  # room[k]: cells the rows free[k:] can take
+    for k in range(len(free) - 1, -1, -1):
+        room[k] = room[k + 1] + free[k][1]
+    found = []
+    work = [((), size - sum(lo) + sum(nu))]
+    while work:
+        takes, left = work.pop()
+        k = len(takes)
+        if k == len(free):
+            if left == 0:
+                new = lo[:]
+                for (i, _), t in zip(free, takes):
+                    new[i] += t
+                found.append(tuple(new))
+            continue
+        for t in range(max(0, left - room[k + 1]), min(left, free[k][1]) + 1):
+            work.append((takes + (t,), left - t))
+    return found
 
-    def fill(r: int, prev_row: list[int]) -> None:
-        if r == len(shape):
-            key = tuple(content)
-            table[key] = table.get(key, 0) + 1
+
+def _count_tableaux(shape, content) -> int:
+    """Number of semistandard tableaux of a partition shape and content.
+
+    The cells holding entry v form a horizontal strip of content[v-1]
+    cells, so a tableau is a chain of sub-shapes () = nu_0 <= nu_1 <= ...
+    <= nu_k = shape, each a horizontal strip over the last.  One forward
+    pass over the entries carries {sub-shape: number of chains}.  The
+    count does not depend on the order of the content, so the parts are
+    taken largest first.  With r entries still to place, the rest of
+    shape / nu is r horizontal strips, so its columns have at most r
+    cells: row i of nu must reach shape[i + r], which prunes every
+    sub-shape that cannot be completed.
+    """
+    parts = sorted((x for x in content if x), reverse=True)
+    rows = len(shape)
+    states = {(0,) * rows: 1}
+    for done, size in enumerate(parts):
+        left = len(parts) - done - 1
+        floor = [shape[i + left] if i + left < rows else 0 for i in range(rows)]
+        grown: dict[tuple[int, ...], int] = {}
+        for nu, ways in states.items():
+            for new in _horizontal_strips(nu, shape, size, floor):
+                grown[new] = grown.get(new, 0) + ways
+        states = grown
+    return states.get(tuple(shape), 0)
+
+
+def _dominated_contents(shape, n: int):
+    """Partitions of |shape| with at most n parts dominated by shape,
+    padded with zeros to length n."""
+    total = sum(shape)
+    reach = list(itertools.accumulate(pad(shape, n)))
+    work = [()]
+    while work:
+        prefix = work.pop()
+        k = len(prefix)
+        used = sum(prefix)
+        if k == n:
+            if used == total:
+                yield prefix
+            continue
+        largest = prefix[-1] if prefix else total
+        for x in range(min(largest, reach[k] - used), -1, -1):
+            if total - used - x <= (n - k - 1) * x:
+                work.append(prefix + (x,))
+
+
+def _distinct_permutations(values):
+    """Each distinct rearrangement of values once, in lexicographic order
+    (the next-permutation rule, so repeated entries cost nothing)."""
+    perm = sorted(values)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        width = shape[r]
-        row = [0] * width
-
-        def cell(j: int, lo: int) -> None:
-            if j == width:
-                fill(r + 1, row)
-                return
-            for v in range(max(lo, prev_row[j] + 1), m + 1):
-                if content[v - 1] < budget[v - 1]:
-                    content[v - 1] += 1
-                    row[j] = v
-                    cell(j + 1, v)
-                    content[v - 1] -= 1
-
-        cell(0, 1)
-
-    fill(0, [0] * shape[0])
-    return table
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 def _twist(lam) -> tuple[tuple[int, ...], int]:
@@ -146,6 +209,9 @@ def character_table(
         raise ValueError(f"highest weight {lam} does not fit rank {n}")
     shape, c = _twist(lam)
     _check_size(shape, size_guard)
-    raw = _ssyt_content_counts(shape, [sum(shape)] * n)
-    entries = {tuple(x - c for x in content): count for content, count in raw.items()}
+    entries = {}
+    for content in _dominated_contents(shape, n):
+        count = _count_tableaux(shape, content)
+        for weight in _distinct_permutations(content):
+            entries[tuple(x - c for x in weight)] = count
     return CharacterTable(lam=lam, n=n, entries=entries)

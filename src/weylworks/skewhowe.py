@@ -215,7 +215,7 @@ def decompose_howe(
     One pair per partition lam of N with at most m parts, each part at
     most n; the gl(n) side is the conjugate.  The dimension identity
     against binomial(nm, N) is always verified, with size_guard bounding
-    the tableau enumeration of dim_irrep.  With check=True each pair's
+    the tableau count of dim_irrep.  With check=True each pair's
     bi-weight slice is confirmed to carry exactly one joint
     highest-weight line.
     """

@@ -3,22 +3,28 @@
 Counts chains 0 = F_0 <= F_1 <= ... <= F_n = F_q^N with prescribed
 dimension jumps mu, where a fixed nilpotent X of Jordan type nu maps
 each F_i into F_{i-1}.  The fast route peels off F_1 inside ker X and
-recurses on the quotient; the number of choices of F_1 inducing a given
-quotient type depends only on how F_1 meets the socle filtration
-S_j = (ker X) meet (im X^{j-1}), which gives a closed product of q-binomials.
+continues on the quotient, one step at a time, carrying {Jordan type of
+the quotient: number of partial flags}; the number of choices of F_1
+inducing a given quotient type depends only on how F_1 meets the socle
+filtration S_j = (ker X) meet (im X^{j-1}), which gives a closed product
+of q-binomials.  Which q-binomials and which power of q is the same for
+every q, so that skeleton is computed once and shared by all primes.
 A literal echelon-form enumeration is kept alongside as an independent
 cross-check; it tests membership with the package's one eliminator,
 linalg.EchelonBasis, run over F_q.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
-primes determine it exactly.  The number of top-dimensional components
-of the fibre is the leading coefficient.
+primes determine it exactly (Newton's divided differences, then checked
+at every prime).  The number of top-dimensional components of the fibre
+is the leading coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,44 +78,51 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return quot
 
 
-def _transition_counts(nu: Partition, k: int, q: int) -> dict[Partition, int]:
-    """Subspaces W of ker X with dim W = k, grouped by quotient type.
+@functools.lru_cache(maxsize=4096)
+def _transitions(nu: Partition, k: int) -> tuple[tuple[Partition, tuple, int], ...]:
+    """Subspaces W of ker X with dim W = k, grouped by profile, free of q.
 
     X is nilpotent of Jordan type nu on V.  Every such W meets the socle
     filtration S_j = (ker X) meet (im X^{j-1}) (dim S_j = conjugate(nu)[j-1])
     in a profile w_j = dim(W meet S_j); the number of W with a fixed
     profile is a product of q-binomials times a power of q, and the
     Jordan type on V/W has conjugate entries d_j - w_j + w_{j+1}.
-    Returns {quotient type: number of W over F_q}.
+    Returns one (quotient type, ((a, b), ...), e) per profile: over F_q
+    it stands for prod [a choose b]_q * q^e subspaces W (binomials equal
+    to 1 are left out).  The skeleton is the same for every q, so one
+    cached copy serves all primes.  Profiles are extended one index j at
+    a time from a work list, without recursion.
     """
     if k < 0:
-        return {}
+        return ()
     dt = conjugate(nu)
     m = len(dt)
     if m == 0:
-        return {(): 1} if k == 0 else {}
+        return (((), (), 0),) if k == 0 else ()
     if k > dt[0]:
-        return {}
+        return ()
     d = list(dt) + [0]
-    results: dict[Partition, int] = {}
-
-    def rec(j: int, w_j: int, count: int, cols: list[int]) -> None:
+    found = []
+    work = [(k, (), 0, ())]
+    while work:
+        w_j, binomials, power, cols = work.pop()
+        j = len(cols) + 1
         if j > m:
-            quotient = conjugate(as_partition(cols))
-            results[quotient] = results.get(quotient, 0) + count
-            return
+            found.append((conjugate(as_partition(cols)), binomials, power))
+            continue
         dj, dj1 = d[j - 1], d[j]
         for w_next in range(min(w_j, dj1), -1, -1):
             step = w_j - w_next
             if step > dj - dj1:
                 continue
-            factor = gaussian_binomial(dj - dj1, step, q) * q ** (step * (dj1 - w_next))
-            cols.append(dj - w_j + w_next)
-            rec(j + 1, w_next, count * factor, cols)
-            cols.pop()
-
-    rec(1, k, 1, [])
-    return results
+            nontrivial = 0 < step < dj - dj1
+            work.append((
+                w_next,
+                binomials + ((dj - dj1, step),) if nontrivial else binomials,
+                power + step * (dj1 - w_next),
+                cols + (dj - w_j + w_next,),
+            ))
+    return tuple(found)
 
 
 def _checked_steps(nu: Partition, mu, n: int | None) -> tuple[int, ...]:
@@ -130,27 +143,34 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     nilpotent X of Jordan type nu with N = |nu|.  When n is given, mu is
     padded with zero jumps to n steps.  If the jumps do not sum to |nu|
     no chain can close up, and the count is 0.
+
+    One pass over the steps carries {Jordan type of V/F_i: number of
+    partial flags F_1 <= ... <= F_i}; each step reads the q-free
+    skeleton _transitions and evaluates its q-binomials at q, each once.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     nu = as_partition(nu)
     steps = _checked_steps(nu, mu, n)
-    memo: dict[tuple[Partition, int], int] = {}
+    binomials: dict[tuple[int, int], int] = {}
 
-    def f(shape: Partition, i: int) -> int:
-        if i == len(steps):
-            return 1 if not shape else 0
-        key = (shape, i)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for quotient, ways in _transition_counts(shape, steps[i], q).items():
-            total += ways * f(quotient, i + 1)
-        memo[key] = total
+    def ways(binomial_args, power: int) -> int:
+        total = q**power
+        for args in binomial_args:
+            value = binomials.get(args)
+            if value is None:
+                value = binomials[args] = gaussian_binomial(*args, q)
+            total *= value
         return total
 
-    return f(nu, 0)
+    states = {nu: 1}
+    for k in steps:
+        grown: dict[Partition, int] = {}
+        for shape, count in states.items():
+            for quotient, binomial_args, power in _transitions(shape, k):
+                grown[quotient] = grown.get(quotient, 0) + count * ways(binomial_args, power)
+        states = grown
+    return states.get((), 0)
 
 
 def jordan_matrix(nu) -> list[list[int]]:
@@ -279,17 +299,22 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
 
 
 def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
+    """Exact value at the integer x of ascending rational coefficients,
+    by Horner's rule on integers over the common denominator."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c.numerator * (den // c.denominator)
+    return Fraction(acc, den)
 
 
 def interpolate(points, degree_bound: int) -> tuple[Fraction, ...]:
     """Exact polynomial through the points, as ascending coefficients.
 
     Fits the unique polynomial of degree <= degree_bound through the
-    first degree_bound + 1 points (after sorting by abscissa) and then
+    first degree_bound + 1 points (after sorting by abscissa), by Newton
+    divided differences expanded to monomial coefficients, and then
     demands that every remaining point lie on it exactly, raising
     NonPolynomialCountError otherwise.  At least degree_bound + 2 points
     are required so that there is always something left to check.
@@ -308,20 +333,23 @@ def interpolate(points, degree_bound: int) -> tuple[Fraction, ...]:
             f"got {len(pts)}"
         )
     fit = pts[: degree_bound + 1]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for i, (xi, yi) in enumerate(fit):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(fit):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + basis
-            scaled = [xj * c for c in basis] + [Fraction(0)]
-            basis = [a - b for a, b in zip(shifted, scaled)]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for kk, c in enumerate(basis):
-            coeffs[kk] += scale * c
+    xs = [x for x, _ in fit]
+    # Newton divided differences in place: after round r, diffs[i] is the
+    # difference over xs[i - r .. i], so diffs[i] ends as the i-th
+    # Newton coefficient.
+    diffs = [Fraction(y) for _, y in fit]
+    for r in range(1, len(fit)):
+        for i in range(len(fit) - 1, r - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - r])
+    # Newton form to ascending monomial coefficients, by Horner's rule in
+    # the nodes: p <- p * (x - xs[k]) + diffs[k].
+    coeffs = [diffs[-1]]
+    for k in range(len(fit) - 2, -1, -1):
+        grown = [Fraction(0)] + coeffs
+        for t, c in enumerate(coeffs):
+            grown[t] -= xs[k] * c
+        grown[0] += diffs[k]
+        coeffs = grown
     for x, y in pts:
         predicted = _poly_eval(coeffs, x)
         if predicted != y:

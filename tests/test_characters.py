@@ -1,14 +1,17 @@
-"""Character values against two independent oracles.
+"""Character values against three independent oracles.
 
-The Kostka oracle here counts chains of horizontal strips (the iterated
-Pieri rule) instead of enumerating tableau fillings, and the dimension
-oracle is the Weyl product formula.  Neither shares code with the
-package implementation.
+The package counts tableaux as chains of horizontal strips.  The Kostka
+oracle here is a separate iterated-Pieri count, the reference below
+enumerates tableau fillings one cell at a time (the backtracking the
+package used before it counted strips), and the dimension oracle is the
+Weyl product formula.  None of them shares code with the package.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylworks.characters import (
     DEFAULT_SIZE_GUARD,
@@ -56,6 +59,48 @@ def oracle_kostka(lam, mu):
                 nxt[key] = nxt.get(key, 0) + ways
         current = nxt
     return current.get(tuple(x for x in lam if x), 0)
+
+
+def reference_content_counts(shape, budget):
+    """Content vector -> number of semistandard tableaux of the given
+    shape in which entry v (1-based) occurs at most budget[v-1] times.
+
+    Rows are filled left to right and top to bottom; a cell takes the
+    values allowed by its left and upper neighbours that still have
+    budget, so a tight budget enumerates exactly one content.
+    """
+    m = len(budget)
+    table = {}
+    if not shape:
+        table[(0,) * m] = 1
+        return table
+    if len(shape) > m:
+        return table
+    content = [0] * m
+
+    def fill(r, prev_row):
+        if r == len(shape):
+            key = tuple(content)
+            table[key] = table.get(key, 0) + 1
+            return
+        width = shape[r]
+        row = [0] * width
+
+        def cell(j, lo):
+            if j == width:
+                fill(r + 1, row)
+                return
+            for v in range(max(lo, prev_row[j] + 1), m + 1):
+                if content[v - 1] < budget[v - 1]:
+                    content[v - 1] += 1
+                    row[j] = v
+                    cell(j + 1, v)
+                    content[v - 1] -= 1
+
+        cell(0, 1)
+
+    fill(0, [0] * shape[0])
+    return table
 
 
 def oracle_weyl_dim(lam, n):
@@ -215,3 +260,36 @@ def test_size_guard():
         kostka(big, big)
     assert kostka(big, big, size_guard=None) == 1
     assert kostka(big, big, size_guard=DEFAULT_SIZE_GUARD + 1) == 1
+
+
+def test_counts_match_the_tableau_enumeration():
+    for total in range(8):
+        for lam in partitions(total):
+            for n in range(1, 5):
+                reference = reference_content_counts(lam, [total] * n)
+                if len(lam) <= n:
+                    assert character_table(pad(lam, n), n).entries == reference, (lam, n)
+                for mu in compositions(total, n):
+                    tight = reference_content_counts(lam, mu).get(mu, 0)
+                    assert kostka(lam, mu) == tight == reference.get(mu, 0), (lam, mu)
+
+
+@st.composite
+def shuffled_contents(draw):
+    lam = draw(st.sampled_from([p for t in range(1, 10) for p in partitions(t)]))
+    parts = list(draw(st.sampled_from(list(partitions(sum(lam))))))
+    parts += [0] * draw(st.integers(0, 3))
+    return lam, tuple(draw(st.permutations(parts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_contents())
+def test_kostka_of_any_content_order_matches_the_enumeration(case):
+    lam, mu = case
+    assert kostka(lam, mu) == reference_content_counts(lam, mu).get(mu, 0)
+
+
+@pytest.mark.parametrize("lam", [(10, 8, 6, 4, 2, 0), (8, 6, 4, 2, 0, 0)])
+def test_dim_irrep_of_large_shapes(lam):
+    # 14,348,907 and 1,791,153 tableaux: counted by strips, not listed
+    assert dim_irrep(lam, 6, size_guard=None) == oracle_weyl_dim(lam, 6)

@@ -343,19 +343,28 @@ def test_deeply_nested_module_is_one_error_line():
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "character --lambda 1500 -n 1 --size-guard 5000",
-        "springer --nu 1 --mu 1 -n 1500",
-        "crossval --lambda 1 -n 1500 -m 1",
-    ],
-)
+# weights.compositions still recurses once per part, so crossval at n=1500
+# is refused; it and the deep decompose above cover the RecursionError
+# mapping.
+@pytest.mark.parametrize("argv", ["crossval --lambda 1 -n 1500 -m 1"])
 def test_recursion_depth_is_one_error_line(argv):
     code, out, err = run_cli(argv.split())
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_long_rows_and_many_steps_are_computed():
+    # the Kostka count and the flag count are loops over entries and
+    # steps, so a 1500-box row and 1500 flag steps are cheap answers
+    payload = payload_of("character --lambda 1500 -n 1 --size-guard 5000".split())
+    assert payload["dim"] == 1
+    assert payload["entries"] == [{"mu": [1500], "multiplicity": 1}]
+    payload = payload_of("springer --nu 1 --mu 1 -n 1500".split())
+    assert payload["mu"] == [1] + [0] * 1499
+    assert payload["kostka"] == 1
+    assert payload["leading"] == 1
+    assert payload["match"] is True
 
 
 def test_springer_guard_refuses_before_counting(monkeypatch):

@@ -8,8 +8,11 @@ recursion on coefficient lists.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylworks.characters import kostka
 from weylworks.errors import InvariantViolation, ResourceLimitError
@@ -150,6 +153,78 @@ def test_nonzero_count_implies_dominance():
                     if count_fiber_points(2, nu, mu) > 0:
                         width = max(len(lam), len(mu))
                         assert dominance_leq(pad(mu, width), pad(lam, width)), (nu, mu)
+
+
+def reference_interpolate(points, degree_bound):
+    """Lagrange form of interpolate: the fit the package made before it
+    switched to Newton divided differences, with the same argument checks
+    and messages."""
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be nonnegative")
+    pairs = points.items() if isinstance(points, dict) else points
+    pts = sorted((int(x), int(y)) for x, y in pairs)
+    if len({x for x, _ in pts}) != len(pts):
+        raise ValueError("duplicate abscissae")
+    if len(pts) < degree_bound + 2:
+        raise ValueError(
+            f"need at least {degree_bound + 2} points for degree {degree_bound}, "
+            f"got {len(pts)}"
+        )
+    fit = pts[: degree_bound + 1]
+    coeffs = [Fraction(0)] * (degree_bound + 1)
+    for i, (xi, yi) in enumerate(fit):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(fit):
+            if j == i:
+                continue
+            shifted = [Fraction(0)] + basis
+            scaled = [xj * c for c in basis] + [Fraction(0)]
+            basis = [a - b for a, b in zip(shifted, scaled)]
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for kk, c in enumerate(basis):
+            coeffs[kk] += scale * c
+    for x, y in pts:
+        predicted = Fraction(0)
+        for c in reversed(coeffs):
+            predicted = predicted * x + c
+        if predicted != y:
+            raise NonPolynomialCountError(
+                f"count at q={x} is {y} but the degree-{degree_bound} fit "
+                f"predicts {predicted}"
+            )
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _outcome(fn, points, bound):
+    try:
+        return "value", fn(points, bound)
+    except (ValueError, NonPolynomialCountError) as err:
+        return type(err).__name__, str(err)
+
+
+@st.composite
+def point_sets(draw):
+    xs = draw(st.lists(st.integers(-30, 60), min_size=1, max_size=9, unique=True))
+    if draw(st.booleans()):
+        # values of an integer polynomial, possibly with one point moved
+        coeffs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=7))
+        ys = [sum(c * x**i for i, c in enumerate(coeffs)) for x in xs]
+        if draw(st.booleans()):
+            ys[draw(st.integers(0, len(ys) - 1))] += draw(st.integers(-3, 3))
+    else:
+        ys = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(xs), max_size=len(xs)))
+    return list(zip(xs, ys)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_newton_matches_lagrange(case):
+    points, bound = case
+    assert _outcome(interpolate, points, bound) == _outcome(reference_interpolate, points, bound)
 
 
 def test_interpolate_pinned():
