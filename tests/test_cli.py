@@ -343,28 +343,38 @@ def test_deeply_nested_module_is_one_error_line():
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# weights.compositions still recurses once per part, so crossval at n=1500
-# is refused; it and the deep decompose above cover the RecursionError
-# mapping.
-@pytest.mark.parametrize("argv", ["crossval --lambda 1 -n 1500 -m 1"])
+# Arguments with a row or n beyond Python's recursion limit. The Kostka
+# count and the flag count are loops over entries and steps, so the first
+# two are cheap answers (the payload subset each must show); the third is
+# refused because weights.compositions still recurses once per part. It
+# and the deep decompose above cover the RecursionError mapping.
+DEEP_ARGV = {
+    "character --lambda 1500 -n 1 --size-guard 5000": {
+        "dim": 1,
+        "entries": [{"mu": [1500], "multiplicity": 1}],
+    },
+    "springer --nu 1 --mu 1 -n 1500": {
+        "mu": [1] + [0] * 1499,
+        "kostka": 1,
+        "leading": 1,
+        "match": True,
+    },
+    "crossval --lambda 1 -n 1500 -m 1": None,
+}
+
+
+@pytest.mark.parametrize("argv", list(DEEP_ARGV))
 def test_recursion_depth_is_one_error_line(argv):
-    code, out, err = run_cli(argv.split())
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_long_rows_and_many_steps_are_computed():
-    # the Kostka count and the flag count are loops over entries and
-    # steps, so a 1500-box row and 1500 flag steps are cheap answers
-    payload = payload_of("character --lambda 1500 -n 1 --size-guard 5000".split())
-    assert payload["dim"] == 1
-    assert payload["entries"] == [{"mu": [1500], "multiplicity": 1}]
-    payload = payload_of("springer --nu 1 --mu 1 -n 1500".split())
-    assert payload["mu"] == [1] + [0] * 1499
-    assert payload["kostka"] == 1
-    assert payload["leading"] == 1
-    assert payload["match"] is True
+    expected = DEEP_ARGV[argv]
+    if expected is None:
+        code, out, err = run_cli(argv.split())
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        return
+    payload = payload_of(argv.split())
+    for key, value in expected.items():
+        assert payload[key] == value, key
 
 
 def test_springer_guard_refuses_before_counting(monkeypatch):
