@@ -762,6 +762,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
+        print("error: a command is required", file=sys.stderr)
         return 2
     if args.command == "lattice" and getattr(args, "operation", None) is None:
         print(

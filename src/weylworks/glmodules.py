@@ -19,7 +19,6 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
@@ -297,7 +296,7 @@ def weight_decompose(mod: ExplicitModule) -> dict[WeightVec, tuple[int, ...]]:
 
 def highest_weight_vectors(
     mod: ExplicitModule,
-) -> list[tuple[WeightVec, list[dict[int, Fraction]]]]:
+) -> list[tuple[WeightVec, list[SparseVec]]]:
     """Joint kernel of all raising generators, listed weight by weight.
 
     Returns (weight, kernel basis vectors) pairs, weights descending,
@@ -394,7 +393,7 @@ def irrep_plucker(lam, n: int, *, max_dim: int | None = None) -> ExplicitModule:
     )
     top_weight = pad(shape, n)
     bases: dict[WeightVec, EchelonBasis] = {}
-    start = bases.setdefault(top_weight, EchelonBasis()).insert({0: Fraction(1)})
+    start = bases.setdefault(top_weight, EchelonBasis()).insert({0: 1})
     queue: deque[tuple[WeightVec, dict]] = deque([(top_weight, start)])
     while queue:
         w, vec = queue.popleft()

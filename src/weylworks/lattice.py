@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, character
-from .linalg import EchelonBasis, power_ranks, rref
+from .linalg import EchelonBasis, Scalar, power_ranks, rref
 from .weights import Partition, as_partition, conjugate, dominance_leq, pad
 
 
@@ -33,7 +33,7 @@ def coordinate_index(degree: int, component: int, n: int, D: int) -> int:
     return (D - 1 - degree) * n + component
 
 
-def shift_vector(vec: dict[int, Fraction], n: int, D: int) -> dict[int, Fraction]:
+def shift_vector(vec: dict[int, Scalar], n: int, D: int) -> dict[int, Scalar]:
     """Apply the shift operator to a sparse coordinate vector."""
     out = {}
     top = (D - 1) * n

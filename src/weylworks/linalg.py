@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals and over prime fields F_p.
 
 Sparse vectors are dicts mapping coordinate index to a nonzero int or
-Fraction.  RatMat stores a sparse matrix column-major.  EchelonBasis keeps
-a growing subspace in reduced row echelon form, which is the canonical
-basis of the subspace, so results never depend on insertion order; it is
-the package's one Gauss-Jordan elimination, over Q or, given modulus=p,
-over F_p with entries in range(p).  No floating point anywhere.
+Fraction.  Over Q every scalar this module stores or returns is a plain
+int when its denominator is 1 and a Fraction only otherwise, so integral
+work (nearly all of it: the generator matrices have small integer
+entries) never builds a Fraction; rref and dense_rows are the exception
+and return Fractions throughout.  RatMat stores a sparse matrix
+column-major.  EchelonBasis keeps a growing subspace in reduced row
+echelon form, which is the canonical basis of the subspace, so results
+never depend on insertion order; it is the package's one Gauss-Jordan
+elimination, over Q or, given modulus=p, over F_p with entries in
+range(p).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,17 +23,25 @@ Scalar = int | Fraction
 SparseVec = dict[int, Scalar]
 
 
+def _demote(x: Scalar) -> Scalar:
+    """x as an int if it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def vec_add_scaled(
     target: SparseVec, src: SparseVec, coeff: Scalar, modulus: int | None = None
 ) -> None:
-    """target += coeff * src, in place, dropping zeros; mod modulus if given."""
+    """target += coeff * src, in place, dropping zeros; mod modulus if given.
+
+    Over Q an integral result is stored as an int.
+    """
     if not coeff:
         return
     if modulus is None:
         for k, v in src.items():
             nv = target.get(k, 0) + coeff * v
             if nv:
-                target[k] = nv
+                target[k] = nv if nv.__class__ is int else _demote(nv)
             else:
                 target.pop(k, None)
         return
@@ -159,7 +172,10 @@ class EchelonBasis:
 
     def _eliminate(self, vec: SparseVec, record: dict[int, Scalar] | None) -> SparseVec:
         p = self.modulus
-        v = dict(vec) if p is None else {c: x % p for c, x in vec.items() if x % p}
+        if p is None:
+            v = {c: x if x.__class__ is int else _demote(x) for c, x in vec.items()}
+        else:
+            v = {c: x % p for c, x in vec.items() if x % p}
         # RREF rows contain no foreign pivot columns, so one sorted pass
         # over the pivot columns initially present in v is complete.
         for c in sorted(c for c in v if c in self._pivot_row):
@@ -187,8 +203,10 @@ class EchelonBasis:
         pivot = min(v)
         p = self.modulus
         if p is None:
-            inv = Fraction(1, 1) / v[pivot]
-            v = {c: val * inv for c, val in v.items()}
+            lead = v[pivot]
+            if lead != 1:
+                inv = Fraction(1) / lead
+                v = {c: _demote(val * inv) for c, val in v.items()}
         else:
             inv = pow(v[pivot], -1, p)
             v = {c: val * inv % p for c, val in v.items()}
@@ -216,10 +234,11 @@ class EchelonBasis:
         return sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
 
     def dense_rows(self, ncols: int) -> list[list[Scalar]]:
-        """The rows ordered by pivot column, as dense lists of length ncols."""
-        zero = Fraction(0) if self.modulus is None else 0
+        """The rows ordered by pivot column, as dense lists of length ncols;
+        over Q every entry is a Fraction."""
+        conv = Fraction if self.modulus is None else int
         return [
-            [self.rows[i].get(c, zero) for c in range(ncols)]
+            [conv(self.rows[i].get(c, 0)) for c in range(ncols)]
             for i in self.sorted_order()
         ]
 
@@ -250,7 +269,7 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     ncols = len(rows[0])
     eb = EchelonBasis()
     for row in rows:
-        eb.insert({c: v for c, v in enumerate(map(Fraction, row)) if v})
+        eb.insert({c: v for c, v in enumerate(row) if v})
     return eb.dense_rows(ncols), sorted(eb.pivots)
 
 
@@ -261,7 +280,7 @@ def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int
     free_cols[i] and 0 in every other free column, so the coordinates of
     any kernel element are simply its values at the free columns.  The
     vectors are sparse, keys ascending; since RREF is canonical the basis
-    depends only on the row space.
+    depends only on the row space.  Entries are ints unless fractional.
     """
     eb = EchelonBasis()
     for row in rows:
@@ -269,7 +288,7 @@ def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int
     pivot_set = set(eb.pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     slot = {f: t for t, f in enumerate(free)}
-    basis: list[SparseVec] = [{f: Fraction(1)} for f in free]
+    basis: list[SparseVec] = [{f: 1} for f in free]
     for row, p in zip(eb.rows, eb.pivots):
         for c, v in row.items():
             if c != p:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -42,7 +41,7 @@ from .glmodules import (
     submodule,
     wedge_generators,
 )
-from .linalg import EchelonBasis, RatMat, SparseVec, kernel, vec_add_scaled
+from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
@@ -159,7 +158,7 @@ class HomSpace:
     lam: tuple[int, ...]
     mu: WeightVec
     dim: int
-    vectors: tuple[dict[int, Fraction], ...]
+    vectors: tuple[dict[int, Scalar], ...]
     slice_indices: tuple[int, ...]
     subsets: tuple[Subset, ...]
 

@@ -138,34 +138,71 @@ def weyl_permute(w: Sequence[int], mu: Sequence[int]) -> WeightVec:
 def partitions(
     total: int, max_parts: int | None = None, max_part: int | None = None
 ) -> Iterator[Partition]:
-    """Yield partitions of ``total`` in descending lexicographic order."""
+    """Yield partitions of ``total`` in descending lexicographic order.
+
+    Iterative: each step lowers the rightmost part that can still be
+    lowered by one and refills the tail greedily with the largest parts
+    allowed, so the depth of the work does not grow with ``total``.
+    """
     if total < 0:
         raise ValueError("total must be nonnegative")
     cap = total if max_part is None else min(max_part, total)
     nparts = total if max_parts is None else max_parts
-
-    def rec(remaining: int, largest: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+    if total == 0:
+        yield ()
+        return
+    if cap < 1 or total > cap * nparts:
+        return
+    part: list[int] = []
+    _greedy_fill(part, total, cap)
+    while True:
+        yield tuple(part)
+        # part[i] -> part[i] - 1 works iff the rest fits in the slots after i
+        rest = 0
+        for i in range(len(part) - 1, -1, -1):
+            v = part[i]
+            rest += v
+            if v > 1 and rest - (v - 1) <= (v - 1) * (nparts - i - 1):
+                break
+        else:
             return
-        if slots == 0 or largest == 0:
-            return
-        for first in range(min(largest, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
+        del part[i:]
+        part.append(v - 1)
+        _greedy_fill(part, rest - (v - 1), v - 1)
 
-    yield from rec(total, cap, nparts)
+
+def _greedy_fill(part: list[int], remaining: int, largest: int) -> None:
+    """Append the largest-first parts of at most ``largest`` summing to remaining."""
+    q, r = divmod(remaining, largest)
+    part.extend([largest] * q)
+    if r:
+        part.append(r)
 
 
 def compositions(total: int, parts: int) -> Iterator[WeightVec]:
     """Yield all length-``parts`` tuples of nonnegative integers summing to
-    ``total``, in descending lexicographic order."""
+    ``total``, in descending lexicographic order.
+
+    Iterative: each step moves one unit from the rightmost nonzero entry
+    before the last to its right neighbour, which then takes all that
+    follows it.
+    """
     if parts < 0 or total < 0:
         raise ValueError("arguments must be nonnegative")
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    comp = [0] * parts
+    comp[0] = total
+    while True:
+        yield tuple(comp)
+        i = parts - 2
+        while i >= 0 and not comp[i]:
+            i -= 1
+        if i < 0:
+            return
+        tail = comp[-1] + 1
+        comp[-1] = 0
+        comp[i] -= 1
+        comp[i + 1] = tail

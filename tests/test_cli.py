@@ -344,10 +344,12 @@ def test_deeply_nested_module_is_one_error_line():
 
 
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
-# count and the flag count are loops over entries and steps, so the first
-# two are cheap answers (the payload subset each must show); the third is
-# refused because weights.compositions still recurses once per part. It
-# and the deep decompose above cover the RecursionError mapping.
+# count, the flag count and the weight enumerators are loops, so these are
+# answers (the payload subset each must show), except crossval: its weight
+# slices come from skewhowe._slice, whose fill still recurses once per row,
+# so it is refused. With that recursion lifted too it would run for minutes
+# and print 25 MB, too big for a test. It and the deep decompose above
+# cover the RecursionError mapping.
 DEEP_ARGV = {
     "character --lambda 1500 -n 1 --size-guard 5000": {
         "dim": 1,
@@ -360,6 +362,10 @@ DEEP_ARGV = {
         "match": True,
     },
     "crossval --lambda 1 -n 1500 -m 1": None,
+    "decompose --module sym(1) -n 1100": {
+        "dim": 1100,
+        "multiplicities": [{"lambda": [1] + [0] * 1099, "multiplicity": 1}],
+    },
 }
 
 

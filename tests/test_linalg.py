@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from weylworks.linalg import EchelonBasis, kernel, rref
+from weylworks.linalg import EchelonBasis, kernel, rref, vec_add_scaled
 
 
 def dense_rref(rows):
@@ -112,6 +112,50 @@ def test_sparse_kernel_matches_rref_kernel(case):
         assert list(vec) == sorted(vec)
         for row in rows:
             assert sum(row[c] * v for c, v in vec.items()) == 0
+
+
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(lambda k: Fraction(k, 1)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(2, 4)),
+)
+mixed_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(scalars, min_size=ncols, max_size=ncols), max_size=6
+    ).map(lambda rows: (rows, ncols))
+)
+
+
+def assert_canonical(values):
+    """Every integral scalar is a plain int; only fractional ones are Fractions."""
+    for x in values:
+        assert type(x) is int or x.denominator != 1, repr(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrices)
+def test_echelon_entries_are_int_unless_fractional(case):
+    rows, ncols = case
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    eb = EchelonBasis()
+    for vec in sparse:
+        stored = eb.insert(vec)
+        if stored is not None:
+            assert_canonical(stored.values())
+    assert (eb.dense_rows(ncols), sorted(eb.pivots)) == dense_rref(rows)
+    for row in eb.rows:
+        assert_canonical(row.values())
+    for vec in sparse:
+        record = eb.coords(vec)
+        assert_canonical(record.values())
+        rebuilt = {}
+        for ri, coeff in record.items():
+            vec_add_scaled(rebuilt, eb.rows[ri], coeff)
+        assert_canonical(rebuilt.values())
+        assert rebuilt == vec
+    basis, _ = kernel(sparse, ncols)
+    for vec in basis:
+        assert_canonical(vec.values())
 
 
 def test_rref_keeps_exact_fractions():

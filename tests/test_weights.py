@@ -114,6 +114,59 @@ def test_partitions_enumeration():
     assert list(partitions(0)) == [()]
 
 
+def reference_partitions(total, max_parts=None, max_part=None):
+    """The recursive enumerator that weights.partitions replaced."""
+    cap = total if max_part is None else min(max_part, total)
+    nparts = total if max_parts is None else max_parts
+
+    def rec(remaining, largest, slots):
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0 or largest == 0:
+            return
+        for first in range(min(largest, remaining), 0, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    yield from rec(total, cap, nparts)
+
+
+def reference_compositions(total, parts):
+    """The recursive enumerator that weights.compositions replaced."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_partitions_match_the_recursive_reference():
+    bounds = [None, 0, 1, 2, 3, 5, 12]
+    for total in range(13):
+        for max_parts in bounds:
+            for max_part in bounds:
+                assert list(partitions(total, max_parts, max_part)) == list(
+                    reference_partitions(total, max_parts, max_part)
+                ), (total, max_parts, max_part)
+
+
+def test_compositions_match_the_recursive_reference():
+    for total in range(8):
+        for parts in range(7):
+            assert list(compositions(total, parts)) == list(
+                reference_compositions(total, parts)
+            ), (total, parts)
+
+
+def test_enumerators_do_not_recurse_per_part():
+    assert sum(1 for _ in compositions(1, 3000)) == 3000
+    assert next(iter(compositions(2, 3000)))[:2] == (2, 0)
+    assert list(partitions(3000, max_part=1)) == [(1,) * 3000]
+
+
 def test_compositions_enumeration():
     out = list(compositions(3, 2))
     assert out == [(3, 0), (2, 1), (1, 2), (0, 3)]
