@@ -26,7 +26,8 @@ from .weights import WeightVec, as_partition, is_dominant, pad
 DEFAULT_SIZE_GUARD = 12
 
 
-def _check_size(shape, size_guard):
+def check_size(shape, size_guard: int | None = DEFAULT_SIZE_GUARD) -> None:
+    """Refuse a tableau count of shape when |shape| exceeds the guard."""
     if size_guard is not None and sum(shape) > size_guard:
         raise ResourceLimitError(
             f"tableau enumeration for |shape| = {sum(shape)} exceeds the guard "
@@ -47,7 +48,7 @@ def kostka(lam, mu, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> int:
         return 0
     if sum(shape) != sum(content):
         return 0
-    _check_size(shape, size_guard)
+    check_size(shape, size_guard)
     return _count_tableaux(shape, content)
 
 
@@ -208,7 +209,7 @@ def character_table(
     if len(lam) != n:
         raise ValueError(f"highest weight {lam} does not fit rank {n}")
     shape, c = _twist(lam)
-    _check_size(shape, size_guard)
+    check_size(shape, size_guard)
     entries = {}
     for content in _dominated_contents(shape, n):
         count = _count_tableaux(shape, content)

@@ -507,12 +507,16 @@ def _run_lattice(cfg: RunConfig):
 
 
 def _run_springer(cfg: RunConfig):
-    nu = cfg.params["nu"]
+    nu = as_partition(cfg.params["nu"])
     mu = cfg.params["mu"]
     n = cfg.params["n"]
     # The Kostka referee runs first, so that --size-guard refuses before
     # any point is counted; point_count_table then validates mu against n.
+    # Its guard, which applies when the sizes match, is checked before
+    # conjugate(nu) takes one step per box of the longest part.
     content = tuple(mu) + (0,) * (n - len(mu))
+    if min(content, default=0) >= 0 and sum(nu) == sum(content):
+        characters.check_size(nu, **cfg.guard_kwargs())
     expected = characters.kostka(conjugate(nu), content, **cfg.guard_kwargs())
     table = springercount.point_count_table(nu, mu, n, primes=cfg.primes)
     lead = table.leading_coefficient

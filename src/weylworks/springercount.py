@@ -15,9 +15,12 @@ linalg.EchelonBasis, run over F_q.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
-primes determine it exactly (Newton's divided differences, then checked
-at every prime).  The number of top-dimensional components of the fibre
-is the leading coefficient.
+primes determine it exactly.  The counts go one prime at a time into one
+Newton divided-difference table, kept in ints: for an integer polynomial
+at integer nodes every divided difference is an integer.  The table
+picks the degree; interpolate then fits that degree once and checks
+every point, and further primes certify the fit.  The number of
+top-dimensional components of the fibre is the leading coefficient.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from .characters import DEFAULT_SIZE_GUARD, kostka
 from .errors import InvariantViolation, ResourceLimitError, WeylworksError
-from .linalg import EchelonBasis, RatMat, SparseVec, power_ranks
+from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, _demote, power_ranks
 from .weights import Partition, as_partition, conjugate
 
 
@@ -298,28 +302,57 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
     return extend(EchelonBasis(q), 0)
 
 
-def _poly_eval(coeffs, x):
-    """Exact value at the integer x of ascending rational coefficients,
-    by Horner's rule on integers over the common denominator."""
-    coeffs = list(coeffs)
-    den = math.lcm(*(c.denominator for c in coeffs))
+def _poly_eval(coeffs, x) -> Scalar:
+    """Exact value at the integer x of ascending coefficients: a plain int
+    Horner when every coefficient is an int, otherwise Horner on integers
+    over the common denominator."""
     acc = 0
+    if all(c.__class__ is int for c in coeffs):
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+    den = math.lcm(*(c.denominator for c in coeffs))
     for c in reversed(coeffs):
         acc = acc * x + c.numerator * (den // c.denominator)
     return Fraction(acc, den)
 
 
-def interpolate(points, degree_bound: int) -> tuple[Fraction, ...]:
+def _add_node(nodes: list[int], row: list[Scalar], x: int, y: Scalar) -> Scalar:
+    """Extend a Newton divided-difference table by the point (x, y).
+
+    row[j] is the divided difference over the last j + 1 of nodes; on
+    return nodes ends with x, row covers it, and the difference over
+    every node -- the Newton coefficient of the new point -- is returned.
+    Divisions are exact int divmods when they divide evenly (always, for
+    an integer polynomial at integer nodes) and Fractions otherwise,
+    demoted to int when integral.
+    """
+    diff = y
+    for j, (old, node) in enumerate(zip(row, reversed(nodes))):
+        row[j] = diff
+        num, den = diff - old, x - node
+        if num.__class__ is int:
+            quot, rem = divmod(num, den)
+            diff = Fraction(num, den) if rem else quot
+        else:
+            diff = _demote(num / den)
+    row.append(diff)
+    nodes.append(x)
+    return diff
+
+
+def interpolate(points, degree_bound: int) -> tuple[Scalar, ...]:
     """Exact polynomial through the points, as ascending coefficients.
 
     Fits the unique polynomial of degree <= degree_bound through the
     first degree_bound + 1 points (after sorting by abscissa), by Newton
-    divided differences expanded to monomial coefficients, and then
-    demands that every remaining point lie on it exactly, raising
-    NonPolynomialCountError otherwise.  At least degree_bound + 2 points
-    are required so that there is always something left to check.
-    Trailing zero coefficients are stripped, so the constant zero
-    polynomial comes back as (0,).
+    divided differences (_add_node) expanded to monomial coefficients,
+    and then demands that every remaining point lie on it exactly,
+    raising NonPolynomialCountError otherwise.  At least degree_bound + 2
+    points are required so that there is always something left to check.
+    A coefficient is an int unless it is fractional.  Trailing zero
+    coefficients are stripped, so the constant zero polynomial comes
+    back as (0,).
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be nonnegative")
@@ -332,24 +365,19 @@ def interpolate(points, degree_bound: int) -> tuple[Fraction, ...]:
             f"need at least {degree_bound + 2} points for degree {degree_bound}, "
             f"got {len(pts)}"
         )
-    fit = pts[: degree_bound + 1]
-    xs = [x for x, _ in fit]
-    # Newton divided differences in place: after round r, diffs[i] is the
-    # difference over xs[i - r .. i], so diffs[i] ends as the i-th
-    # Newton coefficient.
-    diffs = [Fraction(y) for _, y in fit]
-    for r in range(1, len(fit)):
-        for i in range(len(fit) - 1, r - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - r])
+    xs: list[int] = []
+    row: list[Scalar] = []
+    diffs = [_add_node(xs, row, x, y) for x, y in pts[: degree_bound + 1]]
     # Newton form to ascending monomial coefficients, by Horner's rule in
     # the nodes: p <- p * (x - xs[k]) + diffs[k].
     coeffs = [diffs[-1]]
-    for k in range(len(fit) - 2, -1, -1):
-        grown = [Fraction(0)] + coeffs
+    for k in range(len(xs) - 2, -1, -1):
+        grown = [0] + coeffs
         for t, c in enumerate(coeffs):
             grown[t] -= xs[k] * c
         grown[0] += diffs[k]
         coeffs = grown
+    coeffs = [_demote(c) for c in coeffs]
     for x, y in pts:
         predicted = _poly_eval(coeffs, x)
         if predicted != y:
@@ -392,75 +420,92 @@ class PointCountTable:
 def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCountTable:
     """Count chains at several primes and recover the exact polynomial.
 
-    With the default prime supply the degree is discovered adaptively: a
-    candidate bound b is fitted on b + 1 primes and checked on two more,
-    and an accepted fit is then certified against enough further primes
-    that no other polynomial of degree up to the cell-dimension cap (sum
-    of products of distinct jumps) could match.  When an explicit prime
-    list is given it is taken as the authority instead: the smallest
-    degree whose fit reproduces every supplied count wins.  Coefficients
-    must come out as nonnegative integers; anything else raises
-    InvariantViolation.
+    The counts go one prime at a time into one Newton divided-difference
+    table (_add_node), which picks the degree; interpolate then fits that
+    degree once.  With the default prime supply the degree is the first
+    bound b whose Newton coefficients b + 1 and b + 2 vanish (a fit on
+    b + 1 primes that holds at two more), certified against enough
+    further primes that no other polynomial of degree up to the
+    cell-dimension cap (sum of products of distinct jumps) could match;
+    a failed certificate moves the search on to b + 1.  An explicit prime
+    list is taken as the authority instead: the degree is that of the
+    polynomial through all its counts, and at least one count must be
+    left to check it.  Coefficients must come out as nonnegative
+    integers; anything else raises InvariantViolation.
     """
     nu = as_partition(nu)
     steps = _checked_steps(nu, mu, n)
     cap = sum(a * b for a, b in itertools.combinations(steps, 2))
     values: dict[int, int] = {}
+    nodes: list[int] = []
+    row: list[Scalar] = []
+    newton: list[Scalar] = []
 
     def value(p: int) -> int:
         if p not in values:
             values[p] = count_fiber_points(p, nu, steps)
         return values[p]
 
+    def add(p: int) -> None:
+        newton.append(_add_node(nodes, row, p, value(p)))
+
     def finish(coeffs) -> PointCountTable:
-        ints = []
         for c in coeffs:
             if c.denominator != 1 or c < 0:
                 raise InvariantViolation(
                     f"count polynomial for nu={nu}, mu={steps} has coefficient "
                     f"{c}; expected a nonnegative integer"
                 )
-            ints.append(int(c))
         return PointCountTable(
             nu=nu,
             mu=steps,
             evaluations=tuple(sorted(values.items())),
-            coefficients=tuple(ints),
+            coefficients=tuple(coeffs),
         )
 
-    last_error: NonPolynomialCountError | None = None
+    def refuse(message: str, bound: int) -> NoReturn:
+        """Raise the refusal, chained to the error of the fit at the
+        highest bound tried, the last one the search rejected."""
+        cause = None
+        try:
+            interpolate(values, bound)
+        except NonPolynomialCountError as err:
+            cause = err
+        raise NonPolynomialCountError(message) from cause
+
     if primes is not None:
         plist = sorted(int(p) for p in primes)
         if len(set(plist)) != len(plist) or any(not is_prime(p) for p in plist):
             raise ValueError("primes must be distinct primes")
         if len(plist) < 2:
             raise ValueError("need at least two primes")
-        sample = [(p, value(p)) for p in plist]
-        for bound in range(min(cap, len(plist) - 2) + 1):
-            try:
-                return finish(interpolate(sample, bound))
-            except NonPolynomialCountError as err:
-                last_error = err
-        raise NonPolynomialCountError(
-            f"no polynomial of degree <= {min(cap, len(plist) - 2)} fits the "
-            f"supplied counts for nu={nu}, mu={steps}"
-        ) from last_error
+        for p in plist:
+            add(p)
+        degree = max((i for i, c in enumerate(newton) if c), default=0)
+        limit = min(cap, len(plist) - 2)
+        if degree > limit:
+            refuse(
+                f"no polynomial of degree <= {limit} fits the "
+                f"supplied counts for nu={nu}, mu={steps}",
+                limit,
+            )
+        return finish(interpolate(values, degree))
 
     plist = first_primes(cap + 3)
     for bound in range(cap + 1):
-        sample = [(p, value(p)) for p in plist[: bound + 3]]
-        try:
-            coeffs = interpolate(sample, bound)
-        except NonPolynomialCountError as err:
-            last_error = err
+        while len(newton) < bound + 3:
+            add(plist[len(newton)])
+        if newton[bound + 1] or newton[bound + 2]:
             continue
+        coeffs = interpolate([(p, value(p)) for p in plist[: bound + 3]], bound)
         extra = [(p, value(p)) for p in plist[bound + 3 : cap + 1]]
         if any(_poly_eval(coeffs, p) != v for p, v in extra):
             continue
         return finish(coeffs)
-    raise NonPolynomialCountError(
-        f"no polynomial of degree <= {cap} fits the counts for nu={nu}, mu={steps}"
-    ) from last_error
+    refuse(
+        f"no polynomial of degree <= {cap} fits the counts for nu={nu}, mu={steps}",
+        cap,
+    )
 
 
 def component_count(nu, mu, n: int | None = None, *, primes=None,

@@ -43,7 +43,8 @@ def calls(monkeypatch):
 def test_point_count_table_calls_the_counter_and_the_fit(calls):
     table = springercount.point_count_table((2, 1, 1), (1, 1, 1, 1))
     assert calls["springercount.count_fiber_points"] == len(table.evaluations)
-    assert calls["springercount.interpolate"] >= 1
+    # the Newton table picks the degree, so there is one fit per table
+    assert calls["springercount.interpolate"] == 1
 
 
 def test_component_count_calls_kostka(calls):

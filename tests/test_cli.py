@@ -397,15 +397,33 @@ def test_springer_guard_refuses_before_counting(monkeypatch):
     assert err.startswith("error:") and "exceeds the guard 12" in err
 
 
-def test_module_entry_point_runs_without_warnings():
+def run_entry_point(argv, timeout):
+    """python -W error -m weylworks.cli argv in a child, killed at timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "weylworks.cli",
-         "character", "--lambda", "1,0", "-n", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "weylworks.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_springer_refuses_a_huge_part_at_once():
+    # conjugate((10**9,)) takes a step per box; the Kostka guard on |nu|
+    # must refuse first.  The timeout turns a hang into a failure.
+    proc = run_entry_point(
+        ["springer", "--nu", "1000000000", "--mu", "1000000000", "-n", "1"], timeout=20
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: tableau enumeration for |shape| = 1000000000 exceeds the guard 12; "
+        "pass size_guard=None or a larger value to override\n"
+    )
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = run_entry_point(["character", "--lambda", "1,0", "-n", "2"], timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["dim"] == 2

@@ -4,20 +4,26 @@ The production counter peels one step off the flag and multiplies closed
 q-binomial transition counts; the brute-force counter literally walks
 echelon forms over F_q.  Both are compared here on everything small, and
 the q-binomials themselves are checked against an independent Pascal
-recursion on coefficient lists.
+recursion on coefficient lists.  The polynomial fit is compared with two
+references: Lagrange interpolation, and the degree search that refits
+every bound from scratch.
 """
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylworks import springercount
 from weylworks.characters import kostka
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.springercount import (
     NonPolynomialCountError,
+    PointCountTable,
+    _checked_steps,
     component_count,
     count_fiber_points,
     count_fiber_points_bruteforce,
@@ -28,7 +34,14 @@ from weylworks.springercount import (
     jordan_nilpotent,
     point_count_table,
 )
-from weylworks.weights import compositions, conjugate, dominance_leq, pad, partitions
+from weylworks.weights import (
+    as_partition,
+    compositions,
+    conjugate,
+    dominance_leq,
+    pad,
+    partitions,
+)
 
 
 def oracle_qbinom(a, b):
@@ -224,7 +237,11 @@ def point_sets(draw):
 @given(point_sets())
 def test_newton_matches_lagrange(case):
     points, bound = case
-    assert _outcome(interpolate, points, bound) == _outcome(reference_interpolate, points, bound)
+    outcome = _outcome(interpolate, points, bound)
+    assert outcome == _outcome(reference_interpolate, points, bound)
+    if outcome[0] == "value":
+        # int unless fractional
+        assert all(type(c) is int for c in outcome[1] if c.denominator == 1)
 
 
 def test_interpolate_pinned():
@@ -242,6 +259,148 @@ def test_interpolate_failure_modes():
         interpolate({2: 5, 3: 7}, 1)  # needs bound + 2 points
     with pytest.raises(ValueError):
         interpolate({2: 5, 2: 7, 5: 11}, 1)  # duplicate key collapses to 2 points
+
+
+def reference_point_count_table(nu, mu, n=None, *, primes=None):
+    """The degree search point_count_table made before it read the degree
+    off one Newton table: every bound b = 0, 1, ... is refitted from
+    scratch (here with the Lagrange reference_interpolate) until one fits,
+    with the same primes, checks and messages.  Counts come from
+    springercount.count_fiber_points, looked up at call time."""
+    nu = as_partition(nu)
+    steps = _checked_steps(nu, mu, n)
+    cap = sum(a * b for a, b in itertools.combinations(steps, 2))
+    values = {}
+
+    def value(p):
+        if p not in values:
+            values[p] = springercount.count_fiber_points(p, nu, steps)
+        return values[p]
+
+    def finish(coeffs):
+        ints = []
+        for c in coeffs:
+            if c.denominator != 1 or c < 0:
+                raise InvariantViolation(
+                    f"count polynomial for nu={nu}, mu={steps} has coefficient "
+                    f"{c}; expected a nonnegative integer"
+                )
+            ints.append(int(c))
+        return PointCountTable(
+            nu=nu, mu=steps, evaluations=tuple(sorted(values.items())),
+            coefficients=tuple(ints),
+        )
+
+    last_error = None
+    if primes is not None:
+        plist = sorted(int(p) for p in primes)
+        if len(set(plist)) != len(plist) or any(not is_prime(p) for p in plist):
+            raise ValueError("primes must be distinct primes")
+        if len(plist) < 2:
+            raise ValueError("need at least two primes")
+        sample = [(p, value(p)) for p in plist]
+        for bound in range(min(cap, len(plist) - 2) + 1):
+            try:
+                return finish(reference_interpolate(sample, bound))
+            except NonPolynomialCountError as err:
+                last_error = err
+        raise NonPolynomialCountError(
+            f"no polynomial of degree <= {min(cap, len(plist) - 2)} fits the "
+            f"supplied counts for nu={nu}, mu={steps}"
+        ) from last_error
+
+    plist = first_primes(cap + 3)
+    for bound in range(cap + 1):
+        sample = [(p, value(p)) for p in plist[: bound + 3]]
+        try:
+            coeffs = reference_interpolate(sample, bound)
+        except NonPolynomialCountError as err:
+            last_error = err
+            continue
+        extra = [(p, value(p)) for p in plist[bound + 3 : cap + 1]]
+        if any(eval_poly(coeffs, p) != v for p, v in extra):
+            continue
+        return finish(coeffs)
+    raise NonPolynomialCountError(
+        f"no polynomial of degree <= {cap} fits the counts for nu={nu}, mu={steps}"
+    ) from last_error
+
+
+def _table_outcome(fn, nu, mu, n, primes):
+    """Coefficients and evaluations, or the exception and its cause."""
+    try:
+        table = fn(nu, mu, n, primes=primes)
+    except (ValueError, NonPolynomialCountError, InvariantViolation) as err:
+        cause = err.__cause__
+        return (type(err).__name__, str(err),
+                type(cause).__name__, str(cause) if cause else None)
+    assert all(type(c) is int for c in table.coefficients)
+    return "value", table.coefficients, table.evaluations
+
+
+_SMALL_PRIMES = first_primes(12)
+
+prime_lists = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_SMALL_PRIMES), min_size=2, max_size=10, unique=True),
+    st.lists(st.integers(1, 40), max_size=4),
+)
+
+
+@st.composite
+def flag_cases(draw):
+    total = draw(st.integers(0, 7))
+    nu = draw(st.sampled_from(list(partitions(total))))
+    k = draw(st.integers(1, 7))
+    mu = draw(st.sampled_from(list(compositions(total, k))))
+    n = draw(st.one_of(st.none(), st.integers(k, k + 2)))
+    return nu, mu, n, draw(prime_lists)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_cases())
+def test_degree_search_matches_the_refit_loop(case):
+    nu, mu, n, primes = case
+    assert _table_outcome(point_count_table, nu, mu, n, primes) == _table_outcome(
+        reference_point_count_table, nu, mu, n, primes
+    )
+
+
+@st.composite
+def doctored_counts(draw):
+    """Jumps, a polynomial to count with, and one prime whose count is off:
+    either inside the sample of the polynomial's own degree or only among
+    the extra primes that certify it."""
+    steps = draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]))
+    cap = sum(a * b for a, b in itertools.combinations(steps, 2))
+    degree = draw(st.integers(0, cap))
+    coeffs = draw(st.lists(st.integers(-3, 9), min_size=degree + 1, max_size=degree + 1))
+    primes = first_primes(cap + 3)
+    sample = primes[: degree + 3]
+    extra = primes[degree + 3 : cap + 1]
+    beyond = primes[max(degree + 3, cap + 1) :]
+    pool = draw(st.sampled_from([None] + [p for p in (sample, extra, beyond) if p]))
+    moved = None if pool is None else draw(st.sampled_from(pool))
+    shift = draw(st.sampled_from([-2, -1, 1, 3]))
+    explicit = draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(primes), min_size=2, unique=True)
+    ))
+    return steps, coeffs, moved, shift, explicit
+
+
+@settings(max_examples=200, deadline=None)
+@given(doctored_counts())
+def test_degree_search_on_doctored_counts(case):
+    steps, coeffs, moved, shift, explicit = case
+
+    def fake(q, nu, mu, n=None):
+        return eval_poly(coeffs, q) + (shift if q == moved else 0)
+
+    nu = (1,) * sum(steps)
+    with mock.patch.object(springercount, "count_fiber_points", fake):
+        new = _table_outcome(point_count_table, nu, steps, None, explicit)
+        old = _table_outcome(reference_point_count_table, nu, steps, None, explicit)
+    assert new == old
 
 
 def test_point_count_table_default_primes():
