@@ -6,9 +6,9 @@ and a cross-validation driver that runs the independent constructions
 on the same data and compares the numbers.
 
 JSON is the stable machine contract (schema_version 1); TSV is a plain
-human-readable table.  Integers that may not survive a double-precision
-round trip (|x| >= 2^53) are emitted as decimal strings, as are all
-polynomial coefficients and matrix entries.
+human-readable view of the same payload.  Integers that may not survive
+a double-precision round trip (|x| >= 2^53) are emitted as decimal
+strings, as are all polynomial coefficients and matrix entries.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def _fmt_vec(vec) -> str:
-    return ",".join(str(x) for x in vec)
 
 
 def _canon(value):
@@ -164,9 +160,9 @@ class CrossvalReport:
         return all(row.match for row in self.rows)
 
 
-def cross_validate(lam, n: int, m: int, *,
-                   size_guard: int | None = characters.DEFAULT_SIZE_GUARD,
-                   max_dim: int | None = None) -> CrossvalReport:
+def cross_validate(
+    lam, n: int, m: int, *, size_guard: int | None = characters.DEFAULT_SIZE_GUARD
+) -> CrossvalReport:
     """Compare four independent computations of the same multiplicities.
 
     For every composition mu of |lam| into n parts, the Kostka number
@@ -184,7 +180,7 @@ def cross_validate(lam, n: int, m: int, *,
         raise ValueError(f"{shape} has more than m={m} parts")
     total = sum(shape)
     shape_conj = conjugate(shape)
-    bim = skewhowe.build_bimodule(n, m, total, max_dim=max_dim)
+    bim = skewhowe.build_bimodule(n, m, total)
     rows = []
     for mu in compositions(total, n):
         try:
@@ -213,7 +209,7 @@ def cross_validate(lam, n: int, m: int, *,
 MAX_EXPR_DEPTH = 100
 
 
-def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
+def parse_module_expr(text: str, n: int):
     """Build an ExplicitModule from a tiny expression language.
 
     Grammar: std | det | adjoint | sym(K) | ext(K) | irrep(P1,P2,...)
@@ -278,24 +274,24 @@ def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
         if head in ("std", "standard"):
             return glmodules.standard_module(n)
         if head == "det":
-            return glmodules.ext_power(n, n, max_dim=max_dim)
+            return glmodules.ext_power(n, n)
         if head == "adjoint":
             return glmodules.adjoint_module(n)
         if head == "sym":
             (k,) = int_args()
-            return glmodules.sym_power(k, n, max_dim=max_dim)
+            return glmodules.sym_power(k, n)
         if head == "ext":
             (k,) = int_args()
-            return glmodules.ext_power(k, n, max_dim=max_dim)
+            return glmodules.ext_power(k, n)
         if head == "irrep":
-            return glmodules.irrep_plucker(int_args(), n, max_dim=max_dim)
+            return glmodules.irrep_plucker(int_args(), n)
         if head == "tensor":
             expect("(")
             left = expr(depth + 1)
             expect(",")
             right = expr(depth + 1)
             expect(")")
-            return glmodules.tensor(left, right, max_dim=max_dim)
+            return glmodules.tensor(left, right)
         raise error(f"unknown constructor {head!r}")
 
     module = expr(0)
@@ -306,11 +302,41 @@ def parse_module_expr(text: str, n: int, *, max_dim: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, tsv rows, exit code)
+# subcommand handlers: each returns (payload body, TSV rows, exit code).
+# run puts the schema_version/command header in front of the body.  The
+# TSV rows are read off the same body by _tsv (springer lays out its own
+# q/count rows, cell by cell with _cell), so the two formats cannot drift.
+
+
+def _cell(value) -> str:
+    """One TSV cell: a list is comma-joined, a bool is true/false."""
+    if isinstance(value, list):
+        return ",".join(str(x) for x in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _tsv(items, columns) -> list[list[str]]:
+    """A header row, then one row per payload item.
+
+    A column is an item key, or a (label, key) pair when the header label
+    differs from the key.
+    """
+    columns = [(c, c) if isinstance(c, str) else c for c in columns]
+    rows = [[label for label, _ in columns]]
+    rows += [[_cell(item[key]) for _, key in columns] for item in items]
+    return rows
 
 
 def _weight_table(mod) -> list[tuple[tuple[int, ...], int]]:
     return [(w, len(idxs)) for w, idxs in glmodules.weight_decompose(mod).items()]
+
+
+def _weight_list(table):
+    """(weight, multiplicity) pairs as payload entries and their TSV rows."""
+    entries = [{"mu": list(mu), "multiplicity": _jnum(mult)} for mu, mult in table]
+    return entries, _tsv(entries, ("mu", "multiplicity"))
 
 
 def _matrix_json(mat: RatMat) -> dict:
@@ -325,20 +351,14 @@ def _run_character(cfg: RunConfig):
     lam = cfg.params["lam"]
     n = cfg.params["n"]
     table = characters.character_table(lam, n, **cfg.guard_kwargs())
-    entries = table.sorted_entries()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "character",
+    entries, rows = _weight_list(table.sorted_entries())
+    body = {
         "lambda": list(lam),
         "n": n,
         "dim": _jnum(table.dim()),
-        "entries": [
-            {"mu": list(mu), "multiplicity": _jnum(mult)} for mu, mult in entries
-        ],
+        "entries": entries,
     }
-    rows = [["mu", "multiplicity"]]
-    rows += [[_fmt_vec(mu), str(mult)] for mu, mult in entries]
-    return payload, rows, 0
+    return body, rows, 0
 
 
 def _run_decompose(cfg: RunConfig):
@@ -346,45 +366,36 @@ def _run_decompose(cfg: RunConfig):
     text = cfg.params["module"]
     module = parse_module_expr(text, n)
     result = glmodules.decompose(module, **cfg.guard_kwargs())
-    mults = sorted(result.multiplicities.items(), reverse=True)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
+    mults = [
+        {"lambda": list(w), "multiplicity": _jnum(m)}
+        for w, m in sorted(result.multiplicities.items(), reverse=True)
+    ]
+    body = {
         "module": text,
         "n": n,
         "dim": _jnum(module.dim),
-        "multiplicities": [
-            {"lambda": list(w), "multiplicity": _jnum(m)} for w, m in mults
-        ],
+        "multiplicities": mults,
     }
-    rows = [["lambda", "multiplicity"]]
-    rows += [[_fmt_vec(w), str(m)] for w, m in mults]
-    return payload, rows, 0
+    return body, _tsv(mults, ("lambda", "multiplicity")), 0
 
 
 def _run_irrep(cfg: RunConfig):
     lam = cfg.params["lam"]
     n = cfg.params["n"]
     module = glmodules.irrep_plucker(lam, n)
-    table = _weight_table(module)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "irrep",
+    weights, rows = _weight_list(_weight_table(module))
+    body = {
         "lambda": list(lam),
         "n": n,
         "dim": _jnum(module.dim),
-        "weights": [
-            {"mu": list(mu), "multiplicity": _jnum(mult)} for mu, mult in table
-        ],
+        "weights": weights,
     }
     if cfg.params.get("emit_matrices"):
-        payload["generators"] = {
+        body["generators"] = {
             "E": [_matrix_json(mat) for mat in module.E],
             "F": [_matrix_json(mat) for mat in module.F],
         }
-    rows = [["mu", "multiplicity"]]
-    rows += [[_fmt_vec(mu), str(mult)] for mu, mult in table]
-    return payload, rows, 0
+    return body, rows, 0
 
 
 def _run_skewhowe(cfg: RunConfig):
@@ -393,55 +404,36 @@ def _run_skewhowe(cfg: RunConfig):
     big_n = cfg.params["N"]
     lam = cfg.params.get("lam")
     if lam is None:
-        pairs = skewhowe.decompose_howe(n, m, big_n, **cfg.guard_kwargs())
-        entries = []
-        for wn, wm in pairs:
-            entries.append(
-                {
-                    "gln": list(wn),
-                    "glm": list(wm),
-                    "dim_gln": _jnum(characters.dim_irrep(wn, n, **cfg.guard_kwargs())),
-                    "dim_glm": _jnum(characters.dim_irrep(wm, m, **cfg.guard_kwargs())),
-                }
-            )
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "skewhowe",
+        guard = cfg.guard_kwargs()
+        pairs = [
+            {
+                "gln": list(wn),
+                "glm": list(wm),
+                "dim_gln": _jnum(characters.dim_irrep(wn, n, **guard)),
+                "dim_glm": _jnum(characters.dim_irrep(wm, m, **guard)),
+            }
+            for wn, wm in skewhowe.decompose_howe(n, m, big_n, **guard)
+        ]
+        body = {
             "n": n,
             "m": m,
             "N": big_n,
             "dim": _jnum(comb(n * m, big_n)),
-            "pairs": entries,
+            "pairs": pairs,
         }
-        rows = [["gln", "glm", "dim_gln", "dim_glm"]]
-        rows += [
-            [
-                _fmt_vec(e["gln"]),
-                _fmt_vec(e["glm"]),
-                str(e["dim_gln"]),
-                str(e["dim_glm"]),
-            ]
-            for e in entries
-        ]
-        return payload, rows, 0
+        return body, _tsv(pairs, ("gln", "glm", "dim_gln", "dim_glm")), 0
     bim = skewhowe.build_bimodule(n, m, big_n)
     module = skewhowe.induced_gln_module(bim, lam)
-    table = _weight_table(module)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "skewhowe",
+    weights, rows = _weight_list(_weight_table(module))
+    body = {
         "n": n,
         "m": m,
         "N": big_n,
         "lambda": list(lam),
         "dim": _jnum(module.dim),
-        "weights": [
-            {"mu": list(mu), "multiplicity": _jnum(mult)} for mu, mult in table
-        ],
+        "weights": weights,
     }
-    rows = [["mu", "multiplicity"]]
-    rows += [[_fmt_vec(mu), str(mult)] for mu, mult in table]
-    return payload, rows, 0
+    return body, rows, 0
 
 
 def _load_subspace(cfg: RunConfig) -> lattice.LatticeSubspace:
@@ -465,44 +457,33 @@ def _run_lattice(cfg: RunConfig):
         mu = cfg.params["mu"]
         n = cfg.params["n"]
         count = lattice.mv_cycle_count(lam, mu, n, **cfg.guard_kwargs())
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "lattice mv-cycles",
+        body = {
             "lambda": list(lam),
             "mu": list(mu),
             "n": n,
             "count": _jnum(count),
             "derivation": "character data (weight multiplicity), not geometry",
         }
-        rows = [["lambda", "mu", "count"], [_fmt_vec(lam), _fmt_vec(mu), str(count)]]
-        return payload, rows, 0
+        return body, _tsv([body], ("lambda", "mu", "count")), 0
     sub = _load_subspace(cfg)
     jt = lattice.jordan_type(sub)
     if op == "jordan":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "lattice jordan",
+        body = {
             "n": sub.n,
             "D": sub.D,
             "dim": sub.dim,
             "jordan_type": list(jt),
         }
-        rows = [["n", "D", "dim", "jordan_type"]]
-        rows += [[str(sub.n), str(sub.D), str(sub.dim), _fmt_vec(jt)]]
-        return payload, rows, 0
+        return body, _tsv([body], ("n", "D", "dim", "jordan_type")), 0
     if op == "stratum":
         lam = cfg.params["lam"]
         location = lattice.stratum_membership(sub, lam)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "lattice stratum",
+        body = {
             "lambda": list(as_partition(lam)),
             "jordan_type": list(jt),
             "location": location.value,
         }
-        rows = [["lambda", "jordan_type", "location"]]
-        rows += [[_fmt_vec(as_partition(lam)), _fmt_vec(jt), location.value]]
-        return payload, rows, 0
+        return body, _tsv([body], ("lambda", "jordan_type", "location")), 0
     raise ValueError(f"unknown lattice operation {op!r}")
 
 
@@ -512,18 +493,16 @@ def _run_springer(cfg: RunConfig):
     n = cfg.params["n"]
     # The Kostka referee runs first, so that --size-guard refuses before
     # any point is counted; point_count_table then validates mu against n.
-    # Its guard, which applies when the sizes match, is checked before
-    # conjugate(nu) takes one step per box of the longest part.
+    # conjugate(nu) takes one step per box of the longest part, so it runs
+    # only when a tableau can exist, and only after the guard on |nu|.
     content = tuple(mu) + (0,) * (n - len(mu))
+    expected = 0
     if min(content, default=0) >= 0 and sum(nu) == sum(content):
         characters.check_size(nu, **cfg.guard_kwargs())
-    expected = characters.kostka(conjugate(nu), content, **cfg.guard_kwargs())
+        expected = characters.kostka(conjugate(nu), content, **cfg.guard_kwargs())
     table = springercount.point_count_table(nu, mu, n, primes=cfg.primes)
     lead = table.leading_coefficient
-    match = lead == expected
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "springer",
+    body = {
         "nu": list(table.nu),
         "mu": list(table.mu),
         "n": n,
@@ -531,17 +510,13 @@ def _run_springer(cfg: RunConfig):
         "poly": [str(c) for c in table.coefficients],
         "leading": _jnum(lead),
         "kostka": _jnum(expected),
-        "match": match,
+        "match": lead == expected,
     }
     rows = [["q", "count"]]
-    rows += [[str(q), str(c)] for q, c in table.evaluations]
-    rows += [
-        ["poly", " ".join(str(c) for c in table.coefficients)],
-        ["leading", str(lead)],
-        ["kostka", str(expected)],
-        ["match", "true" if match else "false"],
-    ]
-    return payload, rows, 0 if match else 1
+    rows += [[q, _cell(c)] for q, c in body["counts"].items()]
+    rows.append(["poly", " ".join(body["poly"])])
+    rows += [[key, _cell(body[key])] for key in ("leading", "kostka", "match")]
+    return body, rows, 0 if body["match"] else 1
 
 
 def _run_crossval(cfg: RunConfig):
@@ -549,38 +524,28 @@ def _run_crossval(cfg: RunConfig):
     n = cfg.params["n"]
     m = cfg.params["m"]
     report = cross_validate(lam, n, m, **cfg.guard_kwargs())
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "crossval",
+    rows = [
+        {
+            "mu": list(row.mu),
+            "kostka": _jnum(row.kostka),
+            "skewhowe": _jnum(row.skewhowe),
+            "springer": _jnum(row.springer),
+            "lattice_mv": _jnum(row.lattice_mv),
+            "match": row.match,
+        }
+        for row in report.rows
+    ]
+    body = {
         "lambda": list(report.lam),
         "n": n,
         "m": m,
-        "rows": [
-            {
-                "mu": list(row.mu),
-                "kostka": _jnum(row.kostka),
-                "skewhowe": _jnum(row.skewhowe),
-                "springer": _jnum(row.springer),
-                "lattice_mv": _jnum(row.lattice_mv),
-                "match": row.match,
-            }
-            for row in report.rows
-        ],
+        "rows": rows,
         "match": report.match,
     }
-    rows = [["mu", "kostka", "skewhowe", "springer", "lattice-mv", "match"]]
-    rows += [
-        [
-            _fmt_vec(row.mu),
-            str(row.kostka),
-            str(row.skewhowe),
-            str(row.springer),
-            str(row.lattice_mv),
-            "true" if row.match else "false",
-        ]
-        for row in report.rows
-    ]
-    return payload, rows, 0 if report.match else 1
+    columns = (
+        "mu", "kostka", "skewhowe", "springer", ("lattice-mv", "lattice_mv"), "match"
+    )
+    return body, _tsv(rows, columns), 0 if report.match else 1
 
 
 _HANDLERS = {
@@ -752,8 +717,12 @@ def run(cfg: RunConfig, out=None) -> int:
     handler = _HANDLERS.get(cfg.command)
     if handler is None:
         raise ValueError(f"unknown command {cfg.command!r}")
-    payload, rows, code = handler(cfg)
+    body, rows, code = handler(cfg)
     if cfg.fmt == "json":
+        command = cfg.command
+        if command == "lattice":
+            command += " " + cfg.params["operation"]
+        payload = {"schema_version": SCHEMA_VERSION, "command": command, **body}
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
         for row in rows:

@@ -41,9 +41,9 @@ def max_dimension() -> int:
     return value
 
 
-def check_dimension(dim: int, limit: int | None = None) -> None:
-    """Raise ResourceLimitError if dim exceeds the guard (explicit or global)."""
-    cap = limit if limit is not None else max_dimension()
+def check_dimension(dim: int) -> None:
+    """Raise ResourceLimitError if dim exceeds the WEYLWORKS_MAX_DIM guard."""
+    cap = max_dimension()
     if dim > cap:
         raise ResourceLimitError(
             f"requested object has dimension {dim}, above the guard {cap}; "

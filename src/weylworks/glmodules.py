@@ -67,11 +67,11 @@ def standard_module(n: int) -> ExplicitModule:
     return ext_power(1, n)
 
 
-def sym_power(k: int, n: int, *, max_dim: int | None = None) -> ExplicitModule:
+def sym_power(k: int, n: int) -> ExplicitModule:
     """Sym^k(C^n) on the monomial basis, generators acting as derivations."""
     if k < 0 or n < 1:
         raise ValueError(f"bad symmetric power parameters k={k}, n={n}")
-    check_dimension(comb(k + n - 1, n - 1), max_dim)
+    check_dimension(comb(k + n - 1, n - 1))
     basis = list(compositions(k, n))
     index = {a: t for t, a in enumerate(basis)}
     dim = len(basis)
@@ -176,11 +176,11 @@ def wedge_generators(
     )
 
 
-def ext_power(k: int, n: int, *, max_dim: int | None = None) -> ExplicitModule:
+def ext_power(k: int, n: int) -> ExplicitModule:
     """Lambda^k(C^n) on sorted k-subsets of {0, ..., n-1}."""
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
-    check_dimension(comb(n, k), max_dim)
+    check_dimension(comb(n, k))
     basis = list(itertools.combinations(range(n), k))
     weights = tuple(
         tuple(1 if j in s else 0 for j in range(n)) for s in basis
@@ -190,11 +190,11 @@ def ext_power(k: int, n: int, *, max_dim: int | None = None) -> ExplicitModule:
     return ExplicitModule(n, len(basis), weights, E, F)
 
 
-def tensor(a: ExplicitModule, b: ExplicitModule, *, max_dim: int | None = None) -> ExplicitModule:
+def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     """Tensor product; generators act as g (x) 1 + 1 (x) g."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    check_dimension(a.dim * b.dim, max_dim)
+    check_dimension(a.dim * b.dim)
     dim = a.dim * b.dim
     weights = tuple(
         weight_sum(wa, wb) for wa in a.basis_weights for wb in b.basis_weights
@@ -370,7 +370,7 @@ def verify_chevalley_relations(mod: ExplicitModule) -> None:
                 )
 
 
-def irrep_plucker(lam, n: int, *, max_dim: int | None = None) -> ExplicitModule:
+def irrep_plucker(lam, n: int) -> ExplicitModule:
     """The irreducible with highest weight lam (a partition), constructed
     inside a tensor product of exterior powers.
 
@@ -387,10 +387,8 @@ def irrep_plucker(lam, n: int, *, max_dim: int | None = None) -> ExplicitModule:
     heights = conjugate(shape)
     if not heights:
         return sym_power(0, n)
-    factors = [ext_power(h, n, max_dim=max_dim) for h in heights]
-    ambient = functools.reduce(
-        lambda acc, nxt: tensor(acc, nxt, max_dim=max_dim), factors
-    )
+    factors = [ext_power(h, n) for h in heights]
+    ambient = functools.reduce(tensor, factors)
     top_weight = pad(shape, n)
     bases: dict[WeightVec, EchelonBasis] = {}
     start = bases.setdefault(top_weight, EchelonBasis()).insert({0: 1})

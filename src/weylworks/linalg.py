@@ -82,10 +82,6 @@ class RatMat:
             del cols[c]
         return cls(nrows, ncols, cols)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RatMat":
-        return cls(nrows, ncols, {})
-
     def column(self, c: int) -> SparseVec:
         return self._cols.get(c, {})
 
@@ -123,11 +119,6 @@ class RatMat:
             if not tgt:
                 del cols[c]
         return RatMat(self.nrows, self.ncols, cols)
-
-    def transpose(self) -> "RatMat":
-        return RatMat.from_entries(
-            self.ncols, self.nrows, ((c, r, v) for r, c, v in self.entries())
-        )
 
     def is_zero(self) -> bool:
         return not self._cols

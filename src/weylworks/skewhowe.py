@@ -11,7 +11,7 @@ classical invariant theory", Trans. AMS 1989).  Hom spaces, joint
 highest-weight lines and the induced gl(n) module are computed from their
 slices alone: the slice is enumerated directly, generators are applied to
 subsets on the fly, and the whole wedge is never built.  The dimension
-guard (max_dim, else WEYLWORKS_MAX_DIM) applies to each slice there.
+guard (WEYLWORKS_MAX_DIM) applies to each slice there.
 
 The induced module takes each hom space, in reduced echelon form, as its
 weight space mu and restricts the gl(n) generators to them through
@@ -51,7 +51,7 @@ from .weights import (
     partitions,
 )
 
-def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
+def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
     """Sorted subsets with gl(n) weight wn and gl(m) weight wm, in
     lexicographic order.
 
@@ -61,7 +61,7 @@ def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
-    cap = max_dim if max_dim is not None else max_dimension()
+    cap = max_dimension()
     remaining = list(wm)
     found: list[Subset] = []
 
@@ -69,7 +69,7 @@ def _slice(n: int, m: int, wn, wm, max_dim: int | None) -> tuple[Subset, ...]:
         if i == n:
             found.append(prefix)
             if len(found) > cap:
-                check_dimension(len(found), cap)
+                check_dimension(len(found))
             return
         rows_after = n - 1 - i
         open_cols = [a for a in range(m) if remaining[a]]
@@ -91,18 +91,17 @@ class BiModule:
 
     basis holds the sorted N-subsets of pair indices in lexicographic
     order; the weights and the four generator families follow it.  The
-    first access checks dim against max_dim (else WEYLWORKS_MAX_DIM).
+    first access checks dim against WEYLWORKS_MAX_DIM.
     """
 
     n: int
     m: int
     N: int
     dim: int
-    max_dim: int | None = None
 
     @cached_property
     def basis(self) -> tuple[Subset, ...]:
-        check_dimension(self.dim, self.max_dim)
+        check_dimension(self.dim)
         return tuple(itertools.combinations(range(self.n * self.m), self.N))
 
     @cached_property
@@ -163,17 +162,18 @@ class HomSpace:
     subsets: tuple[Subset, ...]
 
 
-def build_bimodule(n: int, m: int, N: int, *, max_dim: int | None = None) -> BiModule:
+def build_bimodule(n: int, m: int, N: int) -> BiModule:
     """Lambda^N(C^n (x) C^m); basis and generators are built on first use.
 
-    max_dim guards what is actually built: C(nm, N) when the basis or
-    generator matrices are first touched, each slice's size in hom_space.
+    WEYLWORKS_MAX_DIM guards what is actually built: C(nm, N) when the
+    basis or generator matrices are first touched, each slice's size in
+    hom_space.
     """
     if n < 1 or m < 1:
         raise ValueError("both ranks must be at least 1")
     if not 0 <= N <= n * m:
         raise ValueError(f"N={N} outside 0..{n * m}")
-    return BiModule(n=n, m=m, N=N, dim=comb(n * m, N), max_dim=max_dim)
+    return BiModule(n=n, m=m, N=N, dim=comb(n * m, N))
 
 
 def verify_commuting_actions(bim: BiModule) -> None:
@@ -247,7 +247,7 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     """Dimension of the space of vectors of bi-weight (wn, wm) killed by all
     raising operators of both families."""
     moves = _moves(bim.n, True, True) + _moves(bim.m, False, True)
-    subsets = _slice(bim.n, bim.m, wn, wm, bim.max_dim)
+    subsets = _slice(bim.n, bim.m, wn, wm)
     return len(_joint_kernel(bim.m, subsets, moves))
 
 
@@ -270,7 +270,7 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
         )
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
-    subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m), bim.max_dim)
+    subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
     slice_idx = tuple(_rank(s, bim.n * bim.m) for s in subsets)
     basis = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
     vectors = tuple({slice_idx[t]: v for t, v in vec.items()} for vec in basis)

@@ -156,6 +156,8 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
         raise ValueError(f"q must be prime, got {q}")
     nu = as_partition(nu)
     steps = _checked_steps(nu, mu, n)
+    if sum(steps) != sum(nu):
+        return 0
     binomials: dict[tuple[int, int], int] = {}
 
     def ways(binomial_args, power: int) -> int:

@@ -15,14 +15,6 @@ WeightVec = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
-def as_weight(entries: Iterable[int]) -> WeightVec:
-    """Coerce a sequence of integers to a weight vector."""
-    w = tuple(int(x) for x in entries)
-    if not w:
-        raise ValueError("a weight vector must have length at least 1")
-    return w
-
-
 def as_partition(entries: Iterable[int]) -> Partition:
     """Validate and normalize a partition, stripping trailing zeros.
 

@@ -422,6 +422,18 @@ def test_springer_refuses_a_huge_part_at_once():
     )
 
 
+def test_springer_with_unequal_sizes_skips_the_huge_part():
+    # |nu| != |mu|: every count and the Kostka number are 0 by size, so
+    # neither may walk the 10**9 boxes.  The timeout turns a hang into a
+    # failure.
+    proc = run_entry_point(
+        ["springer", "--nu", "1000000000", "--mu", "1", "-n", "1"], timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["leading"], payload["kostka"], payload["match"]) == (0, 0, True)
+
+
 def test_module_entry_point_runs_without_warnings():
     proc = run_entry_point(["character", "--lambda", "1,0", "-n", "2"], timeout=60)
     assert proc.returncode == 0

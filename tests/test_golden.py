@@ -3,8 +3,10 @@
 The first five digests were taken before EchelonBasis started storing
 integral scalars as ints; the two springer digests and the crossval
 --lambda 1,1,1,1,1 digest were taken before point_count_table started
-reading the degree off one integer Newton table.  Any change to
-elimination, canonical bases, point counts, interpolation or number
+reading the degree off one integer Newton table; the remaining
+character, skewhowe, lattice and TSV digests were taken before the TSV
+rows became a view of the JSON payload.  Any change to elimination,
+canonical bases, point counts, interpolation, payload assembly or number
 formatting that moves a byte of these outputs fails here.
 """
 
@@ -33,6 +35,32 @@ GOLDEN = {
         "d5fc3c323b90cd42e8bdcbba79f17a4275d62f7c2844d01d050feb03201b2b7f",
     "crossval --lambda 1,1,1,1,1 -n 5 -m 5":
         "bb3a1c7884a0e7d9ac8b26d350e95f1bc97b968351458e5fed9818ee7027f50a",
+    "character --lambda=1,0,-1 -n 3":
+        "6c485c3733a99a87a3d27cab10eca588f52044b1f8a9cc86f1df3e71e9d4af1f",
+    "character --lambda=1,0,-1 -n 3 --format tsv":
+        "6e86b2cac8e26fc7fb9d719c4c1e54ffc0a9895996db9a5f472f169a7e823a4c",
+    "decompose --module tensor(adjoint,det) -n 3 --format tsv":
+        "3a42adfce3dc0163b3295e9bb0a1a3c90a15c0ee65000fe910d43a7e74aa96cf",
+    "skewhowe -n 2 -m 3 -N 3":
+        "a4b1ddccdc2e543a0eb3eeb5c86f64cad71a5d63ee569e852ed851fb80b8293a",
+    "skewhowe -n 2 -m 3 -N 3 --format tsv":
+        "4a30fee34340d9d8a737eb0fd7c5da10eb3a9679e36a06e2cb915edcc5a0ab48",
+    "skewhowe --lambda 2,1,0 -n 3 -m 3 -N 3 --format tsv":
+        "7131feeaef48ef29229f3de56f586ee3a87ec710eabcb314d0036d33ec5679e5",
+    "lattice jordan --mu 2,1 -n 2":
+        "ab45458d900a30c1b9c4ee1507aeaa78aca7de03155fe3d96c6b6e0ff6d22c2e",
+    "lattice jordan --mu 2,1 -n 2 --format tsv":
+        "b5fdb5cb73550faf385b8a716dc53ef08c880502b6518af8cb5b27fc9c98c5df",
+    "lattice stratum --lambda 2,0 --mu 1,1 -n 2":
+        "1a082a689d52258d1e9a2796fef77a3088de7d9ea73be5e0313546ac563ac5af",
+    "lattice stratum --lambda 2,0 --mu 1,1 -n 2 --format tsv":
+        "8df8f6ffc2378a7826dda97452a5d2f78c66a5e5073bc6f433b70d422eb812f6",
+    "lattice mv-cycles --lambda 2,1,0 --mu 1,1,1 -n 3":
+        "8cdd9f9ec94c422fb37c2e9726f615b2afa3f7cafa332531c9ae227242e7feef",
+    "lattice mv-cycles --lambda 2,1,0 --mu 1,1,1 -n 3 --format tsv":
+        "395a7a4e5e9526062622729cf1c3548575c60e697fc5200f53a48613429cf5bd",
+    "crossval --lambda 2,1 -n 3 -m 3 --format tsv":
+        "3e1b6d45a5ad4c870046a25f6e560a8da7297f8a26e03e6ec5c7efa8706fcb3f",
 }
 
 

@@ -210,7 +210,7 @@ def test_slices_are_the_filtered_combinations(n, m, N):
         expected.setdefault((wn, wm), []).append(idx)
     for wn in compositions(N, n):
         for wm in compositions(N, m):
-            subsets = _slice(n, m, wn, wm, None)
+            subsets = _slice(n, m, wn, wm)
             assert [_rank(s, n * m) for s in subsets] == expected.get((wn, wm), [])
 
 
@@ -235,9 +235,10 @@ def test_wedge_is_never_built_for_hom_spaces(monkeypatch):
         build_bimodule(5, 5, 6).basis
 
 
-def test_slice_guard_refuses_large_slices():
+def test_slice_guard_refuses_large_slices(monkeypatch):
     # the slice of permutation matrices has 5! = 120 elements
-    bim = build_bimodule(5, 5, 5, max_dim=100)
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "100")
+    bim = build_bimodule(5, 5, 5)
     with pytest.raises(ResourceLimitError):
         hom_space(bim, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
     assert hom_space(bim, (1, 1, 1, 1, 1), (5, 0, 0, 0, 0)).dim == 1
