@@ -83,7 +83,7 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # weylworks.cli is loaded on first use: importing it with the package
     # would put it in sys.modules before `python -m weylworks.cli` runs it.
-    if name in ("CrossvalReport", "CrossvalRow", "RunConfig", "cross_validate"):
+    if name in ("CrossvalReport", "CrossvalRow", "cross_validate"):
         from . import cli
 
         return getattr(cli, name)
@@ -104,7 +104,6 @@ __all__ = [
     "NonPolynomialCountError",
     "PointCountTable",
     "ResourceLimitError",
-    "RunConfig",
     "StratumLocation",
     "WeylworksError",
     "adjoint_module",

@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import characters, glmodules, lattice, skewhowe, springercount
-from .errors import WeylworksError
+from .errors import WeylworksError, max_dimension
 from .linalg import RatMat
 from .weights import as_partition, compositions, conjugate
 
@@ -69,66 +69,6 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def _canon(value):
-    """Wire shape -> config shape: lists become tuples, recursively."""
-    if isinstance(value, dict):
-        return {k: _canon(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return value
-
-
-def _thaw(value):
-    """Config shape -> wire shape: tuples become lists, recursively."""
-    if isinstance(value, dict):
-        return {k: _thaw(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; round-trips exactly through to_dict/from_dict."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "json"
-    size_guard: int | None = None
-    primes: tuple[int, ...] | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", _canon(self.params))
-        if self.fmt not in ("json", "tsv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": _thaw(self.params),
-            "format": self.fmt,
-            "size_guard": self.size_guard,
-            "primes": None if self.primes is None else list(self.primes),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        primes = data.get("primes")
-        return cls(
-            command=data["command"],
-            params=data.get("params", {}),
-            fmt=data.get("format", "json"),
-            size_guard=data.get("size_guard"),
-            primes=None if primes is None else tuple(int(p) for p in primes),
-            seed=int(data.get("seed", 0)),
-        )
-
-    def guard_kwargs(self) -> dict:
-        return {} if self.size_guard is None else {"size_guard": self.size_guard}
 
 
 # ---------------------------------------------------------------------------
@@ -347,50 +287,44 @@ def _matrix_json(mat: RatMat) -> dict:
     }
 
 
-def _run_character(cfg: RunConfig):
-    lam = cfg.params["lam"]
-    n = cfg.params["n"]
-    table = characters.character_table(lam, n, **cfg.guard_kwargs())
+def _run_character(args: argparse.Namespace):
+    table = characters.character_table(args.lam, args.n, size_guard=args.size_guard)
     entries, rows = _weight_list(table.sorted_entries())
     body = {
-        "lambda": list(lam),
-        "n": n,
+        "lambda": list(args.lam),
+        "n": args.n,
         "dim": _jnum(table.dim()),
         "entries": entries,
     }
     return body, rows, 0
 
 
-def _run_decompose(cfg: RunConfig):
-    n = cfg.params["n"]
-    text = cfg.params["module"]
-    module = parse_module_expr(text, n)
-    result = glmodules.decompose(module, **cfg.guard_kwargs())
+def _run_decompose(args: argparse.Namespace):
+    module = parse_module_expr(args.module, args.n)
+    result = glmodules.decompose(module, size_guard=args.size_guard)
     mults = [
         {"lambda": list(w), "multiplicity": _jnum(m)}
         for w, m in sorted(result.multiplicities.items(), reverse=True)
     ]
     body = {
-        "module": text,
-        "n": n,
+        "module": args.module,
+        "n": args.n,
         "dim": _jnum(module.dim),
         "multiplicities": mults,
     }
     return body, _tsv(mults, ("lambda", "multiplicity")), 0
 
 
-def _run_irrep(cfg: RunConfig):
-    lam = cfg.params["lam"]
-    n = cfg.params["n"]
-    module = glmodules.irrep_plucker(lam, n)
+def _run_irrep(args: argparse.Namespace):
+    module = glmodules.irrep_plucker(args.lam, args.n)
     weights, rows = _weight_list(_weight_table(module))
     body = {
-        "lambda": list(lam),
-        "n": n,
+        "lambda": list(args.lam),
+        "n": args.n,
         "dim": _jnum(module.dim),
         "weights": weights,
     }
-    if cfg.params.get("emit_matrices"):
+    if args.emit_matrices:
         body["generators"] = {
             "E": [_matrix_json(mat) for mat in module.E],
             "F": [_matrix_json(mat) for mat in module.F],
@@ -398,76 +332,70 @@ def _run_irrep(cfg: RunConfig):
     return body, rows, 0
 
 
-def _run_skewhowe(cfg: RunConfig):
-    n = cfg.params["n"]
-    m = cfg.params["m"]
-    big_n = cfg.params["N"]
-    lam = cfg.params.get("lam")
-    if lam is None:
-        guard = cfg.guard_kwargs()
+def _run_skewhowe(args: argparse.Namespace):
+    if args.lam is None:
+        guard = args.size_guard
         pairs = [
             {
                 "gln": list(wn),
                 "glm": list(wm),
-                "dim_gln": _jnum(characters.dim_irrep(wn, n, **guard)),
-                "dim_glm": _jnum(characters.dim_irrep(wm, m, **guard)),
+                "dim_gln": _jnum(characters.dim_irrep(wn, args.n, size_guard=guard)),
+                "dim_glm": _jnum(characters.dim_irrep(wm, args.m, size_guard=guard)),
             }
-            for wn, wm in skewhowe.decompose_howe(n, m, big_n, **guard)
+            for wn, wm in skewhowe.decompose_howe(
+                args.n, args.m, args.N, size_guard=guard
+            )
         ]
         body = {
-            "n": n,
-            "m": m,
-            "N": big_n,
-            "dim": _jnum(comb(n * m, big_n)),
+            "n": args.n,
+            "m": args.m,
+            "N": args.N,
+            "dim": _jnum(comb(args.n * args.m, args.N)),
             "pairs": pairs,
         }
         return body, _tsv(pairs, ("gln", "glm", "dim_gln", "dim_glm")), 0
-    bim = skewhowe.build_bimodule(n, m, big_n)
-    module = skewhowe.induced_gln_module(bim, lam)
+    bim = skewhowe.build_bimodule(args.n, args.m, args.N)
+    module = skewhowe.induced_gln_module(bim, args.lam)
     weights, rows = _weight_list(_weight_table(module))
     body = {
-        "n": n,
-        "m": m,
-        "N": big_n,
-        "lambda": list(lam),
+        "n": args.n,
+        "m": args.m,
+        "N": args.N,
+        "lambda": list(args.lam),
         "dim": _jnum(module.dim),
         "weights": weights,
     }
     return body, rows, 0
 
 
-def _load_subspace(cfg: RunConfig) -> lattice.LatticeSubspace:
-    path = cfg.params.get("subspace")
-    mu = cfg.params.get("mu")
-    if (path is None) == (mu is None):
+def _load_subspace(args: argparse.Namespace) -> lattice.LatticeSubspace:
+    if (args.subspace is None) == (args.mu is None):
         raise ValueError("give exactly one of --mu and --subspace")
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
+    if args.subspace is not None:
+        with open(args.subspace, encoding="utf-8") as handle:
             return lattice.LatticeSubspace.from_dict(json.load(handle))
-    n = cfg.params.get("n")
+    n = args.n
     if n is None:
-        n = len(mu)
-    return lattice.fixed_point(mu, n)
+        n = len(args.mu)
+    return lattice.fixed_point(args.mu, n)
 
 
-def _run_lattice(cfg: RunConfig):
-    op = cfg.params["operation"]
-    if op == "mv-cycles":
-        lam = cfg.params["lam"]
-        mu = cfg.params["mu"]
-        n = cfg.params["n"]
-        count = lattice.mv_cycle_count(lam, mu, n, **cfg.guard_kwargs())
+def _run_lattice(args: argparse.Namespace):
+    if args.operation == "mv-cycles":
+        count = lattice.mv_cycle_count(
+            args.lam, args.mu, args.n, size_guard=args.size_guard
+        )
         body = {
-            "lambda": list(lam),
-            "mu": list(mu),
-            "n": n,
+            "lambda": list(args.lam),
+            "mu": list(args.mu),
+            "n": args.n,
             "count": _jnum(count),
             "derivation": "character data (weight multiplicity), not geometry",
         }
         return body, _tsv([body], ("lambda", "mu", "count")), 0
-    sub = _load_subspace(cfg)
+    sub = _load_subspace(args)
     jt = lattice.jordan_type(sub)
-    if op == "jordan":
+    if args.operation == "jordan":
         body = {
             "n": sub.n,
             "D": sub.D,
@@ -475,37 +403,32 @@ def _run_lattice(cfg: RunConfig):
             "jordan_type": list(jt),
         }
         return body, _tsv([body], ("n", "D", "dim", "jordan_type")), 0
-    if op == "stratum":
-        lam = cfg.params["lam"]
-        location = lattice.stratum_membership(sub, lam)
-        body = {
-            "lambda": list(as_partition(lam)),
-            "jordan_type": list(jt),
-            "location": location.value,
-        }
-        return body, _tsv([body], ("lambda", "jordan_type", "location")), 0
-    raise ValueError(f"unknown lattice operation {op!r}")
+    location = lattice.stratum_membership(sub, args.lam)
+    body = {
+        "lambda": list(as_partition(args.lam)),
+        "jordan_type": list(jt),
+        "location": location.value,
+    }
+    return body, _tsv([body], ("lambda", "jordan_type", "location")), 0
 
 
-def _run_springer(cfg: RunConfig):
-    nu = as_partition(cfg.params["nu"])
-    mu = cfg.params["mu"]
-    n = cfg.params["n"]
+def _run_springer(args: argparse.Namespace):
+    nu = as_partition(args.nu)
     # The Kostka referee runs first, so that --size-guard refuses before
     # any point is counted; point_count_table then validates mu against n.
     # conjugate(nu) takes one step per box of the longest part, so it runs
     # only when a tableau can exist, and only after the guard on |nu|.
-    content = tuple(mu) + (0,) * (n - len(mu))
+    content = tuple(args.mu) + (0,) * (args.n - len(args.mu))
     expected = 0
     if min(content, default=0) >= 0 and sum(nu) == sum(content):
-        characters.check_size(nu, **cfg.guard_kwargs())
-        expected = characters.kostka(conjugate(nu), content, **cfg.guard_kwargs())
-    table = springercount.point_count_table(nu, mu, n, primes=cfg.primes)
+        characters.check_size(nu, args.size_guard)
+        expected = characters.kostka(conjugate(nu), content, size_guard=args.size_guard)
+    table = springercount.point_count_table(nu, args.mu, args.n, primes=args.primes)
     lead = table.leading_coefficient
     body = {
         "nu": list(table.nu),
         "mu": list(table.mu),
-        "n": n,
+        "n": args.n,
         "counts": {str(q): _jnum(c) for q, c in table.evaluations},
         "poly": [str(c) for c in table.coefficients],
         "leading": _jnum(lead),
@@ -519,11 +442,8 @@ def _run_springer(cfg: RunConfig):
     return body, rows, 0 if body["match"] else 1
 
 
-def _run_crossval(cfg: RunConfig):
-    lam = cfg.params["lam"]
-    n = cfg.params["n"]
-    m = cfg.params["m"]
-    report = cross_validate(lam, n, m, **cfg.guard_kwargs())
+def _run_crossval(args: argparse.Namespace):
+    report = cross_validate(args.lam, args.n, args.m, size_guard=args.size_guard)
     rows = [
         {
             "mu": list(row.mu),
@@ -537,8 +457,8 @@ def _run_crossval(cfg: RunConfig):
     ]
     body = {
         "lambda": list(report.lam),
-        "n": n,
-        "m": m,
+        "n": args.n,
+        "m": args.m,
         "rows": rows,
         "match": report.match,
     }
@@ -563,19 +483,22 @@ _HANDLERS = {
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format",
         choices=("json", "tsv"),
         default="json",
         help="output format (json is the machine contract, tsv is for reading)",
     )
+
+
+def _add_size_guard(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--size-guard",
         type=int,
-        default=None,
+        default=characters.DEFAULT_SIZE_GUARD,
         metavar="SIZE",
-        help="override the partition-size guard on tableau enumeration",
+        help="partition-size guard on tableau counts (default: %(default)s boxes)",
     )
 
 
@@ -592,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed recorded in the run configuration (commands are deterministic)",
-    )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     p = commands.add_parser(
@@ -606,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_ints_arg, required=True,
                    help="highest weight, comma-separated (use --lambda=… if negative)")
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
-    _add_common(p)
+    _add_format(p)
+    _add_size_guard(p)
 
     p = commands.add_parser(
         "decompose", help="decompose a constructed module into irreducibles"
@@ -615,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expression: std, det, adjoint, sym(K), ext(K), "
                         "irrep(...), tensor(A,B)")
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
-    _add_common(p)
+    _add_format(p)
+    _add_size_guard(p)
 
     p = commands.add_parser(
         "irrep", help="build one irreducible inside a tensor product of "
@@ -623,10 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lambda", dest="lam", type=_ints_arg, required=True)
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
-    p.add_argument("--emit-matrices", nargs="?", const="json", choices=("json",),
-                   default=None,
+    p.add_argument("--emit-matrices", action="store_true",
                    help="include raising/lowering matrices in the JSON output")
-    _add_common(p)
+    _add_format(p)
 
     p = commands.add_parser(
         "skewhowe", help="decompose the exterior power of C^n (x) C^m, or "
@@ -638,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exterior power degree")
     p.add_argument("--lambda", dest="lam", type=_ints_arg, default=None,
                    help="emit the induced module for this partition instead")
-    _add_common(p)
+    _add_format(p)
+    _add_size_guard(p)
 
     p = commands.add_parser("lattice", help="shift-stable subspace queries")
     lattice_ops = p.add_subparsers(dest="operation", metavar="operation")
@@ -649,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-n", "--n", dest="n", type=int, default=None)
     q.add_argument("--subspace", default=None, metavar="FILE",
                    help="JSON file holding a subspace instead of --mu")
-    _add_common(q)
+    _add_format(q)
 
     q = lattice_ops.add_parser("stratum", help="locate a subspace relative to "
                                                "a stratum closure")
@@ -657,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", type=_ints_arg, default=None)
     q.add_argument("-n", "--n", dest="n", type=int, default=None)
     q.add_argument("--subspace", default=None, metavar="FILE")
-    _add_common(q)
+    _add_format(q)
 
     q = lattice_ops.add_parser(
         "mv-cycles",
@@ -667,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lambda", dest="lam", type=_ints_arg, required=True)
     q.add_argument("--mu", type=_ints_arg, required=True)
     q.add_argument("-n", "--n", dest="n", type=int, required=True)
-    _add_common(q)
+    _add_format(q)
+    _add_size_guard(q)
 
     p = commands.add_parser(
         "springer", help="finite-field point counts and their polynomial"
@@ -677,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
     p.add_argument("--primes", type=_ints_arg, default=None,
                    help="primes to evaluate at (default: smallest primes)")
-    _add_common(p)
+    _add_format(p)
+    _add_size_guard(p)
 
     p = commands.add_parser(
         "crossval", help="run all constructions on one partition and compare"
@@ -685,48 +606,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_ints_arg, required=True)
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
     p.add_argument("-m", "--m", dest="m", type=int, required=True)
-    _add_common(p)
+    _add_format(p)
+    _add_size_guard(p)
 
     return parser
 
 
-_CONFIG_SKIP = {"command", "operation", "format", "size_guard", "primes", "seed"}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in _CONFIG_SKIP and value is not None
-    }
-    if getattr(args, "operation", None) is not None:
-        params["operation"] = args.operation
-    return RunConfig(
-        command=args.command,
-        params=params,
-        fmt=getattr(args, "format", "json"),
-        size_guard=getattr(args, "size_guard", None),
-        primes=getattr(args, "primes", None),
-        seed=args.seed,
-    )
-
-
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute one configuration, writing the result to ``out`` (stdout)."""
-    out = sys.stdout if out is None else out
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    body, rows, code = handler(cfg)
-    if cfg.fmt == "json":
-        command = cfg.command
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line, writing the result to stdout."""
+    body, rows, code = _HANDLERS[args.command](args)
+    if args.format == "json":
+        command = args.command
         if command == "lattice":
-            command += " " + cfg.params["operation"]
+            command += " " + args.operation
         payload = {"schema_version": SCHEMA_VERSION, "command": command, **body}
-        out.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for row in rows:
-            out.write("\t".join(row) + "\n")
+            sys.stdout.write("\t".join(row) + "\n")
     return code
 
 
@@ -744,8 +641,10 @@ def main(argv=None) -> int:
         )
         return 2
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
+        # every command refuses a malformed WEYLWORKS_MAX_DIM, not only
+        # those that happen to build a module
+        max_dimension()
+        return run(args)
     except (WeylworksError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

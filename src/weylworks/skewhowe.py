@@ -206,17 +206,16 @@ def decompose_howe(
     m: int,
     N: int,
     *,
-    check: bool = False,
     size_guard: int | None = DEFAULT_SIZE_GUARD,
 ) -> list[tuple[WeightVec, WeightVec]]:
     """Summands of Lambda^N(C^n (x) C^m) as (gl(n) weight, gl(m) weight) pairs.
 
     One pair per partition lam of N with at most m parts, each part at
-    most n; the gl(n) side is the conjugate.  The dimension identity
-    against binomial(nm, N) is always verified, with size_guard bounding
-    the tableau count of dim_irrep.  With check=True each pair's
-    bi-weight slice is confirmed to carry exactly one joint
-    highest-weight line.
+    most n; the gl(n) side is the conjugate.  Two checks always run: the
+    dimension identity against binomial(nm, N), with size_guard bounding
+    the tableau count of dim_irrep, and exactly one joint highest-weight
+    line in each pair's bi-weight slice (a slice that holds a single 0/1
+    matrix, so the check is cheap).
     """
     if n < 1 or m < 1 or not 0 <= N <= n * m:
         raise ValueError(f"bad decomposition parameters n={n}, m={m}, N={N}")
@@ -231,23 +230,32 @@ def decompose_howe(
         raise InvariantViolation(
             f"summand dimensions add to {total}, wedge has {comb(n * m, N)}"
         )
-    if check:
-        bim = build_bimodule(n, m, N)
-        for wn, wm in pairs:
-            found = joint_highest_weight_dim(bim, wn, wm)
-            if found != 1:
-                raise InvariantViolation(
-                    f"expected one joint highest-weight line at {(wn, wm)}, "
-                    f"found {found}"
-                )
+    bim = build_bimodule(n, m, N)
+    for wn, wm in pairs:
+        found = joint_highest_weight_dim(bim, wn, wm)
+        if found != 1:
+            raise InvariantViolation(
+                f"expected one joint highest-weight line at {(wn, wm)}, "
+                f"found {found}"
+            )
     return pairs
 
 
 def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     """Dimension of the space of vectors of bi-weight (wn, wm) killed by all
-    raising operators of both families."""
-    moves = _moves(bim.n, True, True) + _moves(bim.m, False, True)
-    subsets = _slice(bim.n, bim.m, wn, wm)
+    raising operators of both families.
+
+    Rows after the last nonzero entry of wn hold no pair, so no raising
+    operator has an image from them; the slice and the gl(n) moves are
+    taken over the rows up to that entry only.  _slice recurses once per
+    row, so a weight with few nonzero rows stays far below the recursion
+    limit however large n is.
+    """
+    if len(wn) != bim.n:
+        return 0
+    rows = max((i + 1 for i, x in enumerate(wn) if x), default=1)
+    moves = _moves(rows, True, True) + _moves(bim.m, False, True)
+    subsets = _slice(rows, bim.m, tuple(wn)[:rows], wm)
     return len(_joint_kernel(bim.m, subsets, moves))
 
 

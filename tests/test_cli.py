@@ -9,14 +9,11 @@ import pytest
 
 from weylworks.cli import (
     MAX_EXPR_DEPTH,
-    RunConfig,
     _jnum,
     build_parser,
-    config_from_args,
     cross_validate,
     main,
     parse_module_expr,
-    run,
 )
 
 
@@ -36,49 +33,30 @@ def payload_of(args):
     return json.loads(out)
 
 
-def test_runconfig_round_trip():
-    configs = [
-        RunConfig(command="character", params={"lam": (3, 0), "n": 2}),
-        RunConfig(
-            command="springer",
-            params={"nu": (2, 1), "mu": (1, 1, 1), "n": 3},
-            fmt="tsv",
-            primes=(2, 3, 5),
-            seed=7,
-        ),
-        RunConfig(command="crossval", params={"lam": (2, 1), "n": 3, "m": 3},
-                  size_guard=20),
-    ]
-    for cfg in configs:
-        data = json.loads(json.dumps(cfg.to_dict()))
-        assert RunConfig.from_dict(data) == cfg
-
-
 def test_runconfig_rejects_bad_format():
-    with pytest.raises(ValueError):
-        RunConfig(command="character", params={}, fmt="xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["character", "--lambda", "2,1", "-n", "2", "--format", "xml"])
+    assert exc.value.code == 2
 
 
 def test_config_from_args_matches_manual_construction():
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         ["springer", "--nu", "2,1", "--mu", "1,1,1", "-n", "3", "--primes", "2,3,5"]
     )
-    cfg = config_from_args(args)
-    assert cfg.command == "springer"
-    assert cfg.params["nu"] == (2, 1)
-    assert cfg.params["mu"] == (1, 1, 1)
-    assert cfg.primes == (2, 3, 5)
+    assert args.command == "springer"
+    assert args.nu == (2, 1)
+    assert args.mu == (1, 1, 1)
+    assert args.primes == (2, 3, 5)
 
 
 def test_output_is_byte_identical_across_runs():
-    cfg = RunConfig(command="crossval", params={"lam": (2, 1, 0), "n": 3, "m": 3})
-    bufs = []
+    argv = ["crossval", "--lambda", "2,1,0", "-n", "3", "-m", "3"]
+    outs = []
     for _ in range(2):
-        buf = io.StringIO()
-        assert run(cfg, out=buf) == 0
-        bufs.append(buf.getvalue())
-    assert bufs[0] == bufs[1]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_character_json_schema():
@@ -161,6 +139,17 @@ def test_skewhowe_pairs_cli():
         {"gln": [2, 1], "glm": [2, 1, 0], "dim_gln": 2, "dim_glm": 8},
         {"gln": [3, 0], "glm": [1, 1, 1], "dim_gln": 4, "dim_glm": 1},
     ]
+
+
+def test_skewhowe_pairs_refuse_a_second_joint_highest_weight_line(monkeypatch):
+    from weylworks import skewhowe
+
+    monkeypatch.setattr(skewhowe, "joint_highest_weight_dim", lambda *args: 2)
+    code, out, err = run_cli(["skewhowe", "-n", "2", "-m", "3", "-N", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "found 2" in err
 
 
 def test_skewhowe_induced_module_cli():
@@ -294,11 +283,49 @@ def test_size_guard_flag():
     assert json.loads(out)["dim"] == 14
 
 
-def test_seed_flag_is_recorded():
-    parser = build_parser()
-    args = parser.parse_args(["--seed", "9", "crossval", "--lambda", "2", "-n", "2", "-m", "2"])
-    cfg = config_from_args(args)
-    assert cfg.seed == 9
+def run_usage_error(argv):
+    """main(argv) must end in SystemExit; return (code, stdout, stderr)."""
+    import contextlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--seed 9 crossval --lambda 2 -n 2 -m 2",
+        "irrep --lambda 2,1 -n 2 --size-guard 5",
+        "lattice jordan --mu 2,1 -n 2 --size-guard 5",
+        "irrep --lambda 2,1 -n 2 --emit-matrices json",
+    ],
+)
+def test_removed_options_are_usage_errors(argv):
+    code, out, err = run_usage_error(argv.split())
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "character --lambda 1,0 -n 2",
+        "irrep --lambda 1,0 -n 2",
+        "springer --nu 2,1 --mu 1,1,1 -n 3",
+        "lattice jordan --mu 2,1 -n 2",
+        "crossval --lambda 2,1 -n 3 -m 3",
+    ],
+)
+def test_malformed_max_dim_is_refused_by_every_command(monkeypatch, argv):
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "zero")
+    code, out, err = run_cli(argv.split())
+    assert code == 1
+    assert out == ""
+    assert err == "error: WEYLWORKS_MAX_DIM must be an integer, got 'zero'\n"
 
 
 def test_jnum_policy():
@@ -344,12 +371,13 @@ def test_deeply_nested_module_is_one_error_line():
 
 
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
-# count, the flag count and the weight enumerators are loops, so these are
-# answers (the payload subset each must show), except crossval: its weight
-# slices come from skewhowe._slice, whose fill still recurses once per row,
-# so it is refused. With that recursion lifted too it would run for minutes
-# and print 25 MB, too big for a test. It and the deep decompose above
-# cover the RecursionError mapping.
+# count, the flag count and the weight enumerators are loops, and the
+# skewhowe pairs check enumerates each slice only over the rows that hold
+# pairs, so these are answers (the payload subset each must show), except
+# crossval: its weight slices come from skewhowe._slice, whose fill still
+# recurses once per row, so it is refused. With that recursion lifted too
+# it would run for minutes and print 25 MB, too big for a test. It and the
+# deep decompose above cover the RecursionError mapping.
 DEEP_ARGV = {
     "character --lambda 1500 -n 1 --size-guard 5000": {
         "dim": 1,
@@ -362,6 +390,10 @@ DEEP_ARGV = {
         "match": True,
     },
     "crossval --lambda 1 -n 1500 -m 1": None,
+    "skewhowe -n 1500 -m 1 -N 1": {
+        "dim": 1500,
+        "pairs": [{"gln": [1] + [0] * 1499, "glm": [1], "dim_gln": 1500, "dim_glm": 1}],
+    },
     "decompose --module sym(1) -n 1100": {
         "dim": 1100,
         "multiplicities": [{"lambda": [1] + [0] * 1099, "multiplicity": 1}],

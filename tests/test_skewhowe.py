@@ -93,8 +93,8 @@ def test_decompose_howe_dimension_identity():
 
 
 def test_decompose_howe_checked_against_bimodule():
-    # check=True recounts joint highest weight vectors inside the bimodule
-    pairs = decompose_howe(2, 3, 3, check=True)
+    # decompose_howe recounts joint highest weight vectors inside the bimodule
+    pairs = decompose_howe(2, 3, 3)
     assert len(pairs) == 2
 
 
