@@ -55,7 +55,6 @@ from .skewhowe import (
     verify_commuting_actions,
 )
 from .springercount import (
-    NilpotentOperator,
     NonPolynomialCountError,
     PointCountTable,
     component_count,
@@ -63,7 +62,6 @@ from .springercount import (
     count_fiber_points_bruteforce,
     gaussian_binomial,
     interpolate,
-    jordan_nilpotent,
     point_count_table,
 )
 from .weights import (
@@ -100,7 +98,6 @@ __all__ = [
     "HomSpace",
     "InvariantViolation",
     "LatticeSubspace",
-    "NilpotentOperator",
     "NonPolynomialCountError",
     "PointCountTable",
     "ResourceLimitError",
@@ -131,7 +128,6 @@ __all__ = [
     "interpolate",
     "irrep_plucker",
     "is_dominant",
-    "jordan_nilpotent",
     "jordan_type",
     "kostka",
     "max_dimension",

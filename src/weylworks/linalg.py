@@ -234,15 +234,15 @@ class EchelonBasis:
         ]
 
 
-def power_ranks(vectors, apply, modulus: int | None = None) -> list[int]:
-    """Ranks of T^0, T^1, ... on the span of vectors, ending at the first 0.
+def power_ranks(vectors, apply) -> list[int]:
+    """Ranks over Q of T^0, T^1, ... on the span of vectors, up to the first 0.
 
     apply maps a sparse vector to its image under T, which must be
-    nilpotent on the span; ranks are taken over Q, or over F_modulus.
+    nilpotent on the span.
     """
     ranks = []
     while True:
-        eb = EchelonBasis(modulus)
+        eb = EchelonBasis()
         vectors = [row for row in map(eb.insert, vectors) if row is not None]
         ranks.append(eb.dim)
         if not vectors:

@@ -57,31 +57,34 @@ def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
 
     Rows are filled in turn, choosing wn[i] columns that still have
     capacity; a column needing more ones than rows remain is pruned.
-    Refused as soon as the count passes the dimension guard.
+    Partial fillings wait on a work list, children pushed in reverse so
+    that they come off in lexicographic order (no recursion, so n may
+    pass the recursion limit).  Refused as soon as the count passes the
+    dimension guard.
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
     cap = max_dimension()
-    remaining = list(wm)
     found: list[Subset] = []
-
-    def fill(i: int, prefix: Subset) -> None:
+    work = [(0, (), tuple(wm))]
+    while work:
+        i, prefix, remaining = work.pop()
         if i == n:
             found.append(prefix)
             if len(found) > cap:
                 check_dimension(len(found))
-            return
+            continue
         rows_after = n - 1 - i
         open_cols = [a for a in range(m) if remaining[a]]
+        children = []
         for cols in itertools.combinations(open_cols, wn[i]):
+            left = list(remaining)
             for a in cols:
-                remaining[a] -= 1
-            if all(c <= rows_after for c in remaining):
-                fill(i + 1, prefix + tuple(i * m + a for a in cols))
-            for a in cols:
-                remaining[a] += 1
-
-    fill(0, ())
+                left[a] -= 1
+            if all(c <= rows_after for c in left):
+                pairs = tuple(i * m + a for a in cols)
+                children.append((i + 1, prefix + pairs, tuple(left)))
+        work.extend(reversed(children))
     return tuple(found)
 
 
@@ -247,9 +250,8 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
 
     Rows after the last nonzero entry of wn hold no pair, so no raising
     operator has an image from them; the slice and the gl(n) moves are
-    taken over the rows up to that entry only.  _slice recurses once per
-    row, so a weight with few nonzero rows stays far below the recursion
-    limit however large n is.
+    taken over the rows up to that entry only, which keeps the slice and
+    the moves small when wn has few nonzero rows, however large n is.
     """
     if len(wn) != bim.n:
         return 0

@@ -15,12 +15,14 @@ linalg.EchelonBasis, run over F_q.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
-primes determine it exactly.  The counts go one prime at a time into one
-Newton divided-difference table, kept in ints: for an integer polynomial
-at integer nodes every divided difference is an integer.  The table
-picks the degree; interpolate then fits that degree once and checks
-every point, and further primes certify the fit.  The number of
-top-dimensional components of the fibre is the leading coefficient.
+primes determine it exactly.  One degree search serves an explicit prime
+list and the default primes alike: the counts go one prime at a time
+into one Newton divided-difference table, kept in ints (for an integer
+polynomial at integer nodes every divided difference is an integer),
+which passes over the degree bounds it rules out, and interpolate fits
+the first bound left and checks it against every count the supply must
+match.  The number of top-dimensional components of the fibre is the
+leading coefficient.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
 
 from .characters import DEFAULT_SIZE_GUARD, kostka
 from .errors import InvariantViolation, ResourceLimitError, WeylworksError
-from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, _demote, power_ranks
+from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, _demote
 from .weights import Partition, as_partition, conjugate
 
 
@@ -43,14 +44,44 @@ class NonPolynomialCountError(WeylworksError):
     """Raised when prime-by-prime counts refuse to fit one polynomial."""
 
 
+# The first 13 primes, and the least integer that passes the strong
+# probable-prime test to all of them as bases without being prime.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Exact primality of an integer below psi_13 = 3317044064679887385961981.
+
+    Trial division by the first 13 primes answers below 43**2; above
+    that, the Miller-Rabin test to those 13 bases is exact below psi_13,
+    the least composite that passes it (Sorenson and Webster, Math.
+    Comp. 86, 2017).  At or above psi_13 the answer is not certain, so
+    ValueError is raised instead.
+    """
+    if m >= _PSI_13:
+        raise ValueError(f"cannot decide whether {m} is prime: the test is exact "
+                         f"only below {_PSI_13}")
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+    for p in _BASES:
+        if m % p == 0:
+            return m == p
+    if m < 43 * 43:
+        return True
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -129,7 +160,7 @@ def _transitions(nu: Partition, k: int) -> tuple[tuple[Partition, tuple, int], .
     return tuple(found)
 
 
-def _checked_steps(nu: Partition, mu, n: int | None) -> tuple[int, ...]:
+def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
     steps = tuple(int(x) for x in mu)
     if any(x < 0 for x in steps):
         raise ValueError(f"dimension jumps must be nonnegative, got {steps}")
@@ -155,7 +186,7 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     nu = as_partition(nu)
-    steps = _checked_steps(nu, mu, n)
+    steps = _checked_steps(mu, n)
     if sum(steps) != sum(nu):
         return 0
     binomials: dict[tuple[int, int], int] = {}
@@ -200,32 +231,6 @@ def _as_ratmat(mat) -> RatMat:
     )
 
 
-@dataclass(frozen=True)
-class NilpotentOperator:
-    """A Jordan-form nilpotent together with its type, over a prime field."""
-
-    N: int
-    nu: Partition
-    matrix: tuple[tuple[int, ...], ...]
-    q: int
-
-    def rank_sequence(self) -> tuple[int, ...]:
-        """Ranks of matrix^0, matrix^1, ... down to the first zero power."""
-        unit_vectors = ({c: 1} for c in range(self.N))
-        return tuple(power_ranks(unit_vectors, _as_ratmat(self.matrix).apply, self.q))
-
-
-def jordan_nilpotent(nu, q: int) -> NilpotentOperator:
-    """The Jordan-form nilpotent of type nu as an operator over F_q."""
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    nu = as_partition(nu)
-    mat = jordan_matrix(nu)
-    return NilpotentOperator(
-        N=sum(nu), nu=nu, matrix=tuple(tuple(r) for r in mat), q=q
-    )
-
-
 def _subspaces_modq(
     coords: list[int], k: int, q: int, tick
 ) -> Iterator[list[SparseVec]]:
@@ -262,7 +267,7 @@ def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
     if not is_prime(q):
         raise ValueError(f"q must be prime for direct enumeration, got {q}")
     nu = as_partition(nu)
-    steps = _checked_steps(nu, mu, n)
+    steps = _checked_steps(mu, n)
     if sum(steps) != sum(nu):
         return 0
     size = sum(nu)
@@ -422,36 +427,51 @@ class PointCountTable:
 def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCountTable:
     """Count chains at several primes and recover the exact polynomial.
 
-    The counts go one prime at a time into one Newton divided-difference
-    table (_add_node), which picks the degree; interpolate then fits that
-    degree once.  With the default prime supply the degree is the first
-    bound b whose Newton coefficients b + 1 and b + 2 vanish (a fit on
-    b + 1 primes that holds at two more), certified against enough
-    further primes that no other polynomial of degree up to the
-    cell-dimension cap (sum of products of distinct jumps) could match;
-    a failed certificate moves the search on to b + 1.  An explicit prime
-    list is taken as the authority instead: the degree is that of the
-    polynomial through all its counts, and at least one count must be
-    left to check it.  Coefficients must come out as nonnegative
-    integers; anything else raises InvariantViolation.
+    The prime supply is the sorted explicit primes, all of whose counts
+    must fit, or by default the first cap + 3 primes, whose counts up to
+    index cap must fit: cap (the sum of products of distinct jumps)
+    bounds the degree, and cap + 1 counts pin a polynomial of degree up
+    to cap.  Each bound b = 0, 1, ..., up to cap and to two less than the
+    supply, grows one Newton divided-difference table (_add_node) to
+    b + 3 nodes and is passed over while Newton coefficient b + 1 or
+    b + 2 is nonzero; otherwise interpolate fits degree b and checks
+    every count the supply must match, accepting or rejecting b.
+    Coefficients must come out as nonnegative integers; anything else
+    raises InvariantViolation.
     """
     nu = as_partition(nu)
-    steps = _checked_steps(nu, mu, n)
+    steps = _checked_steps(mu, n)
     cap = sum(a * b for a, b in itertools.combinations(steps, 2))
+    if primes is not None:
+        supply = sorted(int(p) for p in primes)
+        if len(set(supply)) != len(supply) or any(not is_prime(p) for p in supply):
+            raise ValueError("primes must be distinct primes")
+        if len(supply) < 2:
+            raise ValueError("need at least two primes")
+        checked, counts = len(supply), "supplied counts"
+    else:
+        supply = first_primes(cap + 3)
+        checked, counts = cap + 1, "counts"
+    limit = min(cap, len(supply) - 2)
+    # values holds the counts of a prefix of supply; the Newton table
+    # (nodes, row, newton) covers a prefix of that.
     values: dict[int, int] = {}
     nodes: list[int] = []
     row: list[Scalar] = []
     newton: list[Scalar] = []
-
-    def value(p: int) -> int:
-        if p not in values:
+    for bound in range(limit + 1):
+        for p in supply[len(nodes) : bound + 3]:
+            if p not in values:
+                values[p] = count_fiber_points(p, nu, steps)
+            newton.append(_add_node(nodes, row, p, values[p]))
+        if any(newton[bound + 1 : bound + 3]):
+            continue
+        for p in supply[len(values) : checked]:
             values[p] = count_fiber_points(p, nu, steps)
-        return values[p]
-
-    def add(p: int) -> None:
-        newton.append(_add_node(nodes, row, p, value(p)))
-
-    def finish(coeffs) -> PointCountTable:
+        try:
+            coeffs = interpolate(values, bound)
+        except NonPolynomialCountError:
+            continue
         for c in coeffs:
             if c.denominator != 1 or c < 0:
                 raise InvariantViolation(
@@ -459,55 +479,18 @@ def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCoun
                     f"{c}; expected a nonnegative integer"
                 )
         return PointCountTable(
-            nu=nu,
-            mu=steps,
-            evaluations=tuple(sorted(values.items())),
-            coefficients=tuple(coeffs),
+            nu=nu, mu=steps, evaluations=tuple(values.items()),
+            coefficients=coeffs,
         )
-
-    def refuse(message: str, bound: int) -> NoReturn:
-        """Raise the refusal, chained to the error of the fit at the
-        highest bound tried, the last one the search rejected."""
-        cause = None
-        try:
-            interpolate(values, bound)
-        except NonPolynomialCountError as err:
-            cause = err
-        raise NonPolynomialCountError(message) from cause
-
-    if primes is not None:
-        plist = sorted(int(p) for p in primes)
-        if len(set(plist)) != len(plist) or any(not is_prime(p) for p in plist):
-            raise ValueError("primes must be distinct primes")
-        if len(plist) < 2:
-            raise ValueError("need at least two primes")
-        for p in plist:
-            add(p)
-        degree = max((i for i, c in enumerate(newton) if c), default=0)
-        limit = min(cap, len(plist) - 2)
-        if degree > limit:
-            refuse(
-                f"no polynomial of degree <= {limit} fits the "
-                f"supplied counts for nu={nu}, mu={steps}",
-                limit,
-            )
-        return finish(interpolate(values, degree))
-
-    plist = first_primes(cap + 3)
-    for bound in range(cap + 1):
-        while len(newton) < bound + 3:
-            add(plist[len(newton)])
-        if newton[bound + 1] or newton[bound + 2]:
-            continue
-        coeffs = interpolate([(p, value(p)) for p in plist[: bound + 3]], bound)
-        extra = [(p, value(p)) for p in plist[bound + 3 : cap + 1]]
-        if any(_poly_eval(coeffs, p) != v for p, v in extra):
-            continue
-        return finish(coeffs)
-    refuse(
-        f"no polynomial of degree <= {cap} fits the counts for nu={nu}, mu={steps}",
-        cap,
-    )
+    # Every bound failed; chain the refusal to the failed fit at the last.
+    cause = None
+    try:
+        interpolate(values, limit)
+    except NonPolynomialCountError as err:
+        cause = err
+    raise NonPolynomialCountError(
+        f"no polynomial of degree <= {limit} fits the {counts} for nu={nu}, mu={steps}"
+    ) from cause
 
 
 def component_count(nu, mu, n: int | None = None, *, primes=None,

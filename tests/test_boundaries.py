@@ -40,10 +40,14 @@ def calls(monkeypatch):
     return counts
 
 
-def test_point_count_table_calls_the_counter_and_the_fit(calls):
-    table = springercount.point_count_table((2, 1, 1), (1, 1, 1, 1))
+@pytest.mark.parametrize(
+    "primes", [None, springercount.first_primes(8)], ids=["default", "explicit"]
+)
+def test_point_count_table_calls_the_counter_and_the_fit(calls, primes):
+    table = springercount.point_count_table((2, 1, 1), (1, 1, 1, 1), primes=primes)
     assert calls["springercount.count_fiber_points"] == len(table.evaluations)
-    # the Newton table picks the degree, so there is one fit per table
+    # the Newton table passes over the bounds it rules out, so either
+    # supply makes one fit per table
     assert calls["springercount.interpolate"] == 1
 
 

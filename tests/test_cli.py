@@ -371,13 +371,11 @@ def test_deeply_nested_module_is_one_error_line():
 
 
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
-# count, the flag count and the weight enumerators are loops, and the
-# skewhowe pairs check enumerates each slice only over the rows that hold
-# pairs, so these are answers (the payload subset each must show), except
-# crossval: its weight slices come from skewhowe._slice, whose fill still
-# recurses once per row, so it is refused. With that recursion lifted too
-# it would run for minutes and print 25 MB, too big for a test. It and the
-# deep decompose above cover the RecursionError mapping.
+# count, the flag count, the weight enumerators and the slice enumeration
+# skewhowe._slice are loops, and the skewhowe pairs check enumerates each
+# slice only over the rows that hold pairs, so these are answers (the
+# payload subset each must show). The deep decompose above covers the
+# RecursionError mapping.
 DEEP_ARGV = {
     "character --lambda 1500 -n 1 --size-guard 5000": {
         "dim": 1,
@@ -389,10 +387,13 @@ DEEP_ARGV = {
         "leading": 1,
         "match": True,
     },
-    "crossval --lambda 1 -n 1500 -m 1": None,
     "skewhowe -n 1500 -m 1 -N 1": {
         "dim": 1500,
         "pairs": [{"gln": [1] + [0] * 1499, "glm": [1], "dim_gln": 1500, "dim_glm": 1}],
+    },
+    "skewhowe -n 1500 -m 1 -N 1500 --size-guard 5000": {
+        "dim": 1,
+        "pairs": [{"gln": [1] * 1500, "glm": [1500], "dim_gln": 1, "dim_glm": 1}],
     },
     "decompose --module sym(1) -n 1100": {
         "dim": 1100,
@@ -403,15 +404,8 @@ DEEP_ARGV = {
 
 @pytest.mark.parametrize("argv", list(DEEP_ARGV))
 def test_recursion_depth_is_one_error_line(argv):
-    expected = DEEP_ARGV[argv]
-    if expected is None:
-        code, out, err = run_cli(argv.split())
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        return
     payload = payload_of(argv.split())
-    for key, value in expected.items():
+    for key, value in DEEP_ARGV[argv].items():
         assert payload[key] == value, key
 
 
@@ -464,6 +458,25 @@ def test_springer_with_unequal_sizes_skips_the_huge_part():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["leading"], payload["kostka"], payload["match"]) == (0, 0, True)
+
+
+def test_springer_decides_large_primes_at_once():
+    # Trial division up to the square root of 10**18 + 3 takes 10**9
+    # steps; the timeout turns a hang into a failure.
+    proc = run_entry_point(
+        ["springer", "--nu", "1", "--mu", "1", "-n", "1",
+         "--primes", "2,1000000000000000003"], timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["counts"] == {"2": 1, "1000000000000000003": 1}
+    # psi_13: beyond the range where the primality test is exact
+    proc = run_entry_point(
+        ["springer", "--nu", "1", "--mu", "1", "-n", "1",
+         "--primes", "2,3317044064679887385961981"], timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def test_module_entry_point_runs_without_warnings():

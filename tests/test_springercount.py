@@ -10,11 +10,12 @@ every bound from scratch.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylworks import springercount
@@ -31,7 +32,6 @@ from weylworks.springercount import (
     gaussian_binomial,
     interpolate,
     is_prime,
-    jordan_nilpotent,
     point_count_table,
 )
 from weylworks.weights import (
@@ -83,6 +83,20 @@ def test_oracle_qbinom_sanity():
 def test_is_prime_and_first_primes():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+
+    def by_trial_division(m):
+        return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+    assert all(is_prime(m) == by_trial_division(m) for m in range(-5, 20000))
+    # a Carmichael number, strong pseudoprimes to base 2, to bases 2..7,
+    # and psi_12, the least one to the first 12 prime bases
+    for composite in (561, 2047, 3215031751, 318665857834031151167461):
+        assert not is_prime(composite), composite
+    assert is_prime(10**18 + 3)
+    # psi_13, the least strong pseudoprime to the first 13 prime bases:
+    # from there on the test is not exact, so it refuses
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
 
 
 def test_gaussian_binomial_matches_pascal_oracle():
@@ -268,7 +282,7 @@ def reference_point_count_table(nu, mu, n=None, *, primes=None):
     with the same primes, checks and messages.  Counts come from
     springercount.count_fiber_points, looked up at call time."""
     nu = as_partition(nu)
-    steps = _checked_steps(nu, mu, n)
+    steps = _checked_steps(mu, n)
     cap = sum(a * b for a, b in itertools.combinations(steps, 2))
     values = {}
 
@@ -357,8 +371,28 @@ def flag_cases(draw):
     return nu, mu, n, draw(prime_lists)
 
 
+def examples(cases):
+    """Stack one hypothesis @example per case."""
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return apply
+
+
+# The stop rule's edges: degree = cap, cap 0, an empty fibre, and an
+# explicit list too short for the degree, which is refused.
+EDGE_CASES = [
+    ((1, 1, 1), (2, 1), None, None),
+    ((1,), (1,), None, None),
+    ((3,), (2, 1), None, None),
+    ((2, 1), (1, 1, 1), 3, [2, 3]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(flag_cases())
+@examples(EDGE_CASES)
 def test_degree_search_matches_the_refit_loop(case):
     nu, mu, n, primes = case
     assert _table_outcome(point_count_table, nu, mu, n, primes) == _table_outcome(
@@ -388,8 +422,19 @@ def doctored_counts(draw):
     return steps, coeffs, moved, shift, explicit
 
 
+# EDGE_CASES undoctored: each counter is the real count polynomial of the
+# matching case (the fake counter does not read nu).
+EDGE_COUNTS = [
+    ((2, 1), [1, 1, 1], None, 1, None),
+    ((1,), [1], None, 1, None),
+    ((2, 1), [0], None, 1, None),
+    ((1, 1, 1), [1, 2], None, 1, [2, 3]),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(doctored_counts())
+@examples(EDGE_COUNTS)
 def test_degree_search_on_doctored_counts(case):
     steps, coeffs, moved, shift, explicit = case
 
@@ -458,22 +503,3 @@ def test_component_count_is_kostka_everywhere_small():
                     assert lead == kostka(conjugate(nu), mu), (nu, mu)
                     key = (nu, k, tuple(sorted(mu, reverse=True)))
                     assert leads.setdefault(key, lead) == lead  # S_n symmetry
-
-
-def test_jordan_nilpotent_rank_sequence():
-    for q in (2, 3, 5):
-        for total in range(1, 6):
-            for nu in partitions(total):
-                op = jordan_nilpotent(nu, q)
-                ranks = op.rank_sequence()
-                expected = [sum(nu)]
-                k = 1
-                while expected[-1] > 0:
-                    expected.append(sum(max(part - k, 0) for part in nu))
-                    k += 1
-                assert list(ranks) == expected, (q, nu)
-                # first vanishing power is the largest block, and the
-                # conjugated rank drops recover the type
-                assert len(ranks) - 1 == nu[0]
-                drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-                assert conjugate(tuple(drops)) == nu
