@@ -50,6 +50,7 @@ from .skewhowe import (
     HomSpace,
     build_bimodule,
     decompose_howe,
+    hom_dims,
     hom_space,
     induced_gln_module,
     verify_commuting_actions,
@@ -123,6 +124,7 @@ __all__ = [
     "gaussian_binomial",
     "height",
     "highest_weight_vectors",
+    "hom_dims",
     "hom_space",
     "induced_gln_module",
     "interpolate",

@@ -21,11 +21,14 @@ from fractions import Fraction
 from math import comb
 
 from . import characters, glmodules, lattice, skewhowe, springercount
-from .errors import WeylworksError, max_dimension
+from .errors import ResourceLimitError, WeylworksError, max_dimension
 from .linalg import RatMat
 from .weights import as_partition, compositions, conjugate
 
 SCHEMA_VERSION = 1
+EMIT_MATRICES_TSV_NOTE = (
+    "note: the generator matrices are JSON-only; --format tsv prints the weight table"
+)
 
 _HONESTY_NOTES = """\
 honesty notes:
@@ -100,6 +103,31 @@ class CrossvalReport:
         return all(row.match for row in self.rows)
 
 
+def _check_answer_size(total: int, n: int, m: int) -> None:
+    """Refuse a crossval answer of more than WEYLWORKS_MAX_DIM cells.
+
+    It has one row per composition of total into n parts, C(total+n-1,
+    n-1) of them, each counted as n + m cells (m also sizes the gl(m)
+    weights built for every slice).  The binomial is a running product
+    that stops as soon as the cells pass the cap, so a rank of 10^9 is
+    refused in a few steps.
+    """
+    cap = max_dimension()
+    width = n + m
+    small, large = sorted((max(n - 1, 0), total))
+    rows = 1
+    for k in range(1, small + 1):
+        if rows * width > cap:
+            break
+        rows = rows * (large + k) // k
+    if rows * width > cap:
+        raise ResourceLimitError(
+            f"crossval answer has at least {rows * width} cells (rows x (n + m) = "
+            f"{rows} x {width}), above the guard {cap}; raise it via "
+            f"WEYLWORKS_MAX_DIM if intended"
+        )
+
+
 def cross_validate(
     lam, n: int, m: int, *, size_guard: int | None = characters.DEFAULT_SIZE_GUARD
 ) -> CrossvalReport:
@@ -112,6 +140,11 @@ def cross_validate(
     type lam, and as the lattice-model cycle count for conjugate(lam).
     The four never disagree unless something is broken; the report keeps
     all values so a disagreement is visible rather than asserted away.
+
+    The hom space dimensions come from skewhowe.hom_dims: one exact
+    elimination per S_n orbit of mu, every other mu certified entry by
+    entry.  The answer's size and the tableau guard are checked before
+    anything is built.
     """
     shape = as_partition(lam)
     if shape and shape[0] > n:
@@ -119,13 +152,21 @@ def cross_validate(
     if len(shape) > m:
         raise ValueError(f"{shape} has more than m={m} parts")
     total = sum(shape)
+    _check_answer_size(total, n, m)
     shape_conj = conjugate(shape)
+    characters.check_size(shape_conj, size_guard)
     bim = skewhowe.build_bimodule(n, m, total)
+    try:
+        hom_dims = skewhowe.hom_dims(bim, shape)
+    except WeylworksError as err:
+        raise WeylworksError(
+            f"cross-validation failed in the skew Howe route: {err}"
+        ) from err
     rows = []
     for mu in compositions(total, n):
         try:
             combinatorial = characters.kostka(shape_conj, mu, size_guard=size_guard)
-            hom_dim = skewhowe.hom_space(bim, shape, mu).dim
+            hom_dim = hom_dims[mu]
             leading = springercount.point_count_table(shape, mu, n).leading_coefficient
             cycles = lattice.mv_cycle_count(shape_conj, mu, n, size_guard=size_guard)
         except WeylworksError as err:
@@ -329,6 +370,8 @@ def _run_irrep(args: argparse.Namespace):
             "E": [_matrix_json(mat) for mat in module.E],
             "F": [_matrix_json(mat) for mat in module.F],
         }
+        if args.format == "tsv":
+            print(EMIT_MATRICES_TSV_NOTE, file=sys.stderr)
     return body, rows, 0
 
 

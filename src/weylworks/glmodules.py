@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from math import comb
@@ -93,19 +94,24 @@ def sym_power(k: int, n: int) -> ExplicitModule:
 def wedge_replace(
     subset: tuple[int, ...], old: int, new: int
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Replace one wedge factor and re-sort, tracking the parity sign.
+    """Replace one factor of a sorted wedge subset, tracking the parity sign.
 
     Returns (sign, sorted subset), or None when the substitution collides
     with an existing factor.  The sign is the parity of the number of
-    factors strictly between old and new.
+    factors strictly between old and new; new is slotted in by bisection,
+    so the factors between are the ones it passes.
     """
     if new in subset:
         return None
-    others = [x for x in subset if x != old]
-    lo, hi = min(old, new), max(old, new)
-    crossings = sum(1 for x in others if lo < x < hi)
-    sign = -1 if crossings % 2 else 1
-    return sign, tuple(sorted(others + [new]))
+    i = subset.index(old)
+    j = bisect_left(subset, new)
+    if new > old:
+        crossings = j - i - 1
+        image = subset[:i] + subset[i + 1 : j] + (new,) + subset[j:]
+    else:
+        crossings = i - j
+        image = subset[:j] + (new,) + subset[j:i] + subset[i + 1 :]
+    return (-1 if crossings % 2 else 1), image
 
 
 Subset = tuple[int, ...]
@@ -128,15 +134,15 @@ def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]
     basis vector: one term per factor in the source row or column that
     does not collide."""
     along_rows, frm, to = move
+    if along_rows:
+        shift = (to - frm) * m
+        sources = [p for p in subset if p // m == frm]
+    else:
+        shift = to - frm
+        sources = [p for p in subset if p % m == frm]
     out = []
-    for p in subset:
-        i, a = divmod(p, m)
-        if along_rows and i == frm:
-            hit = wedge_replace(subset, p, to * m + a)
-        elif not along_rows and a == frm:
-            hit = wedge_replace(subset, p, i * m + to)
-        else:
-            continue
+    for p in sources:
+        hit = wedge_replace(subset, p, p + shift)
         if hit is not None:
             out.append(hit)
     return out

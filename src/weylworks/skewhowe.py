@@ -17,6 +17,14 @@ The induced module takes each hom space, in reduced echelon form, as its
 weight space mu and restricts the gl(n) generators to them through
 glmodules.submodule, the same step that ends irrep_plucker.
 
+hom_dims, which crossval reads, needs only the dimensions.  A row
+permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
+slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
+orbit, at the sorted mu, through hom_space.  Every other mu still gets
+its own slice and raising rows, and they are checked entry by entry
+against the sorted mu's rows carried over by sigma: the dimension is
+proved by that check, not assumed from Weyl symmetry.
+
 build_bimodule is cheap: BiModule's basis, weights and generator matrices
 are built on first access, and only then is C(nm, N) checked against the
 guard.  verify_commuting_actions, gln_module and glm_module need them.
@@ -81,7 +89,7 @@ def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
             left = list(remaining)
             for a in cols:
                 left[a] -= 1
-            if all(c <= rows_after for c in left):
+            if max(left, default=0) <= rows_after:
                 pairs = tuple(i * m + a for a in cols)
                 children.append((i + 1, prefix + pairs, tuple(left)))
         work.extend(reversed(children))
@@ -190,18 +198,25 @@ def verify_commuting_actions(bim: BiModule) -> None:
                 )
 
 
-def _joint_kernel(
+def _stacked_rows(
     m: int, subsets: tuple[Subset, ...], moves: list[Move]
-) -> list[SparseVec]:
-    """Kernel basis of the stacked generators on the span of subsets (one
-    slice), keyed by position in subsets.  Rows are keyed by (generator,
-    image subset)."""
+) -> dict[tuple[int, Subset], SparseVec]:
+    """The stacked generators on the span of subsets (one slice), one row
+    per (generator number, image subset), keyed by position in subsets."""
     rows: dict[tuple[int, Subset], SparseVec] = {}
     for pos, s in enumerate(subsets):
         for move_no, move in enumerate(moves):
             for sign, image in _move_images(s, m, move):
                 rows.setdefault((move_no, image), {})[pos] = sign
-    return kernel(list(rows.values()), len(subsets))[0]
+    return rows
+
+
+def _joint_kernel(
+    m: int, subsets: tuple[Subset, ...], moves: list[Move]
+) -> list[SparseVec]:
+    """Kernel basis of the stacked generators on the span of subsets (one
+    slice), keyed by position in subsets."""
+    return kernel(list(_stacked_rows(m, subsets, moves).values()), len(subsets))[0]
 
 
 def decompose_howe(
@@ -292,6 +307,98 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
         slice_indices=slice_idx,
         subsets=subsets,
     )
+
+
+def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
+    """hom_space(bim, lam, mu).dim for every composition mu of N into n
+    parts, in the order of weights.compositions.
+
+    Only the sorted mu of each S_n orbit goes through hom_space.  Every
+    other mu has its own slice and raising rows built, and
+    _certify_carried checks that they are the sorted mu's rows carried
+    over by a row permutation; matrices equal up to a reordering of rows
+    and columns have kernels of equal dimension.
+    """
+    shape = as_partition(lam)
+    moves = _moves(bim.m, False, True)
+    orbits: dict[WeightVec, list[WeightVec]] = {}
+    for mu in compositions(bim.N, bim.n):
+        orbits.setdefault(tuple(sorted(mu, reverse=True)), []).append(mu)
+    dims: dict[WeightVec, int] = {}
+    for rep, members in orbits.items():
+        hs = hom_space(bim, shape, rep)
+        dims[rep] = hs.dim
+        if len(members) == 1:
+            continue
+        wm = pad(shape, bim.m)
+        rep_rows = _stacked_rows(bim.m, hs.subsets, moves)
+        for mu in members:
+            if mu == rep:
+                continue
+            subsets = _slice(bim.n, bim.m, mu, wm)
+            rows = _stacked_rows(bim.m, subsets, moves)
+            _certify_carried(bim.m, rep, hs.subsets, rep_rows, mu, subsets, rows)
+            dims[mu] = hs.dim
+    return {mu: dims[mu] for mu in compositions(bim.N, bim.n)}
+
+
+def _certify_carried(
+    m: int,
+    rep: WeightVec,
+    rep_subsets: tuple[Subset, ...],
+    rep_rows: dict[tuple[int, Subset], SparseVec],
+    mu: WeightVec,
+    subsets: tuple[Subset, ...],
+    rows: dict[tuple[int, Subset], SparseVec],
+) -> None:
+    """Check that mu's slice and stacked rows are rep's, carried over by
+    the row permutation sigma with mu[sigma(i)] = rep[i] (equal parts
+    keep their order).  Raises InvariantViolation on any mismatch.
+
+    Every subset of the slice, and every image of one under a gl(m)
+    raising move, has rep[i] pairs in row i, so sigma moves whole blocks
+    of fixed positions: the carried subset is read off by one fixed
+    reordering of positions and a relabelling of pairs, with no sort.
+    The wedge sign of that reordering depends only on the block sizes,
+    so it is the same on every column and row and cancels.  The check
+    compares positions, keys and values; the reading of the carried
+    subset is injective, so equal counts make both maps bijections.
+    """
+    n = len(rep)
+    # a stable sort of mu's rows by descending part lists sigma(0), sigma(1), ...
+    sigma = sorted(range(n), key=lambda j: -mu[j])
+    # block i of a subset starts at position starts[i]; the carried subset
+    # lists the blocks in the order of their new rows
+    starts = list(itertools.accumulate(rep, initial=0))
+    order = [
+        k for i in sorted(range(n), key=sigma.__getitem__)
+        for k in range(starts[i], starts[i + 1])
+    ]
+    relabel = [sigma[p // m] * m + p % m for p in range(n * m)].__getitem__
+
+    def carried(s: Subset) -> Subset:
+        return tuple(map(relabel, map(s.__getitem__, order)))
+
+    def fail(what: str) -> InvariantViolation:
+        return InvariantViolation(
+            f"hom space at mu={mu} is not the one at its sorted "
+            f"representative {rep} carried over by a row permutation: {what}"
+        )
+
+    if len(subsets) != len(rep_subsets):
+        raise fail(f"slice has {len(subsets)} subsets, expected {len(rep_subsets)}")
+    if len(rows) != len(rep_rows):
+        raise fail(f"{len(rows)} raising rows, expected {len(rep_rows)}")
+    where = {s: t for t, s in enumerate(subsets)}
+    position = [where.get(carried(s)) for s in rep_subsets]
+    if None in position:
+        raise fail("a carried subset is missing from the slice")
+    for (move_no, image), row in rep_rows.items():
+        target = rows.get((move_no, carried(image)))
+        if target is None:
+            raise fail(f"no raising row for move {move_no} at the carried image")
+        if target != {position[t]: v for t, v in row.items()}:
+            raise fail(f"raising row for move {move_no} differs from the carried one")
 
 
 def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:

@@ -11,6 +11,7 @@ name is still looked up at call time.
 import pytest
 
 from weylworks import glmodules, skewhowe, springercount
+from weylworks.cli import cross_validate
 
 
 @pytest.fixture
@@ -35,6 +36,8 @@ def calls(monkeypatch):
         (springercount, "kostka"),
         (glmodules, "dim_irrep"),
         (skewhowe, "dim_irrep"),
+        (skewhowe, "hom_space"),
+        (skewhowe, "kernel"),
     ):
         wrap(module, name)
     return counts
@@ -62,3 +65,12 @@ def test_decompositions_call_dim_irrep(calls):
     assert calls["glmodules.dim_irrep"] >= 1
     skewhowe.decompose_howe(3, 2, 3)
     assert calls["skewhowe.dim_irrep"] >= 1
+
+
+def test_crossval_eliminates_once_per_orbit(calls):
+    # 126 compositions of 5 into 5 parts fall into 7 S_5 orbits, one per
+    # partition of 5; only each orbit's sorted mu reaches hom_space
+    report = cross_validate((1, 1, 1, 1, 1), 5, 5)
+    assert len(report.rows) == 126 and report.match
+    assert calls["skewhowe.hom_space"] == 7
+    assert calls["skewhowe.kernel"] == 7

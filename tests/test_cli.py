@@ -15,6 +15,7 @@ from weylworks.cli import (
     main,
     parse_module_expr,
 )
+from weylworks.errors import ResourceLimitError
 
 
 def run_cli(args):
@@ -343,6 +344,32 @@ def test_skewhowe_pairs_honour_size_guard():
         ["skewhowe", "-n", "4", "-m", "4", "-N", "13", "--size-guard", "20"]
     )
     assert payload["dim"] == 560
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "crossval --lambda 1 -n 1500 -m 1",
+        "crossval --lambda 1 -n 100000000 -m 1",
+        "crossval --lambda 1 -n 1 -m 100000000",
+        "crossval --lambda 1 -n 99999999999999999999 -m 2",
+    ],
+)
+def test_crossval_refuses_an_oversized_answer_at_once(argv):
+    code, out, err = run_cli(argv.split())
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: crossval answer")
+    assert "guard 1000000" in err
+
+
+def test_crossval_answer_guard_counts_rows_times_ranks(monkeypatch):
+    # (2,2,1,1) at n = m = 5: C(10, 4) = 210 rows of 5 + 5 cells
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "2099")
+    with pytest.raises(ResourceLimitError, match=r"= 210 x 10\), above the guard 2099"):
+        cross_validate((2, 2, 1, 1), 5, 5)
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "2100")
+    assert len(cross_validate((2, 2, 1, 1), 5, 5).rows) == 210
 
 
 def test_crossval_beyond_the_old_wedge_guard():

@@ -16,6 +16,7 @@ from weylworks.glmodules import (
     sym_power,
     tensor,
     verify_chevalley_relations,
+    wedge_replace,
     weight_decompose,
 )
 from weylworks.linalg import EchelonBasis
@@ -232,3 +233,24 @@ def test_submodule_rejects_spaces_not_closed_under_the_generators():
     spaces = _spaces({(2, 0): [{0: 1}], (1, 1): [{1: 1}], (0, 2): [{3: 1}]})
     with pytest.raises(InvariantViolation, match="outside the spanned subspace"):
         submodule(2, spaces, [m.apply for m in sq.E], [m.apply for m in sq.F])
+
+
+def reference_wedge_replace(subset, old, new):
+    """Replace one wedge factor by re-sorting and counting the factors
+    strictly between old and new."""
+    if new in subset:
+        return None
+    others = [x for x in subset if x != old]
+    lo, hi = min(old, new), max(old, new)
+    crossings = sum(1 for x in others if lo < x < hi)
+    return (-1 if crossings % 2 else 1), tuple(sorted(others + [new]))
+
+
+def test_wedge_replace_matches_the_resorting_reference():
+    for size in range(1, 7):
+        for k in range(1, size + 1):
+            for subset in itertools.combinations(range(size), k):
+                for old in subset:
+                    for new in range(size + 1):
+                        expected = reference_wedge_replace(subset, old, new)
+                        assert wedge_replace(subset, old, new) == expected

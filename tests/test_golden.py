@@ -5,7 +5,9 @@ integral scalars as ints; the two springer digests and the crossval
 --lambda 1,1,1,1,1 digest were taken before point_count_table started
 reading the degree off one integer Newton table; the remaining
 character, skewhowe, lattice and TSV digests were taken before the TSV
-rows became a view of the JSON payload.  Any change to elimination,
+rows became a view of the JSON payload; the crossval --lambda 3,3,2 and
+--lambda 3,2,2,1 digests were taken before crossval's skew Howe column
+took one elimination per S_n orbit.  Any change to elimination,
 canonical bases, point counts, interpolation, payload assembly or number
 formatting that moves a byte of these outputs fails here.
 """
@@ -16,7 +18,7 @@ import io
 
 import pytest
 
-from weylworks.cli import main
+from weylworks.cli import EMIT_MATRICES_TSV_NOTE, main
 
 GOLDEN = {
     "irrep --lambda 4,3,2,1,0 -n 5 --emit-matrices":
@@ -61,15 +63,38 @@ GOLDEN = {
         "395a7a4e5e9526062622729cf1c3548575c60e697fc5200f53a48613429cf5bd",
     "crossval --lambda 2,1 -n 3 -m 3 --format tsv":
         "3e1b6d45a5ad4c870046a25f6e560a8da7297f8a26e03e6ec5c7efa8706fcb3f",
+    "crossval --lambda 3,3,2 -n 5 -m 5":
+        "45456a3db6b1535eb9b82924b71eea33782285a69e24c04214fb8c3ec75c12a9",
+    "crossval --lambda 3,2,2,1 -n 6 -m 6":
+        "185a261a9cfc21e8405c5eba35a4f693cc9c6b98fd2594437a3c0cb7b56b7af8",
 }
+IRREP_TSV = "irrep --lambda 3,1,0 -n 3 --emit-matrices --format tsv"
+# stderr of a successful run is empty, except for this one note
+STDERR = {IRREP_TSV: EMIT_MATRICES_TSV_NOTE + "\n"}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_stdout_matches_golden_digest(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv.split())
-    assert code == 0, err.getvalue()
-    assert err.getvalue() == ""
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert err == STDERR.get(argv, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN[argv]
+
+
+def test_tsv_irrep_notes_that_the_generators_are_json_only():
+    code, out, err = run(IRREP_TSV)
+    assert code == 0
+    assert err.splitlines() == [EMIT_MATRICES_TSV_NOTE]
+    assert err.startswith("note: ") and "JSON-only" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[IRREP_TSV]
+    code, out, err = run(IRREP_TSV.replace("tsv", "json"))
+    assert code == 0 and err == ""
+    assert "generators" in out

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylworks import skewhowe
 from weylworks.characters import character_table, dim_irrep, kostka
@@ -12,6 +13,7 @@ from weylworks.skewhowe import (
     _slice,
     build_bimodule,
     decompose_howe,
+    hom_dims,
     hom_space,
     induced_gln_module,
     joint_highest_weight_dim,
@@ -226,8 +228,10 @@ def test_slice_hom_dims_are_kostka(n, m, N):
 
 
 def test_wedge_is_never_built_for_hom_spaces(monkeypatch):
-    # C(25, 6) = 177,100 is far above the guard, the largest slice (78) below
-    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "1000")
+    # C(25, 6) = 177,100 is far above the guard, the largest slice (78)
+    # below; the guard also bounds crossval's answer, here 210 rows of
+    # n + m = 10 cells, so 2,100 is the smallest guard that lets it through
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "2100")
     report = cross_validate((2, 2, 1, 1), 5, 5)
     assert report.match
     assert len(report.rows) == math.comb(10, 4)
@@ -242,3 +246,58 @@ def test_slice_guard_refuses_large_slices(monkeypatch):
     with pytest.raises(ResourceLimitError):
         hom_space(bim, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
     assert hom_space(bim, (1, 1, 1, 1, 1), (5, 0, 0, 0, 0)).dim == 1
+
+
+@st.composite
+def bimodule_shapes(draw):
+    """(n, m, lam) with n, m <= 4 and lam a partition fitting in n x m."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    total = draw(st.integers(0, n * m))
+    shapes = list(partitions(total, max_parts=m, max_part=n))
+    return n, m, draw(st.sampled_from(shapes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bimodule_shapes())
+def test_hom_dims_are_the_hom_space_dims(case):
+    n, m, lam = case
+    bim = build_bimodule(n, m, sum(lam))
+    dims = hom_dims(bim, lam)
+    assert list(dims) == list(compositions(sum(lam), n))
+    for mu, dim in dims.items():
+        assert dim == hom_space(bim, lam, mu).dim, (lam, mu)
+
+
+def gln_weight(subset, n, m):
+    return tuple(sum(1 for p in subset if p // m == i) for i in range(n))
+
+
+def flip_sign(rows):
+    row = next(iter(rows.values()))
+    col = next(iter(row))
+    row[col] = -row[col]
+
+
+def drop_image(rows):
+    row = next(row for row in rows.values() if len(row) > 1)
+    del row[next(iter(row))]
+
+
+@pytest.mark.parametrize("damage", [flip_sign, drop_image])
+def test_hom_dims_certificate_catches_a_corrupted_row(monkeypatch, damage):
+    """One entry of one unsorted mu's raising rows is wrong; the sorted
+    representative's rows stay honest, so only the certificate sees it."""
+    n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
+    honest = skewhowe._stacked_rows
+
+    def stacked_rows(m_, subsets, moves):
+        rows = honest(m_, subsets, moves)
+        if subsets and gln_weight(subsets[0], n, m) == target:
+            damage(rows)
+        return rows
+
+    bim = build_bimodule(n, m, sum(lam))
+    assert hom_dims(bim, lam)[target] == kostka(conjugate(lam), target) == 2
+    monkeypatch.setattr(skewhowe, "_stacked_rows", stacked_rows)
+    with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
+        hom_dims(bim, lam)
