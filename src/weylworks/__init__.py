@@ -16,6 +16,7 @@ from .characters import (
     dim_irrep,
     kostka,
 )
+from .crossval import CrossvalReport, CrossvalRow, cross_validate
 from .errors import (
     InvariantViolation,
     ResourceLimitError,
@@ -60,7 +61,6 @@ from .springercount import (
     PointCountTable,
     component_count,
     count_fiber_points,
-    count_fiber_points_bruteforce,
     gaussian_binomial,
     interpolate,
     point_count_table,
@@ -77,17 +77,6 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # weylworks.cli is loaded on first use: importing it with the package
-    # would put it in sys.modules before `python -m weylworks.cli` runs it.
-    if name in ("CrossvalReport", "CrossvalRow", "cross_validate"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BiModule",
@@ -113,7 +102,6 @@ __all__ = [
     "compositions",
     "conjugate",
     "count_fiber_points",
-    "count_fiber_points_bruteforce",
     "cross_validate",
     "decompose",
     "decompose_howe",

@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import characters, glmodules, lattice, skewhowe, springercount
-from .errors import ResourceLimitError, WeylworksError, max_dimension
+from .crossval import cross_validate
+from .errors import WeylworksError, max_dimension
 from .linalg import RatMat
-from .weights import as_partition, compositions, conjugate
+from .weights import as_partition, conjugate, pad
 
 SCHEMA_VERSION = 1
 EMIT_MATRICES_TSV_NOTE = (
@@ -72,115 +72,6 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# cross-validation driver
-
-
-@dataclass(frozen=True)
-class CrossvalRow:
-    mu: tuple[int, ...]
-    kostka: int
-    skewhowe: int
-    springer: int
-    lattice_mv: int
-
-    @property
-    def match(self) -> bool:
-        return self.kostka == self.skewhowe == self.springer == self.lattice_mv
-
-
-@dataclass(frozen=True)
-class CrossvalReport:
-    lam: tuple[int, ...]
-    n: int
-    m: int
-    rows: tuple[CrossvalRow, ...]
-
-    @property
-    def match(self) -> bool:
-        return all(row.match for row in self.rows)
-
-
-def _check_answer_size(total: int, n: int, m: int) -> None:
-    """Refuse a crossval answer of more than WEYLWORKS_MAX_DIM cells.
-
-    It has one row per composition of total into n parts, C(total+n-1,
-    n-1) of them, each counted as n + m cells (m also sizes the gl(m)
-    weights built for every slice).  The binomial is a running product
-    that stops as soon as the cells pass the cap, so a rank of 10^9 is
-    refused in a few steps.
-    """
-    cap = max_dimension()
-    width = n + m
-    small, large = sorted((max(n - 1, 0), total))
-    rows = 1
-    for k in range(1, small + 1):
-        if rows * width > cap:
-            break
-        rows = rows * (large + k) // k
-    if rows * width > cap:
-        raise ResourceLimitError(
-            f"crossval answer has at least {rows * width} cells (rows x (n + m) = "
-            f"{rows} x {width}), above the guard {cap}; raise it via "
-            f"WEYLWORKS_MAX_DIM if intended"
-        )
-
-
-def cross_validate(
-    lam, n: int, m: int, *, size_guard: int | None = characters.DEFAULT_SIZE_GUARD
-) -> CrossvalReport:
-    """Compare four independent computations of the same multiplicities.
-
-    For every composition mu of |lam| into n parts, the Kostka number
-    kostka(conjugate(lam), mu) is computed combinatorially, as the hom
-    space dimension inside the exterior-power bimodule, as the leading
-    coefficient of the finite-field point-count polynomial for Jordan
-    type lam, and as the lattice-model cycle count for conjugate(lam).
-    The four never disagree unless something is broken; the report keeps
-    all values so a disagreement is visible rather than asserted away.
-
-    The hom space dimensions come from skewhowe.hom_dims: one exact
-    elimination per S_n orbit of mu, every other mu certified entry by
-    entry.  The answer's size and the tableau guard are checked before
-    anything is built.
-    """
-    shape = as_partition(lam)
-    if shape and shape[0] > n:
-        raise ValueError(f"largest part of {shape} exceeds n={n}")
-    if len(shape) > m:
-        raise ValueError(f"{shape} has more than m={m} parts")
-    total = sum(shape)
-    _check_answer_size(total, n, m)
-    shape_conj = conjugate(shape)
-    characters.check_size(shape_conj, size_guard)
-    bim = skewhowe.build_bimodule(n, m, total)
-    try:
-        hom_dims = skewhowe.hom_dims(bim, shape)
-    except WeylworksError as err:
-        raise WeylworksError(
-            f"cross-validation failed in the skew Howe route: {err}"
-        ) from err
-    rows = []
-    for mu in compositions(total, n):
-        try:
-            combinatorial = characters.kostka(shape_conj, mu, size_guard=size_guard)
-            hom_dim = hom_dims[mu]
-            leading = springercount.point_count_table(shape, mu, n).leading_coefficient
-            cycles = lattice.mv_cycle_count(shape_conj, mu, n, size_guard=size_guard)
-        except WeylworksError as err:
-            raise WeylworksError(f"cross-validation failed at mu={mu}: {err}") from err
-        rows.append(
-            CrossvalRow(
-                mu=mu,
-                kostka=combinatorial,
-                skewhowe=hom_dim,
-                springer=leading,
-                lattice_mv=cycles,
-            )
-        )
-    return CrossvalReport(lam=shape, n=n, m=m, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +352,7 @@ def _run_springer(args: argparse.Namespace):
     # any point is counted; point_count_table then validates mu against n.
     # conjugate(nu) takes one step per box of the longest part, so it runs
     # only when a tableau can exist, and only after the guard on |nu|.
-    content = tuple(args.mu) + (0,) * (args.n - len(args.mu))
+    content = pad(args.mu, max(args.n, len(args.mu)))
     expected = 0
     if min(content, default=0) >= 0 and sum(nu) == sum(content):
         characters.check_size(nu, args.size_guard)
@@ -673,6 +564,9 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads --option=-- as [] and never calls the option's type
+    if [] in vars(args).values():
+        parser.error("an option needs a value, got '--'")
     if args.command is None:
         parser.print_usage(sys.stderr)
         print("error: a command is required", file=sys.stderr)

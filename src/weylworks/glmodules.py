@@ -72,6 +72,7 @@ def sym_power(k: int, n: int) -> ExplicitModule:
     """Sym^k(C^n) on the monomial basis, generators acting as derivations."""
     if k < 0 or n < 1:
         raise ValueError(f"bad symmetric power parameters k={k}, n={n}")
+    check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(k + n - 1, n - 1))
     basis = list(compositions(k, n))
     index = {a: t for t, a in enumerate(basis)}
@@ -186,6 +187,7 @@ def ext_power(k: int, n: int) -> ExplicitModule:
     """Lambda^k(C^n) on sorted k-subsets of {0, ..., n-1}."""
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
+    check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(n, k))
     basis = list(itertools.combinations(range(n), k))
     weights = tuple(
@@ -235,6 +237,7 @@ def adjoint_module(n: int) -> ExplicitModule:
     """
     if n < 2:
         raise ValueError("adjoint module needs rank at least 2")
+    check_dimension(n * n - 1)
     basis_mats = []
     weights = []
     for a in range(n):
@@ -390,6 +393,7 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     shape = as_partition(lam)
     if len(shape) > n:
         raise ValueError(f"partition {shape} has more than n={n} parts")
+    check_dimension(max(shape, default=0))  # one factor per column
     heights = conjugate(shape)
     if not heights:
         return sym_power(0, n)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, character
+from .errors import check_dimension
 from .linalg import EchelonBasis, Scalar, power_ranks, rref
 from .weights import Partition, as_partition, conjugate, dominance_leq, pad
 
@@ -125,6 +126,7 @@ def fixed_point(mu, n: int) -> LatticeSubspace:
     if any(x < 0 for x in mu):
         raise ValueError(f"mu must be nonnegative, got {mu}")
     D = max(mu, default=0) + 1
+    check_dimension(n * D)
     tops = []
     for i in range(n):
         if mu[i]:

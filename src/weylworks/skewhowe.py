@@ -21,7 +21,7 @@ hom_dims, which crossval reads, needs only the dimensions.  A row
 permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
 slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
 orbit, at the sorted mu, through hom_space.  Every other mu still gets
-its own slice and raising rows, and they are checked entry by entry
+its own slice and raising rows, and one dict comparison checks them
 against the sorted mu's rows carried over by sigma: the dimension is
 proved by that check, not assumed from Weyl symmetry.
 
@@ -176,12 +176,13 @@ class HomSpace:
 def build_bimodule(n: int, m: int, N: int) -> BiModule:
     """Lambda^N(C^n (x) C^m); basis and generators are built on first use.
 
-    WEYLWORKS_MAX_DIM guards what is actually built: C(nm, N) when the
-    basis or generator matrices are first touched, each slice's size in
-    hom_space.
+    WEYLWORKS_MAX_DIM guards what is actually built: the ranks at once
+    (every weight has n or m entries), C(nm, N) when the basis or
+    generator matrices are first touched, each slice's size in hom_space.
     """
     if n < 1 or m < 1:
         raise ValueError("both ranks must be at least 1")
+    check_dimension(max(n, m))
     if not 0 <= N <= n * m:
         raise ValueError(f"N={N} outside 0..{n * m}")
     return BiModule(n=n, m=m, N=N, dim=comb(n * m, N))
@@ -237,6 +238,7 @@ def decompose_howe(
     """
     if n < 1 or m < 1 or not 0 <= N <= n * m:
         raise ValueError(f"bad decomposition parameters n={n}, m={m}, N={N}")
+    check_dimension(max(n, m))  # before conjugate(lam) takes n steps
     pairs = [
         (pad(conjugate(lam), n), pad(lam, m))
         for lam in partitions(N, max_parts=m, max_part=n)
@@ -315,90 +317,59 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
 
     Only the sorted mu of each S_n orbit goes through hom_space.  Every
     other mu has its own slice and raising rows built, and
-    _certify_carried checks that they are the sorted mu's rows carried
-    over by a row permutation; matrices equal up to a reordering of rows
-    and columns have kernels of equal dimension.
+    _certify_carried compares them, as one dict, with the sorted mu's
+    rows carried over by a row permutation; matrices equal up to a
+    reordering of rows and columns have kernels of equal dimension.
     """
     shape = as_partition(lam)
     moves = _moves(bim.m, False, True)
+    dims = dict.fromkeys(compositions(bim.N, bim.n), 0)
     orbits: dict[WeightVec, list[WeightVec]] = {}
-    for mu in compositions(bim.N, bim.n):
+    for mu in dims:
         orbits.setdefault(tuple(sorted(mu, reverse=True)), []).append(mu)
-    dims: dict[WeightVec, int] = {}
     for rep, members in orbits.items():
         hs = hom_space(bim, shape, rep)
         dims[rep] = hs.dim
-        if len(members) == 1:
-            continue
-        wm = pad(shape, bim.m)
-        rep_rows = _stacked_rows(bim.m, hs.subsets, moves)
-        for mu in members:
-            if mu == rep:
-                continue
-            subsets = _slice(bim.n, bim.m, mu, wm)
+        others = [mu for mu in members if mu != rep]
+        rep_rows = _stacked_rows(bim.m, hs.subsets, moves) if others else {}
+        for mu in others:
+            subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
             rows = _stacked_rows(bim.m, subsets, moves)
             _certify_carried(bim.m, rep, hs.subsets, rep_rows, mu, subsets, rows)
             dims[mu] = hs.dim
-    return {mu: dims[mu] for mu in compositions(bim.N, bim.n)}
+    return dims
 
 
-def _certify_carried(
-    m: int,
-    rep: WeightVec,
-    rep_subsets: tuple[Subset, ...],
-    rep_rows: dict[tuple[int, Subset], SparseVec],
-    mu: WeightVec,
-    subsets: tuple[Subset, ...],
-    rows: dict[tuple[int, Subset], SparseVec],
-) -> None:
-    """Check that mu's slice and stacked rows are rep's, carried over by
-    the row permutation sigma with mu[sigma(i)] = rep[i] (equal parts
-    keep their order).  Raises InvariantViolation on any mismatch.
+def _certify_carried(m: int, rep, rep_subsets, rep_rows, mu, subsets, rows) -> None:
+    """Check that mu's slice (subsets) and _stacked_rows are rep's,
+    carried over by the row permutation sigma with mu[sigma(i)] = rep[i]
+    (equal parts keep their order).  Raises InvariantViolation on any
+    mismatch.
 
-    Every subset of the slice, and every image of one under a gl(m)
-    raising move, has rep[i] pairs in row i, so sigma moves whole blocks
-    of fixed positions: the carried subset is read off by one fixed
-    reordering of positions and a relabelling of pairs, with no sort.
-    The wedge sign of that reordering depends only on the block sizes,
-    so it is the same on every column and row and cancels.  The check
-    compares positions, keys and values; the reading of the carried
-    subset is injective, so equal counts make both maps bijections.
+    carried moves each pair (i, a) to (sigma(i), a) and re-sorts; it is
+    injective, so equal slice sizes and no missing carried subset make
+    position a bijection, and the dict comparison checks every row key
+    and entry.  The wedge sign of sigma depends only on the block sizes
+    rep[i], so it is the same on every column and row and cancels.
     """
-    n = len(rep)
-    # a stable sort of mu's rows by descending part lists sigma(0), sigma(1), ...
-    sigma = sorted(range(n), key=lambda j: -mu[j])
-    # block i of a subset starts at position starts[i]; the carried subset
-    # lists the blocks in the order of their new rows
-    starts = list(itertools.accumulate(rep, initial=0))
-    order = [
-        k for i in sorted(range(n), key=sigma.__getitem__)
-        for k in range(starts[i], starts[i + 1])
-    ]
-    relabel = [sigma[p // m] * m + p % m for p in range(n * m)].__getitem__
+    sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
+    # a lookup per pair: cheaper than the arithmetic on every subset
+    relabel = [sigma[p // m] * m + p % m for p in range(len(rep) * m)].__getitem__
 
     def carried(s: Subset) -> Subset:
-        return tuple(map(relabel, map(s.__getitem__, order)))
+        return tuple(sorted(map(relabel, s)))
 
-    def fail(what: str) -> InvariantViolation:
-        return InvariantViolation(
-            f"hom space at mu={mu} is not the one at its sorted "
-            f"representative {rep} carried over by a row permutation: {what}"
-        )
-
-    if len(subsets) != len(rep_subsets):
-        raise fail(f"slice has {len(subsets)} subsets, expected {len(rep_subsets)}")
-    if len(rows) != len(rep_rows):
-        raise fail(f"{len(rows)} raising rows, expected {len(rep_rows)}")
     where = {s: t for t, s in enumerate(subsets)}
     position = [where.get(carried(s)) for s in rep_subsets]
-    if None in position:
-        raise fail("a carried subset is missing from the slice")
-    for (move_no, image), row in rep_rows.items():
-        target = rows.get((move_no, carried(image)))
-        if target is None:
-            raise fail(f"no raising row for move {move_no} at the carried image")
-        if target != {position[t]: v for t, v in row.items()}:
-            raise fail(f"raising row for move {move_no} differs from the carried one")
+    moved = {
+        (k, carried(image)): {position[t]: v for t, v in row.items()}
+        for (k, image), row in rep_rows.items()
+    }
+    if len(subsets) != len(rep_subsets) or None in position or moved != rows:
+        raise InvariantViolation(
+            f"hom space at mu={mu} is not the one at its sorted representative "
+            f"{rep} carried over by a row permutation"
+        )
 
 
 def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:

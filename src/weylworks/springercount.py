@@ -9,9 +9,8 @@ inducing a given quotient type depends only on how F_1 meets the socle
 filtration S_j = (ker X) meet (im X^{j-1}), which gives a closed product
 of q-binomials.  Which q-binomials and which power of q is the same for
 every q, so that skeleton is computed once and shared by all primes.
-A literal echelon-form enumeration is kept alongside as an independent
-cross-check; it tests membership with the package's one eliminator,
-linalg.EchelonBasis, run over F_q.
+The test suite checks this against a literal echelon-form enumeration
+over F_q.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
@@ -28,16 +27,14 @@ leading coefficient.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, kostka
-from .errors import InvariantViolation, ResourceLimitError, WeylworksError
-from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, _demote
-from .weights import Partition, as_partition, conjugate
+from .errors import InvariantViolation, WeylworksError
+from .linalg import Scalar, _demote
+from .weights import Partition, as_partition, conjugate, pad
 
 
 class NonPolynomialCountError(WeylworksError):
@@ -167,7 +164,7 @@ def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
     if n is not None:
         if len(steps) > n:
             raise ValueError(f"mu has {len(steps)} parts, more than n={n}")
-        steps = steps + (0,) * (n - len(steps))
+        steps = pad(steps, n)
     return steps
 
 
@@ -208,105 +205,6 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
                 grown[quotient] = grown.get(quotient, 0) + count * ways(binomial_args, power)
         states = grown
     return states.get((), 0)
-
-
-def jordan_matrix(nu) -> list[list[int]]:
-    """Nilpotent matrix in Jordan form with block sizes nu (0/1 entries)."""
-    nu = as_partition(nu)
-    size = sum(nu)
-    mat = [[0] * size for _ in range(size)]
-    offset = 0
-    for part in nu:
-        for t in range(1, part):
-            mat[offset + t - 1][offset + t] = 1
-        offset += part
-    return mat
-
-
-def _as_ratmat(mat) -> RatMat:
-    """Sparse copy of a square dense integer matrix."""
-    size = len(mat)
-    return RatMat.from_entries(
-        size, size, ((r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row))
-    )
-
-
-def _subspaces_modq(
-    coords: list[int], k: int, q: int, tick
-) -> Iterator[list[SparseVec]]:
-    """All k-dimensional subspaces over F_q of the span of the unit vectors
-    at coords, as reduced echelon bases of sparse rows."""
-    dim = len(coords)
-    for pivots in itertools.combinations(range(dim), k):
-        free = [
-            (r, c)
-            for r, p in enumerate(pivots)
-            for c in range(p + 1, dim)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free)):
-            tick()
-            rows = [{coords[p]: 1} for p in pivots]
-            for (r, c), v in zip(free, values):
-                if v:
-                    rows[r][coords[c]] = v
-            yield rows
-
-
-def count_fiber_points_bruteforce(q: int, nu, mu, n: int | None = None,
-                                  *, budget: int = 10**8) -> int:
-    """Count the same chains as count_fiber_points by direct enumeration.
-
-    Walks every echelon form at every step and tests X F_i <= F_{i-1}
-    generator by generator; the flag and the membership tests run on the
-    shared eliminator, linalg.EchelonBasis(q).  Exponentially slower than
-    the recursion and kept purely as an independent check for small
-    inputs; budget bounds the number of echelon forms generated before
-    ResourceLimitError.
-    """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime for direct enumeration, got {q}")
-    nu = as_partition(nu)
-    steps = _checked_steps(mu, n)
-    if sum(steps) != sum(nu):
-        return 0
-    size = sum(nu)
-    estimate = 0
-    level = 1
-    remaining = size
-    for k in steps:
-        level *= gaussian_binomial(remaining, k, q)
-        estimate += level
-        remaining -= k
-    if estimate > budget:
-        raise ResourceLimitError(
-            f"estimated {estimate} echelon forms exceeds the budget of {budget}"
-        )
-    xop = _as_ratmat(jordan_matrix(nu))
-    spent = [0]
-
-    def tick() -> None:
-        spent[0] += 1
-        if spent[0] > budget:
-            raise ResourceLimitError(
-                f"echelon enumeration exceeded the budget of {budget} forms"
-            )
-
-    def extend(flag: EchelonBasis, i: int) -> int:
-        if i == len(steps):
-            return 1
-        complement = [c for c in range(size) if c not in flag.pivots]
-        total = 0
-        for lifted in _subspaces_modq(complement, steps[i], q, tick):
-            if any(flag.residual(xop.apply(v)) for v in lifted):
-                continue
-            grown = EchelonBasis(q)
-            for row in flag.rows + lifted:
-                grown.insert(row)
-            total += extend(grown, i + 1)
-        return total
-
-    return extend(EchelonBasis(q), 0)
 
 
 def _poly_eval(coeffs, x) -> Scalar:
@@ -429,9 +327,9 @@ def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCoun
 
     The prime supply is the sorted explicit primes, all of whose counts
     must fit, or by default the first cap + 3 primes, whose counts up to
-    index cap must fit: cap (the sum of products of distinct jumps)
-    bounds the degree, and cap + 1 counts pin a polynomial of degree up
-    to cap.  Each bound b = 0, 1, ..., up to cap and to two less than the
+    index cap must fit: cap (the sum of products of distinct jumps, or 0
+    when the jumps do not add up to |nu| and every count is 0) bounds
+    the degree, and cap + 1 counts pin a polynomial of degree up to cap.  Each bound b = 0, 1, ..., up to cap and to two less than the
     supply, grows one Newton divided-difference table (_add_node) to
     b + 3 nodes and is passed over while Newton coefficient b + 1 or
     b + 2 is nonzero; otherwise interpolate fits degree b and checks
@@ -441,7 +339,8 @@ def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCoun
     """
     nu = as_partition(nu)
     steps = _checked_steps(mu, n)
-    cap = sum(a * b for a, b in itertools.combinations(steps, 2))
+    total = sum(steps)
+    cap = (total * total - sum(x * x for x in steps)) // 2 if total == sum(nu) else 0
     if primes is not None:
         supply = sorted(int(p) for p in primes)
         if len(set(supply)) != len(supply) or any(not is_prime(p) for p in supply):

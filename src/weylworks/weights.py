@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+from .errors import check_dimension
+
 WeightVec = tuple[int, ...]
 Partition = tuple[int, ...]
 
@@ -37,7 +39,12 @@ def is_dominant(mu: Sequence[int]) -> bool:
 
 
 def pad(mu: Sequence[int], n: int) -> WeightVec:
-    """Extend with trailing zeros to length n."""
+    """Extend with trailing zeros to length n.
+
+    n is checked against the WEYLWORKS_MAX_DIM guard first, so a huge
+    rank is refused before n zeros are built.
+    """
+    check_dimension(n)
     if len(mu) > n:
         raise ValueError(f"cannot pad length-{len(mu)} vector to length {n}")
     return tuple(mu) + (0,) * (n - len(mu))
@@ -177,10 +184,11 @@ def compositions(total: int, parts: int) -> Iterator[WeightVec]:
 
     Iterative: each step moves one unit from the rightmost nonzero entry
     before the last to its right neighbour, which then takes all that
-    follows it.
+    follows it.  parts is checked against the WEYLWORKS_MAX_DIM guard.
     """
     if parts < 0 or total < 0:
         raise ValueError("arguments must be nonnegative")
+    check_dimension(parts)
     if parts == 0:
         if total == 0:
             yield ()

@@ -5,13 +5,43 @@ perfbench/spans.py measures each layer by replacing a module attribute
 a wrapper.  A refactor that inlines one of these calls, or calls a
 private helper instead, would leave that layer reading zero calls and
 zero seconds.  Counting wrappers installed the same way show that each
-name is still looked up at call time.
+name is still looked up at call time, and every binding the benchmark
+patches, and every layer a workload requires, still resolves.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from weylworks import glmodules, skewhowe, springercount
 from weylworks.cli import cross_validate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module, read only: no bytecode is written."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_boundaries_resolve(monkeypatch):
+    spans = load_perfbench(monkeypatch, "spans")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    names = {"cli.main"}  # the child wraps the entry point itself
+    for path, attr, name, _ in spans.BOUNDARIES:
+        assert attr in spans._resolve(path).__dict__, (path, attr)
+        names.add(name)
+    for workload in workloads.WORKLOADS.values():
+        assert set(workload.layers) <= names, workload.name
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from weylworks.cli import (
     main,
     parse_module_expr,
 )
-from weylworks.errors import ResourceLimitError
+from weylworks.errors import InvariantViolation, ResourceLimitError, WeylworksError
 
 
 def run_cli(args):
@@ -240,6 +241,27 @@ def test_cross_validate_report_values():
     assert len(report.rows) == 4
 
 
+def test_crossval_checks_the_point_counts_across_each_orbit(monkeypatch):
+    # one power of q moved in the flag-count skeleton: the leading
+    # coefficients still match Kostka, but P_mu(q) is no longer the same
+    # polynomial at every rearrangement of mu
+    from weylworks import springercount
+
+    honest = springercount._transitions
+
+    def skewed(nu, k):
+        found = honest(nu, k)
+        if len(found) > 1:
+            quotient, binomials, power = found[-1]
+            found = found[:-1] + ((quotient, binomials, power + 1),)
+        return found
+
+    monkeypatch.setattr(springercount, "_transitions", skewed)
+    with pytest.raises(WeylworksError, match="point-count polynomial") as err:
+        cross_validate((2, 2), 3, 3)
+    assert isinstance(err.value.__cause__, InvariantViolation)
+
+
 def test_empty_argv_prints_usage():
     code, out, err = run_cli([])
     assert code == 2
@@ -250,6 +272,13 @@ def test_empty_argv_prints_usage():
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["character", "--lambda", "2,1", "-n", "2", "--bogus"])
+    assert exc.value.code == 2
+
+
+def test_double_dash_as_an_option_value_exits_two():
+    # argparse hands --size-guard=-- over as [] without calling int()
+    with pytest.raises(SystemExit) as exc:
+        main(["character", "--lambda", "1", "-n", "1", "--size-guard=--"])
     assert exc.value.code == 2
 
 
@@ -450,15 +479,49 @@ def test_springer_guard_refuses_before_counting(monkeypatch):
     assert err.startswith("error:") and "exceeds the guard 12" in err
 
 
-def run_entry_point(argv, timeout):
-    """python -W error -m weylworks.cli argv in a child, killed at timeout."""
+def run_entry_point(argv, timeout, preexec_fn=None):
+    """python -W error -m weylworks.cli argv in a child, killed at timeout;
+    preexec_fn runs in the child before it starts Python."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "weylworks.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+def limit_address_space():
+    # 1.5 GB: a rank-sized list of 10**9 entries cannot be built under it
+    limit = 1_500_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "character --lambda 1 -n 1000000000",
+        "lattice jordan --mu 1000000000 -n 1",
+        "lattice mv-cycles --lambda 1 --mu 1 -n 1000000000",
+        "lattice stratum --lambda 1000000000 --mu 1000000000",
+        "skewhowe -n 1000000000 -m 1 -N 1",
+        "skewhowe -n 1000000000 -m 1 -N 1 --lambda 1",
+        "springer --nu 1 --mu 1 -n 1000000000",
+        "decompose --module irrep(1000000000) -n 2",
+        "decompose --module det -n 1000000000",
+        "decompose --module adjoint -n 1000000000",
+    ],
+)
+def test_huge_rank_is_refused_before_it_is_built(argv):
+    # each built an O(rank) object before any guard looked at the rank:
+    # a MemoryError traceback under the limit, or a run past the timeout
+    proc = run_entry_point(argv.split(), timeout=15, preexec_fn=limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "above the guard 1000000" in lines[0]
 
 
 def test_springer_refuses_a_huge_part_at_once():
@@ -485,6 +548,26 @@ def test_springer_with_unequal_sizes_skips_the_huge_part():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["leading"], payload["kostka"], payload["match"]) == (0, 0, True)
+    # every count is 0, so the degree bound is 0 too, not the 10**9 that
+    # the product of the two jumps would give (one prime per degree)
+    proc = run_entry_point(
+        ["springer", "--nu", "1", "--mu", "1000000000,1", "-n", "2"], timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["counts"] == {"2": 0, "3": 0, "5": 0}
+    assert (payload["poly"], payload["kostka"], payload["match"]) == (["0"], 0, True)
+
+
+def test_springer_degree_bound_is_linear_in_the_rank():
+    # the bound is the sum of products of distinct jumps; summed pair by
+    # pair it took C(n, 2) steps, about 10**10 here.  The timeout turns a
+    # hang into a failure.
+    proc = run_entry_point(["springer", "--nu", "1", "--mu", "1", "-n", "100000"],
+                           timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["poly"], payload["match"]) == (["1"], True)
 
 
 def test_springer_decides_large_primes_at_once():

@@ -3,12 +3,14 @@ refusal or a usage error, and never a traceback.
 
 Ranks and parts stay small so that each call is cheap; malformed numbers,
 negative and zero ranks, huge guards, huge exterior degrees and bad
---module expressions are all drawn, and so are huge crossval ranks, which
-its answer-size guard refuses before anything of that size is built.
-Huge ranks of the other commands and huge parts are left out: several
-commands build an O(n) or O(lambda_1) object before any guard looks at
-them (`character --lambda 1 -n 1000000000` allocates gigabytes), which is
-a separate robustness gap.
+--module expressions are all drawn.  So are huge ranks (-n of every
+command, -m of skewhowe and crossval), huge --mu parts and huge parts in
+irrep(...): a rank, a lattice window n * D and the factor count of an
+irrep are checked against WEYLWORKS_MAX_DIM before anything of that size
+is built, crossval's answer-size guard refuses its huge ranks, and a
+springer count whose jumps do not add up to |nu| is 0 at once.  Huge
+--lambda parts are not drawn: the tableau guard refuses them, except
+under a huge --size-guard, where conjugate(lambda) takes a step per box.
 """
 
 import contextlib
@@ -35,6 +37,12 @@ vectors = st.integers(0, 4).flatmap(
     if k == 0
     else st.lists(st.integers(-1, 3), max_size=3).map(lambda v: ",".join(map(str, v)))
 )
+# small vectors, or up to three parts of which any may be huge
+huge_parts = st.one_of(
+    vectors,
+    st.lists(st.one_of(st.integers(-1, 3).map(str), huge), min_size=1, max_size=3)
+    .map(",".join),
+)
 
 
 @st.composite
@@ -53,22 +61,26 @@ def module_exprs(draw, depth=0):
     if head in ("sym", "ext"):
         return f"{head}({draw(st.one_of(st.integers(-1, 3).map(str), huge))})"
     if head == "irrep":
-        parts = draw(st.lists(st.integers(-1, 2), max_size=3))
-        return f"irrep({','.join(map(str, parts))})"
+        part = st.one_of(st.integers(-1, 2).map(str), huge)
+        return f"irrep({','.join(draw(st.lists(part, max_size=3)))})"
     if head == "tensor":
         return f"tensor({draw(module_exprs(depth + 1))},{draw(module_exprs(depth + 1))})"
     return head
 
 
 COMMANDS = {
-    "character": [("--lambda", vectors), ("-n", ints)],
-    "decompose": [("--module", module_exprs()), ("-n", ints)],
-    "irrep": [("--lambda", vectors), ("-n", ints)],
-    "skewhowe": [("-n", ints), ("-m", ints), ("-N", st.one_of(ints, huge))],
-    "lattice jordan": [("--mu", vectors), ("-n", ints)],
-    "lattice stratum": [("--lambda", vectors), ("--mu", vectors), ("-n", ints)],
-    "lattice mv-cycles": [("--lambda", vectors), ("--mu", vectors), ("-n", ints)],
-    "springer": [("--nu", vectors), ("--mu", vectors), ("-n", ints)],
+    "character": [("--lambda", vectors), ("-n", huge_ranks)],
+    "decompose": [("--module", module_exprs()), ("-n", huge_ranks)],
+    "irrep": [("--lambda", vectors), ("-n", huge_ranks)],
+    "skewhowe": [
+        ("-n", huge_ranks), ("-m", huge_ranks), ("-N", st.one_of(ints, huge))
+    ],
+    "lattice jordan": [("--mu", huge_parts), ("-n", huge_ranks)],
+    "lattice stratum": [("--lambda", vectors), ("--mu", huge_parts), ("-n", huge_ranks)],
+    "lattice mv-cycles": [
+        ("--lambda", vectors), ("--mu", huge_parts), ("-n", huge_ranks)
+    ],
+    "springer": [("--nu", vectors), ("--mu", huge_parts), ("-n", huge_ranks)],
     "crossval": [("--lambda", vectors), ("-n", huge_ranks), ("-m", huge_ranks)],
 }
 EXTRAS = {

@@ -7,9 +7,12 @@ reading the degree off one integer Newton table; the remaining
 character, skewhowe, lattice and TSV digests were taken before the TSV
 rows became a view of the JSON payload; the crossval --lambda 3,3,2 and
 --lambda 3,2,2,1 digests were taken before crossval's skew Howe column
-took one elimination per S_n orbit.  Any change to elimination,
-canonical bases, point counts, interpolation, payload assembly or number
-formatting that moves a byte of these outputs fails here.
+took one elimination per S_n orbit; the crossval --lambda 2,2,1,1 digest
+was taken before the carried-slice certificate became one dict
+comparison and crossval moved out of the CLI module.  Any change to
+elimination, canonical bases, point counts, interpolation, payload
+assembly or number formatting that moves a byte of these outputs fails
+here.
 """
 
 import contextlib
@@ -67,6 +70,8 @@ GOLDEN = {
         "45456a3db6b1535eb9b82924b71eea33782285a69e24c04214fb8c3ec75c12a9",
     "crossval --lambda 3,2,2,1 -n 6 -m 6":
         "185a261a9cfc21e8405c5eba35a4f693cc9c6b98fd2594437a3c0cb7b56b7af8",
+    "crossval --lambda 2,2,1,1 -n 5 -m 5":
+        "1e957a5798017c3f403c04873f6bca6be44c7412fc6d8ba3866db1b38f53eebb",
 }
 IRREP_TSV = "irrep --lambda 3,1,0 -n 3 --emit-matrices --format tsv"
 # stderr of a successful run is empty, except for this one note

@@ -283,7 +283,15 @@ def drop_image(rows):
     del row[next(iter(row))]
 
 
-@pytest.mark.parametrize("damage", [flip_sign, drop_image])
+def misplace(rows):
+    """Move one entry, value kept, to a column its row does not use."""
+    cols = {col for row in rows.values() for col in row}
+    row = next(row for row in rows.values() if cols - row.keys())
+    free = min(cols - row.keys())
+    row[free] = row.pop(next(iter(row)))
+
+
+@pytest.mark.parametrize("damage", [flip_sign, drop_image, misplace])
 def test_hom_dims_certificate_catches_a_corrupted_row(monkeypatch, damage):
     """One entry of one unsorted mu's raising rows is wrong; the sorted
     representative's rows stay honest, so only the certificate sees it."""

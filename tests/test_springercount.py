@@ -1,8 +1,8 @@
 """Point counts checked two ways.
 
 The production counter peels one step off the flag and multiplies closed
-q-binomial transition counts; the brute-force counter literally walks
-echelon forms over F_q.  Both are compared here on everything small, and
+q-binomial transition counts; the brute-force reference here,
+reference_count_fiber_points, literally walks echelon forms over F_q.  Both are compared here on everything small, and
 the q-binomials themselves are checked against an independent Pascal
 recursion on coefficient lists.  The polynomial fit is compared with two
 references: Lagrange interpolation, and the degree search that refits
@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from weylworks import springercount
 from weylworks.characters import kostka
 from weylworks.errors import InvariantViolation, ResourceLimitError
+from weylworks.linalg import EchelonBasis, RatMat
 from weylworks.springercount import (
     NonPolynomialCountError,
     PointCountTable,
     _checked_steps,
     component_count,
     count_fiber_points,
-    count_fiber_points_bruteforce,
     first_primes,
     gaussian_binomial,
     interpolate,
@@ -154,6 +154,101 @@ def test_zero_operator_counts_are_gaussian_multinomials():
                     assert count_fiber_points(q, nu, mu) == expected, (mu, q)
 
 
+def jordan_matrix(nu):
+    """Nilpotent matrix in Jordan form with block sizes nu (0/1 entries)."""
+    nu = as_partition(nu)
+    size = sum(nu)
+    mat = [[0] * size for _ in range(size)]
+    offset = 0
+    for part in nu:
+        for t in range(1, part):
+            mat[offset + t - 1][offset + t] = 1
+        offset += part
+    return mat
+
+
+def as_ratmat(mat):
+    """Sparse copy of a square dense integer matrix."""
+    size = len(mat)
+    return RatMat.from_entries(
+        size, size, ((r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row))
+    )
+
+
+def subspaces_modq(coords, k, q, tick):
+    """All k-dimensional subspaces over F_q of the span of the unit vectors
+    at coords, as reduced echelon bases of sparse rows."""
+    dim = len(coords)
+    for pivots in itertools.combinations(range(dim), k):
+        free = [
+            (r, c)
+            for r, p in enumerate(pivots)
+            for c in range(p + 1, dim)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free)):
+            tick()
+            rows = [{coords[p]: 1} for p in pivots]
+            for (r, c), v in zip(free, values):
+                if v:
+                    rows[r][coords[c]] = v
+            yield rows
+
+
+def reference_count_fiber_points(q, nu, mu, n=None, *, budget=10**8):
+    """Count the same chains as count_fiber_points by direct enumeration.
+
+    Walks every echelon form at every step and tests X F_i <= F_{i-1}
+    generator by generator; the flag and the membership tests run on the
+    shared eliminator, linalg.EchelonBasis(q).  Exponentially slower than
+    the recursion, so only for small inputs; budget bounds the number of
+    echelon forms generated before ResourceLimitError.
+    """
+    if not is_prime(q):
+        raise ValueError(f"q must be prime for direct enumeration, got {q}")
+    nu = as_partition(nu)
+    steps = _checked_steps(mu, n)
+    if sum(steps) != sum(nu):
+        return 0
+    size = sum(nu)
+    estimate = 0
+    level = 1
+    remaining = size
+    for k in steps:
+        level *= gaussian_binomial(remaining, k, q)
+        estimate += level
+        remaining -= k
+    if estimate > budget:
+        raise ResourceLimitError(
+            f"estimated {estimate} echelon forms exceeds the budget of {budget}"
+        )
+    xop = as_ratmat(jordan_matrix(nu))
+    spent = [0]
+
+    def tick():
+        spent[0] += 1
+        if spent[0] > budget:
+            raise ResourceLimitError(
+                f"echelon enumeration exceeded the budget of {budget} forms"
+            )
+
+    def extend(flag, i):
+        if i == len(steps):
+            return 1
+        complement = [c for c in range(size) if c not in flag.pivots]
+        total = 0
+        for lifted in subspaces_modq(complement, steps[i], q, tick):
+            if any(flag.residual(xop.apply(v)) for v in lifted):
+                continue
+            grown = EchelonBasis(q)
+            for row in flag.rows + lifted:
+                grown.insert(row)
+            total += extend(grown, i + 1)
+        return total
+
+    return extend(EchelonBasis(q), 0)
+
+
 def test_fast_route_agrees_with_bruteforce():
     for total in range(1, 5):
         for nu in partitions(total):
@@ -161,13 +256,13 @@ def test_fast_route_agrees_with_bruteforce():
                 for mu in compositions(total, k):
                     for q in (2, 3):
                         fast = count_fiber_points(q, nu, mu)
-                        slow = count_fiber_points_bruteforce(q, nu, mu)
+                        slow = reference_count_fiber_points(q, nu, mu)
                         assert fast == slow, (nu, mu, q)
 
 
 def test_bruteforce_budget_guard():
     with pytest.raises(ResourceLimitError) as err:
-        count_fiber_points_bruteforce(3, (1, 1, 1, 1), (1, 1, 1, 1), budget=10)
+        reference_count_fiber_points(3, (1, 1, 1, 1), (1, 1, 1, 1), budget=10)
     assert "estimated" in str(err.value)
 
 
