@@ -7,6 +7,12 @@ constructors act by derivations on symmetric, exterior, and tensor
 products, so the defining commutation relations hold exactly over the
 rationals, not just numerically.
 
+One builder, _generators, makes generator matrices from what a generator
+does to one basis label: monomials (sym_power), wedge subsets (ext_power
+and the skew Howe wedge, through wedge_generators) and matrix units
+(adjoint_module, bracketed on labels).  tensor lifts its factors'
+matrices instead: on a labelled basis it ran twice as slow.
+
 submodule restricts an ambient module's generators to a weight-graded
 subspace given by one echelon basis per weight, checking exactly that the
 subspace is closed.  Both constructions of an irreducible end with it:
@@ -61,6 +67,37 @@ class Decomposition:
     multiplicities: dict[WeightVec, int]
 
 
+# A generator moving one tensor factor from row (along_rows) or column
+# index frm to index to: (along_rows, frm, to).  On gl(n) it is the matrix
+# unit E_{to,frm}; the column form acts on the second factor of C^n (x) C^m.
+Move = tuple[bool, int, int]
+
+
+def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
+    """The raising (E_i) or lowering (F_i) generators of gl(count)."""
+    return [
+        (along_rows, i + 1, i) if raising else (along_rows, i, i + 1)
+        for i in range(count - 1)
+    ]
+
+
+def _generators(basis, index, images, moves: list[Move]) -> tuple[RatMat, ...]:
+    """Matrices of the given generators on a labelled basis.
+
+    images(label, move) lists the (coefficient, image label) terms of one
+    generator applied to one basis label, and index(label) gives an image
+    label's row; column t is basis[t].  Repeated terms are summed.
+    """
+    dim = len(basis)
+
+    def entries(move: Move):
+        for t, label in enumerate(basis):
+            for coeff, image in images(label, move):
+                yield index(image), t, coeff
+
+    return tuple(RatMat.from_entries(dim, dim, entries(move)) for move in moves)
+
+
 def standard_module(n: int) -> ExplicitModule:
     """The vector representation on C^n."""
     if n < 1:
@@ -76,20 +113,16 @@ def sym_power(k: int, n: int) -> ExplicitModule:
     check_dimension(comb(k + n - 1, n - 1))
     basis = list(compositions(k, n))
     index = {a: t for t, a in enumerate(basis)}
-    dim = len(basis)
-    E, F = [], []
-    for i in range(n - 1):
-        e_entries, f_entries = [], []
-        for t, a in enumerate(basis):
-            if a[i + 1] > 0:
-                target = weight_sum(a, simple_root(i, n))
-                e_entries.append((index[target], t, a[i + 1]))
-            if a[i] > 0:
-                target = weight_diff(a, simple_root(i, n))
-                f_entries.append((index[target], t, a[i]))
-        E.append(RatMat.from_entries(dim, dim, e_entries))
-        F.append(RatMat.from_entries(dim, dim, f_entries))
-    return ExplicitModule(n, dim, tuple(basis), tuple(E), tuple(F))
+
+    def images(a: WeightVec, move: Move) -> list[tuple[int, WeightVec]]:
+        _, frm, to = move  # a[frm] ways to turn one factor e_frm into e_to
+        if not a[frm]:
+            return []
+        return [(a[frm], tuple(x - (j == frm) + (j == to) for j, x in enumerate(a)))]
+
+    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
+    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
+    return ExplicitModule(n, len(basis), tuple(basis), E, F)
 
 
 def wedge_replace(
@@ -115,19 +148,9 @@ def wedge_replace(
     return (-1 if crossings % 2 else 1), image
 
 
+# Wedge factors are pairs (i, a) numbered i*m + a; with m = 1 they are
+# just the indices i.  A subset is a sorted tuple of factors.
 Subset = tuple[int, ...]
-# A generator moving one wedge factor from row (along_rows) or column
-# index frm to index to: (along_rows, frm, to).  Wedge factors are pairs
-# (i, a) numbered i*m + a; with m = 1 they are just the indices i.
-Move = tuple[bool, int, int]
-
-
-def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
-    """The raising (E_i) or lowering (F_i) generators of gl(count)."""
-    return [
-        (along_rows, i + 1, i) if raising else (along_rows, i, i + 1)
-        for i in range(count - 1)
-    ]
 
 
 def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]:
@@ -168,18 +191,8 @@ def wedge_generators(
     order (itertools.combinations), so that an image subset's row is its
     lexicographic rank.
     """
-    dim = len(basis)
-    return tuple(
-        RatMat.from_entries(
-            dim,
-            dim,
-            (
-                (_rank(image, size), t, sign)
-                for t, s in enumerate(basis)
-                for sign, image in _move_images(s, m, move)
-            ),
-        )
-        for move in moves
+    return _generators(
+        basis, lambda s: _rank(s, size), lambda s, move: _move_images(s, m, move), moves
     )
 
 
@@ -223,76 +236,37 @@ def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(a.n, dim, weights, tuple(E), tuple(F))
 
 
-def _matmul_int(a, b, n):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
 def adjoint_module(n: int) -> ExplicitModule:
     """sl(n) under the commutator action, inside gl(n) matrices.
 
-    Basis: off-diagonal matrix units (weight e_a - e_b), then the n-1
-    diagonal differences H_i = E_ii - E_{i+1,i+1} (weight zero).
+    Basis: off-diagonal matrix units E_ab, labelled (a, b) (weight
+    e_a - e_b), then the n-1 diagonal differences H_i = E_ii -
+    E_{i+1,i+1}, labelled (i, i) (weight zero).  Brackets are taken on
+    labels, never on n x n matrices.
     """
     if n < 2:
         raise ValueError("adjoint module needs rank at least 2")
     check_dimension(n * n - 1)
-    basis_mats = []
-    weights = []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            mat = [[0] * n for _ in range(n)]
-            mat[a][b] = 1
-            basis_mats.append(mat)
-            weights.append(tuple(1 if j == a else -1 if j == b else 0 for j in range(n)))
-    for i in range(n - 1):
-        mat = [[0] * n for _ in range(n)]
-        mat[i][i] = 1
-        mat[i + 1][i + 1] = -1
-        basis_mats.append(mat)
-        weights.append((0,) * n)
-    dim = len(basis_mats)
+    basis = [(a, b) for a in range(n) for b in range(n) if a != b]
+    basis += [(i, i) for i in range(n - 1)]
+    index = {label: t for t, label in enumerate(basis)}
 
-    def coords_of(mat) -> dict[int, int]:
-        # off-diagonal entries map to matrix units; the diagonal (trace 0)
-        # expands in the H_i with coefficients given by partial sums
-        out = {}
-        t = 0
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                if mat[a][b]:
-                    out[t] = mat[a][b]
-                t += 1
-        running = 0
-        for i in range(n - 1):
-            running += mat[i][i]
-            if running:
-                out[dim - (n - 1) + i] = running
-        return out
+    def images(label: tuple[int, int], move: Move) -> list:
+        # the move is E_{to,frm}, and
+        # [E_{to,frm}, E_ab] = [a = frm] E_{to,b} - [b = to] E_{a,frm}
+        _, frm, to = move
+        a, b = label
+        if a == b:  # H_a: the E_aa term less the E_{a+1,a+1} term
+            coeff = (frm == a) - (to == a) - (frm == a + 1) + (to == a + 1)
+            return [(coeff, (to, frm))] if coeff else []
+        if (a, b) == (frm, to):  # E_{to,to} - E_{frm,frm} = +-H_min
+            return [(1 if to < frm else -1, (min(a, b),) * 2)]
+        return [(1, (to, b))] * (a == frm) + [(-1, (a, frm))] * (b == to)
 
-    E, F = [], []
-    for i in range(n - 1):
-        gen_e = [[0] * n for _ in range(n)]
-        gen_e[i][i + 1] = 1
-        gen_f = [[0] * n for _ in range(n)]
-        gen_f[i + 1][i] = 1
-        e_entries, f_entries = [], []
-        for t, mat in enumerate(basis_mats):
-            for gen, out in ((gen_e, e_entries), (gen_f, f_entries)):
-                bracket = [
-                    [x - y for x, y in zip(row1, row2)]
-                    for row1, row2 in zip(_matmul_int(gen, mat, n), _matmul_int(mat, gen, n))
-                ]
-                for r, v in coords_of(bracket).items():
-                    out.append((r, t, v))
-        E.append(RatMat.from_entries(dim, dim, e_entries))
-        F.append(RatMat.from_entries(dim, dim, f_entries))
-    return ExplicitModule(n, dim, tuple(weights), tuple(E), tuple(F))
+    weights = tuple(tuple((j == a) - (j == b) for j in range(n)) for a, b in basis)
+    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
+    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
+    return ExplicitModule(n, len(basis), weights, E, F)
 
 
 def weight_decompose(mod: ExplicitModule) -> dict[WeightVec, tuple[int, ...]]:
@@ -358,17 +332,13 @@ def verify_chevalley_relations(mod: ExplicitModule) -> None:
         alpha = simple_root(i, n)
         for idx in range(mod.dim):
             w = mod.basis_weights[idx]
-            up = weight_sum(w, alpha)
-            down = weight_diff(w, alpha)
-            for r in mod.E[i].column(idx):
-                if mod.basis_weights[r] != up:
+            for name, mat, target in (
+                ("E", mod.E[i], weight_sum(w, alpha)),
+                ("F", mod.F[i], weight_diff(w, alpha)),
+            ):
+                if any(mod.basis_weights[r] != target for r in mat.column(idx)):
                     raise InvariantViolation(
-                        f"E_{i} maps weight {w} outside weight {up}"
-                    )
-            for r in mod.F[i].column(idx):
-                if mod.basis_weights[r] != down:
-                    raise InvariantViolation(
-                        f"F_{i} maps weight {w} outside weight {down}"
+                        f"{name}_{i} maps weight {w} outside weight {target}"
                     )
             commutator = mod.E[i].apply(mod.F[i].column(idx))
             vec_add_scaled(commutator, mod.F[i].apply(mod.E[i].column(idx)), -1)

@@ -25,9 +25,10 @@ its own slice and raising rows, and one dict comparison checks them
 against the sorted mu's rows carried over by sigma: the dimension is
 proved by that check, not assumed from Weyl symmetry.
 
-build_bimodule is cheap: BiModule's basis, weights and generator matrices
-are built on first access, and only then is C(nm, N) checked against the
-guard.  verify_commuting_actions, gln_module and glm_module need them.
+build_bimodule is cheap: BiModule's size C(nm, N), basis, weights and
+generator matrices are computed on first access, and only then is the
+size checked against the guard.  verify_commuting_actions, gln_module
+and glm_module need them.
 """
 
 from __future__ import annotations
@@ -98,17 +99,22 @@ def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
 
 @dataclass(frozen=True)
 class BiModule:
-    """Lambda^N(C^n (x) C^m); everything but its size is built on demand.
+    """Lambda^N(C^n (x) C^m); everything, its size too, is built on demand.
 
     basis holds the sorted N-subsets of pair indices in lexicographic
     order; the weights and the four generator families follow it.  The
-    first access checks dim against WEYLWORKS_MAX_DIM.
+    first access checks dim against WEYLWORKS_MAX_DIM.  dim is the
+    binomial C(nm, N), which takes seconds for huge ranks, so only the
+    whole-wedge views compute it; slices never need it.
     """
 
     n: int
     m: int
     N: int
-    dim: int
+
+    @cached_property
+    def dim(self) -> int:
+        return comb(self.n * self.m, self.N)
 
     @cached_property
     def basis(self) -> tuple[Subset, ...]:
@@ -185,7 +191,7 @@ def build_bimodule(n: int, m: int, N: int) -> BiModule:
     check_dimension(max(n, m))
     if not 0 <= N <= n * m:
         raise ValueError(f"N={N} outside 0..{n * m}")
-    return BiModule(n=n, m=m, N=N, dim=comb(n * m, N))
+    return BiModule(n=n, m=m, N=N)
 
 
 def verify_commuting_actions(bim: BiModule) -> None:

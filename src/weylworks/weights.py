@@ -119,6 +119,7 @@ def conjugate(nu: Iterable[int]) -> Partition:
     p = as_partition(nu)
     if not p:
         return ()
+    check_dimension(p[0])  # the transpose has p[0] parts
     return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1))
 
 

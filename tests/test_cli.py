@@ -511,6 +511,7 @@ def limit_address_space():
         "decompose --module irrep(1000000000) -n 2",
         "decompose --module det -n 1000000000",
         "decompose --module adjoint -n 1000000000",
+        "springer --nu 1000000000 --mu 1000000000 -n 1 --size-guard 2000000000",
     ],
 )
 def test_huge_rank_is_refused_before_it_is_built(argv):
@@ -522,6 +523,25 @@ def test_huge_rank_is_refused_before_it_is_built(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "above the guard 1000000" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C(nm, N) for these ranks outlasts the timeout; |lambda| != N is
+        # refused without it
+        "skewhowe -n 100000 -m 100000 -N 100000000 --lambda 1",
+        # the tableau guard refuses the adjoint of gl(20); building its
+        # 399-dimensional basis first must not take long
+        "decompose --module adjoint -n 20",
+    ],
+)
+def test_cheap_refusal_comes_before_expensive_work(argv):
+    proc = run_entry_point(argv.split(), timeout=5)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_springer_refuses_a_huge_part_at_once():

@@ -19,8 +19,14 @@ from weylworks.glmodules import (
     wedge_replace,
     weight_decompose,
 )
-from weylworks.linalg import EchelonBasis
-from weylworks.weights import partitions
+from weylworks.linalg import EchelonBasis, RatMat
+from weylworks.weights import (
+    compositions,
+    partitions,
+    simple_root,
+    weight_diff,
+    weight_sum,
+)
 
 
 def module_character(mod):
@@ -254,3 +260,132 @@ def test_wedge_replace_matches_the_resorting_reference():
                     for new in range(size + 1):
                         expected = reference_wedge_replace(subset, old, new)
                         assert wedge_replace(subset, old, new) == expected
+
+
+def reference_sym_power(k, n):
+    """Sym^k(C^n) with E_i and F_i written out as derivations on monomials."""
+    basis = list(compositions(k, n))
+    index = {a: t for t, a in enumerate(basis)}
+    dim = len(basis)
+    E, F = [], []
+    for i in range(n - 1):
+        e_entries, f_entries = [], []
+        for t, a in enumerate(basis):
+            if a[i + 1] > 0:
+                target = weight_sum(a, simple_root(i, n))
+                e_entries.append((index[target], t, a[i + 1]))
+            if a[i] > 0:
+                target = weight_diff(a, simple_root(i, n))
+                f_entries.append((index[target], t, a[i]))
+        E.append(RatMat.from_entries(dim, dim, e_entries))
+        F.append(RatMat.from_entries(dim, dim, f_entries))
+    return ExplicitModule(n, dim, tuple(basis), tuple(E), tuple(F))
+
+
+def _matmul_int(a, b, n):
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+
+
+def reference_adjoint_module(n):
+    """sl(n) with every bracket taken on dense n x n integer matrices and
+    read back in the basis of off-diagonal units, then H_i."""
+    basis_mats = []
+    weights = []
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            mat = [[0] * n for _ in range(n)]
+            mat[a][b] = 1
+            basis_mats.append(mat)
+            weights.append(
+                tuple(1 if j == a else -1 if j == b else 0 for j in range(n))
+            )
+    for i in range(n - 1):
+        mat = [[0] * n for _ in range(n)]
+        mat[i][i] = 1
+        mat[i + 1][i + 1] = -1
+        basis_mats.append(mat)
+        weights.append((0,) * n)
+    dim = len(basis_mats)
+
+    def coords_of(mat):
+        # off-diagonal entries map to matrix units; the diagonal (trace 0)
+        # expands in the H_i with coefficients given by partial sums
+        out = {}
+        t = 0
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                if mat[a][b]:
+                    out[t] = mat[a][b]
+                t += 1
+        running = 0
+        for i in range(n - 1):
+            running += mat[i][i]
+            if running:
+                out[dim - (n - 1) + i] = running
+        return out
+
+    E, F = [], []
+    for i in range(n - 1):
+        gen_e = [[0] * n for _ in range(n)]
+        gen_e[i][i + 1] = 1
+        gen_f = [[0] * n for _ in range(n)]
+        gen_f[i + 1][i] = 1
+        e_entries, f_entries = [], []
+        for t, mat in enumerate(basis_mats):
+            for gen, out in ((gen_e, e_entries), (gen_f, f_entries)):
+                left, right = _matmul_int(gen, mat, n), _matmul_int(mat, gen, n)
+                bracket = [
+                    [x - y for x, y in zip(row1, row2)]
+                    for row1, row2 in zip(left, right)
+                ]
+                for r, v in coords_of(bracket).items():
+                    out.append((r, t, v))
+        E.append(RatMat.from_entries(dim, dim, e_entries))
+        F.append(RatMat.from_entries(dim, dim, f_entries))
+    return ExplicitModule(n, dim, tuple(weights), tuple(E), tuple(F))
+
+
+def reference_ext_power(k, n):
+    """Lambda^k(C^n) with E_i and F_i applied factor by factor, signs from
+    the re-sorting reference_wedge_replace."""
+    basis = list(itertools.combinations(range(n), k))
+    index = {s: t for t, s in enumerate(basis)}
+    weights = tuple(tuple(1 if j in s else 0 for j in range(n)) for s in basis)
+    families = []
+    for old, new in ((1, 0), (0, 1)):  # E_i moves e_{i+1} to e_i, F_i back
+        mats = []
+        for i in range(n - 1):
+            entries = []
+            for t, s in enumerate(basis):
+                if i + old in s:
+                    hit = reference_wedge_replace(s, i + old, i + new)
+                    if hit is not None:
+                        entries.append((index[hit[1]], t, hit[0]))
+            mats.append(RatMat.from_entries(len(basis), len(basis), entries))
+        families.append(tuple(mats))
+    return ExplicitModule(n, len(basis), weights, *families)
+
+
+def assert_same_module(mod, ref):
+    assert (mod.n, mod.dim, mod.basis_weights) == (ref.n, ref.dim, ref.basis_weights)
+    assert [m.entries() for m in mod.E] == [m.entries() for m in ref.E]
+    assert [m.entries() for m in mod.F] == [m.entries() for m in ref.F]
+    scalars = [v for m in mod.E + mod.F for _, _, v in m.entries()]
+    scalars += [x for w in mod.basis_weights for x in w]
+    assert all(type(x) is int for x in scalars)
+
+
+def test_labelled_constructors_match_the_references():
+    for n in range(2, 9):
+        assert_same_module(adjoint_module(n), reference_adjoint_module(n))
+    for n in range(1, 7):
+        for k in range(6):
+            assert_same_module(sym_power(k, n), reference_sym_power(k, n))
+        for k in range(n + 1):
+            assert_same_module(ext_power(k, n), reference_ext_power(k, n))
