@@ -12,6 +12,7 @@ by dominance.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,19 +72,24 @@ class LatticeSubspace:
 
     @classmethod
     def from_dict(cls, data) -> "LatticeSubspace":
-        """Inverse of to_dict; malformed input raises ValueError."""
+        """Inverse of to_dict; malformed input raises ValueError.
+
+        n and D must be JSON integers, n * D must pass WEYLWORKS_MAX_DIM
+        (ResourceLimitError), and every entry must be an integer or a
+        string "p" or "p/q" with q nonzero, as to_dict writes them.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"a subspace is a JSON object, got {type(data).__name__}")
         missing = [key for key in ("n", "D", "basis") if key not in data]
         if missing:
             raise ValueError(f"subspace lacks the key(s) {', '.join(missing)}")
-        try:
-            n = int(data["n"])
-            D = int(data["D"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"n and D must be integers: {exc}") from exc
+        n, D = data["n"], data["D"]
+        if not (_is_int(n) and _is_int(D)):
+            raise ValueError(f"n and D must be integers, got {type(n).__name__} "
+                             f"and {type(D).__name__}")
         if n < 1 or D < 1:
             raise ValueError("n and D must be at least 1")
+        check_dimension(n * D)
         basis = data["basis"]
         if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
             raise ValueError("basis must be a list of rows")
@@ -93,11 +99,27 @@ class LatticeSubspace:
                 raise ValueError(
                     f"basis row has length {len(row)}, expected n*D = {n * D}"
                 )
-            rows.append([Fraction(str(x)) for x in row])
+            rows.append([_entry(x) for x in row])
         reduced, _ = rref(rows)
         sub = cls(n=n, D=D, basis=tuple(tuple(r) for r in reduced))
         _require_shift_stable(sub)
         return sub
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _entry(x) -> Fraction:
+    """A basis entry: an integer, or the string of an integer or a fraction."""
+    if _is_int(x):
+        return Fraction(x)
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"basis entry {x!r} is not an integer or a fraction p/q")
 
 
 def _sparse(row) -> dict[int, Fraction]:

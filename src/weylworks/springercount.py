@@ -8,9 +8,11 @@ the quotient: number of partial flags}; the number of choices of F_1
 inducing a given quotient type depends only on how F_1 meets the socle
 filtration S_j = (ker X) meet (im X^{j-1}), which gives a closed product
 of q-binomials.  Which q-binomials and which power of q is the same for
-every q, so that skeleton is computed once and shared by all primes.
-The test suite checks this against a literal echelon-form enumeration
-over F_q.
+every q, so the whole pass is compiled once per (nu, nonzero jumps) into
+an integer-indexed edge list (_flag_program, a bounded cache) and run at
+each prime with plain list arithmetic.  The test suite checks this
+against a literal echelon-form enumeration over F_q and against the
+dict forward pass it replaced.
 
 The count is a polynomial in q with nonnegative integer coefficients
 (the chains stratify into affine cells), so evaluations at a handful of
@@ -121,9 +123,10 @@ def _transitions(nu: Partition, k: int) -> tuple[tuple[Partition, tuple, int], .
     Jordan type on V/W has conjugate entries d_j - w_j + w_{j+1}.
     Returns one (quotient type, ((a, b), ...), e) per profile: over F_q
     it stands for prod [a choose b]_q * q^e subspaces W (binomials equal
-    to 1 are left out).  The skeleton is the same for every q, so one
-    cached copy serves all primes.  Profiles are extended one index j at
-    a time from a work list, without recursion.
+    to 1 are left out).  The skeleton is the same for every q; it is
+    read only by _flag_program, once per compiled program, and a bounded
+    cache shares it between programs.  Profiles are extended one index j
+    at a time from a work list, without recursion.
     """
     if k < 0:
         return ()
@@ -168,6 +171,33 @@ def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
     return steps
 
 
+@functools.lru_cache(maxsize=256)
+def _flag_program(nu: Partition, steps: tuple[int, ...]):
+    """The forward pass over the nonzero jumps steps, compiled free of q.
+
+    Walks _transitions once, numbering the Jordan types of V/F_i in each
+    layer in the order they are first reached.  Returns (keys, layers,
+    empty): keys are the distinct (binomial_args, power) weights, each
+    layer is (width, ((src, dst, key), ...)) with src indexing the layer
+    before (nu alone is index 0), and empty is the index of the empty
+    partition in the last layer, or None when no chain closes up.
+    """
+    keys: dict[tuple, int] = {}
+    layers = []
+    index = {nu: 0}
+    for k in steps:
+        grown: dict[Partition, int] = {}
+        edges = []
+        for shape, src in index.items():
+            for quotient, binomial_args, power in _transitions(shape, k):
+                dst = grown.setdefault(quotient, len(grown))
+                key = keys.setdefault((binomial_args, power), len(keys))
+                edges.append((src, dst, key))
+        layers.append((len(grown), tuple(edges)))
+        index = grown
+    return tuple(keys), tuple(layers), index.get(())
+
+
 def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     """Number of chains 0 = F_0 <= ... <= F_n = F_q^N over F_q.
 
@@ -176,9 +206,13 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     padded with zero jumps to n steps.  If the jumps do not sum to |nu|
     no chain can close up, and the count is 0.
 
-    One pass over the steps carries {Jordan type of V/F_i: number of
-    partial flags F_1 <= ... <= F_i}; each step reads the q-free
-    skeleton _transitions and evaluates its q-binomials at q, each once.
+    The q-free forward pass over the steps is compiled once per (nu,
+    nonzero jumps) by _flag_program, whose bounded cache keeps the
+    programs of the last 256 such pairs (a zero jump is the identity and
+    adds no layer).  At q each q-binomial and each distinct weight is
+    evaluated once, and each layer carries the number of partial flags
+    F_1 <= ... <= F_i per Jordan type of V/F_i in a list indexed by the
+    compiled state numbers.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -186,25 +220,26 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     steps = _checked_steps(mu, n)
     if sum(steps) != sum(nu):
         return 0
+    keys, layers, empty = _flag_program(nu, tuple(k for k in steps if k))
+    if empty is None:
+        return 0
     binomials: dict[tuple[int, int], int] = {}
-
-    def ways(binomial_args, power: int) -> int:
-        total = q**power
+    weights = []
+    for binomial_args, power in keys:
+        weight = q**power
         for args in binomial_args:
             value = binomials.get(args)
             if value is None:
                 value = binomials[args] = gaussian_binomial(*args, q)
-            total *= value
-        return total
-
-    states = {nu: 1}
-    for k in steps:
-        grown: dict[Partition, int] = {}
-        for shape, count in states.items():
-            for quotient, binomial_args, power in _transitions(shape, k):
-                grown[quotient] = grown.get(quotient, 0) + count * ways(binomial_args, power)
-        states = grown
-    return states.get((), 0)
+            weight *= value
+        weights.append(weight)
+    counts = [1]
+    for width, edges in layers:
+        grown = [0] * width
+        for src, dst, key in edges:
+            grown[dst] += counts[src] * weights[key]
+        counts = grown
+    return counts[empty]
 
 
 def _poly_eval(coeffs, x) -> Scalar:

@@ -257,6 +257,11 @@ def test_crossval_checks_the_point_counts_across_each_orbit(monkeypatch):
         return found
 
     monkeypatch.setattr(springercount, "_transitions", skewed)
+    # compile past the cache of flag programs, so that the skew reaches
+    # the counts and no skewed program is left cached for later callers
+    monkeypatch.setattr(
+        springercount, "_flag_program", springercount._flag_program.__wrapped__
+    )
     with pytest.raises(WeylworksError, match="point-count polynomial") as err:
         cross_validate((2, 2), 3, 3)
     assert isinstance(err.value.__cause__, InvariantViolation)
@@ -407,15 +412,28 @@ def test_crossval_beyond_the_old_wedge_guard():
     assert payload["match"] is True
 
 
-@pytest.mark.parametrize("content", ["[]", "{}", '{"n": 1, "D": 1, "basis": 3}'])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[]",
+        "{}",
+        '{"n": 1, "D": 1, "basis": 3}',
+        # a zero denominator, a non-integer n, and an n * D past the guard
+        '{"n": 1, "D": 1, "basis": [["1/0"]]}',
+        '{"n": 1.5, "D": 1, "basis": []}',
+        '{"n": true, "D": 1, "basis": []}',
+        '{"n": 1000000000, "D": 1000000000, "basis": []}',
+    ],
+)
 def test_malformed_subspace_file_is_one_error_line(tmp_path, content):
     path = tmp_path / "sub.json"
     path.write_text(content)
-    code, out, err = run_cli(["lattice", "jordan", "--subspace", str(path)])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for operation in (["jordan"], ["stratum", "--lambda", "1"]):
+        code, out, err = run_cli(["lattice", *operation, "--subspace", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_deeply_nested_module_is_one_error_line():
@@ -479,17 +497,38 @@ def test_springer_guard_refuses_before_counting(monkeypatch):
     assert err.startswith("error:") and "exceeds the guard 12" in err
 
 
-def run_entry_point(argv, timeout, preexec_fn=None):
+def run_entry_point(argv, timeout, preexec_fn=None, extra_env=None):
     """python -W error -m weylworks.cli argv in a child, killed at timeout;
-    preexec_fn runs in the child before it starts Python."""
+    preexec_fn runs in the child before it starts Python, and extra_env
+    is added to its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "weylworks.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
         preexec_fn=preexec_fn,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "springer --nu 4,3,3,2 --mu " + ",".join(["1"] * 12) + " -n 12",
+        "crossval --lambda 2,1 -n 3 -m 3",
+        "irrep --lambda 4,3,2,1,0 -n 5 --emit-matrices",
+    ],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(argv):
+    # the compiled flag programs number states in dict order, and no set
+    # order may reach stdout anywhere else either
+    outs = []
+    for seed in ("0", "1"):
+        proc = run_entry_point(argv.split(), timeout=120,
+                               extra_env={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def limit_address_space():

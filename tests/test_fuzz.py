@@ -11,15 +11,23 @@ is built, crossval's answer-size guard refuses its huge ranks, and a
 springer count whose jumps do not add up to |nu| is 0 at once.  Huge
 --lambda parts are not drawn: the tableau guard refuses them, except
 under a huge --size-guard, where conjugate(lambda) takes a step per box.
+
+The JSON input of lattice jordan|stratum --subspace FILE is fuzzed the
+same way: valid fixed_point(...).to_dict() payloads, and the same with a
+bad entry ("1/0", floats, bools, lists), a wrong row length, a
+non-integer or huge n or D, or deep nesting.
 """
 
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weylworks.cli import EMIT_MATRICES_TSV_NOTE, main
+from weylworks.lattice import fixed_point
 
 MALFORMED = ["x", "", " ", "1.5", "0x10", "-", "--", "1e3", "+", "½", "2,", ",2"]
 
@@ -126,12 +134,7 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(argvs())
-def test_cli_fuzz_answers_refuses_or_reports_usage(argv):
-    code, out, err = run_main(argv)
+def assert_answer_refusal_or_usage_error(argv, code, out, err):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 0:
@@ -148,3 +151,78 @@ def test_cli_fuzz_answers_refuses_or_reports_usage(argv):
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
     else:  # argparse may print its usage lines before the error line
         assert "error:" in lines[-1], (argv, err)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(argvs())
+def test_cli_fuzz_answers_refuses_or_reports_usage(argv):
+    assert_answer_refusal_or_usage_error(argv, *run_main(argv))
+
+
+NEST = "@nest@"
+bad_entries = st.one_of(
+    st.sampled_from(["1/0", "-3/0", "0/0", "1e999999", "1.5", "\u00bd", " 1", "2/4", ""]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.integers(-10**30, 10**30),
+    st.just(NEST),
+)
+bad_sizes = st.one_of(
+    st.sampled_from([1.5, 2.0, True, False, None, "2", [], {}, 0, -1]),
+    st.sampled_from([10**9, 10**20, 2**64]),
+    st.integers(1, 4),
+)
+
+
+@st.composite
+def subspace_files(draw):
+    """JSON text of a subspace, and the Jordan type it must answer with when
+    it is left valid: the nonzero parts of mu, sorted."""
+    n = draw(st.integers(1, 3))
+    mu = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    data = fixed_point(mu, n).to_dict()
+    rows = data["basis"]
+    mutation = draw(st.sampled_from([None, "entry", "row", "n", "D", "deep"]))
+    expected = sorted((x for x in mu if x), reverse=True) if mutation is None else None
+    if mutation == "entry" and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(bad_entries)
+    elif mutation == "row" and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    elif mutation in ("n", "D"):
+        data[mutation] = draw(bad_sizes)
+    depth = draw(st.sampled_from([1, 2, 40, 5000]))
+    text = json.dumps(data).replace(json.dumps(NEST), "[" * depth + "]" * depth)
+    if mutation == "deep":
+        text = "[" * depth + text + "]" * depth
+    return text, expected
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    subspace_files(),
+    st.sampled_from([["jordan"], ["stratum", "--lambda", "1"], ["stratum", "--lambda", "2,1"]]),
+    st.sampled_from([[], ["--format", "tsv"]]),
+)
+def test_subspace_file_fuzz_answers_or_refuses(case, operation, fmt):
+    text, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sub.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["lattice", *operation, "--subspace", str(path), *fmt]
+        code, out, err = run_main(argv)
+    assert_answer_refusal_or_usage_error(argv, code, out, err)
+    if expected is not None:
+        assert code == 0, (text, err)
+        if not fmt:
+            assert json.loads(out)["jordan_type"] == expected, text

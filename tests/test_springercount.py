@@ -475,6 +475,83 @@ def examples(cases):
     return apply
 
 
+def reference_skeleton_count(q, nu, mu, n=None):
+    """The forward pass count_fiber_points made before it compiled the
+    skeleton: {Jordan type of V/F_i: number of partial flags} in a dict,
+    one springercount._transitions lookup per state and jump (zero jumps
+    included) and one call of a ways closure per edge, which evaluates
+    each q-binomial once."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    nu = as_partition(nu)
+    steps = _checked_steps(mu, n)
+    if sum(steps) != sum(nu):
+        return 0
+    binomials = {}
+
+    def ways(binomial_args, power):
+        total = q**power
+        for args in binomial_args:
+            value = binomials.get(args)
+            if value is None:
+                value = binomials[args] = gaussian_binomial(*args, q)
+            total *= value
+        return total
+
+    states = {nu: 1}
+    for k in steps:
+        grown = {}
+        for shape, count in states.items():
+            for quotient, binomial_args, power in springercount._transitions(shape, k):
+                grown[quotient] = grown.get(quotient, 0) + count * ways(binomial_args, power)
+        states = grown
+    return states.get((), 0)
+
+
+_SMALL_NU = [nu for total in range(8) for nu in partitions(total)]
+_LARGE_PRIMES = [10**9 + 7, 2**61 - 1, 10**18 + 3]
+
+
+def test_compiled_count_matches_dict_pass_on_every_small_nu():
+    for nu in _SMALL_NU:
+        total = sum(nu)
+        for mu in {(1,) * total, conjugate(nu), (total,), (0, total, 0)}:
+            for q in (2, 3, 10**18 + 3):
+                assert count_fiber_points(q, nu, mu) == reference_skeleton_count(
+                    q, nu, mu
+                ), (nu, mu, q)
+
+
+@st.composite
+def skeleton_cases(draw):
+    """Any nu of at most 7 boxes; jumps with zeros, usually adding up to
+    |nu|; sometimes padding n; small primes and large ones."""
+    nu = draw(st.sampled_from(_SMALL_NU))
+    total = sum(nu) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    k = draw(st.integers(1, 7))
+    mu = draw(st.sampled_from(list(compositions(max(total, 0), k))))
+    n = draw(st.one_of(st.none(), st.integers(k, k + 3)))
+    q = draw(st.sampled_from(_SMALL_PRIMES + _LARGE_PRIMES))
+    return q, nu, mu, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(skeleton_cases())
+@examples([
+    (2, (), (), None),
+    (3, (), (0, 0), 4),
+    (10**18 + 3, (4, 2, 1), (0, 3, 0, 2, 2, 0), 8),
+    (5, (3, 3, 1), (1,) * 7, None),
+])
+def test_compiled_count_matches_dict_pass(case):
+    q, nu, mu, n = case
+    assert count_fiber_points(q, nu, mu, n) == reference_skeleton_count(q, nu, mu, n)
+
+
+def test_flag_program_cache_is_bounded():
+    assert springercount._flag_program.cache_info().maxsize is not None
+
+
 # The stop rule's edges: degree = cap, cap 0, an empty fibre, and an
 # explicit list too short for the degree, which is refused.
 EDGE_CASES = [
