@@ -8,8 +8,9 @@ form a horizontal strip, so one forward pass over the entries, keeping
 {sub-shape: number of ways}, gives the count (_count_tableaux).  kostka
 is that count; character_table counts each dominant content mu below
 lambda once and copies the value to every rearrangement of mu, since
-the multiplicity is invariant under the Weyl group; dim_irrep is the
-table's total.
+the multiplicity is invariant under the Weyl group (the contents are
+the partitions from weights.partitions that lambda dominates);
+dim_irrep is the table's total.
 Highest weights with negative entries are handled by the determinant
 twist: shifting every entry of lambda and mu by the same constant does
 not change the multiplicity, so everything reduces to partition shapes.
@@ -17,11 +18,12 @@ not change the multiplicity, so everything reduces to partition shapes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .weights import WeightVec, as_partition, is_dominant, pad
+from .weights import (
+    WeightVec, as_partition, dominance_leq, is_dominant, pad, partitions
+)
 
 DEFAULT_SIZE_GUARD = 12
 
@@ -114,26 +116,6 @@ def _count_tableaux(shape, content) -> int:
     return states.get(tuple(shape), 0)
 
 
-def _dominated_contents(shape, n: int):
-    """Partitions of |shape| with at most n parts dominated by shape,
-    padded with zeros to length n."""
-    total = sum(shape)
-    reach = list(itertools.accumulate(pad(shape, n)))
-    work = [()]
-    while work:
-        prefix = work.pop()
-        k = len(prefix)
-        used = sum(prefix)
-        if k == n:
-            if used == total:
-                yield prefix
-            continue
-        largest = prefix[-1] if prefix else total
-        for x in range(min(largest, reach[k] - used), -1, -1):
-            if total - used - x <= (n - k - 1) * x:
-                work.append(prefix + (x,))
-
-
 def _distinct_permutations(values):
     """Each distinct rearrangement of values once, in lexicographic order
     (the next-permutation rule, so repeated entries cost nothing)."""
@@ -210,9 +192,12 @@ def character_table(
         raise ValueError(f"highest weight {lam} does not fit rank {n}")
     shape, c = _twist(lam)
     check_size(shape, size_guard)
+    top = pad(shape, n)
     entries = {}
-    for content in _dominated_contents(shape, n):
-        count = _count_tableaux(shape, content)
-        for weight in _distinct_permutations(content):
-            entries[tuple(x - c for x in weight)] = count
+    for part in partitions(sum(shape), max_parts=n, max_part=max(shape, default=0)):
+        content = pad(part, n)
+        if dominance_leq(content, top):
+            count = _count_tableaux(shape, content)
+            for weight in _distinct_permutations(content):
+                entries[tuple(x - c for x in weight)] = count
     return CharacterTable(lam=lam, n=n, entries=entries)

@@ -30,7 +30,7 @@ from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
-from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, kernel, vec_add_scaled
+from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel
 from .weights import (
     WeightVec,
     as_partition,
@@ -340,10 +340,8 @@ def verify_chevalley_relations(mod: ExplicitModule) -> None:
                     raise InvariantViolation(
                         f"{name}_{i} maps weight {w} outside weight {target}"
                     )
-            commutator = mod.E[i].apply(mod.F[i].column(idx))
-            vec_add_scaled(commutator, mod.F[i].apply(mod.E[i].column(idx)), -1)
-            expected = w[i] - w[i + 1]
-            if commutator != ({idx: expected} if expected else {}):
+            h = w[i] - w[i + 1]
+            if bracket_column(mod.E[i], mod.F[i], idx) != ({idx: h} if h else {}):
                 raise InvariantViolation(
                     f"[E_{i}, F_{i}] fails on basis vector {idx} of weight {w}"
                 )

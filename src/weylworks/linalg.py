@@ -5,10 +5,12 @@ Fraction.  Over Q every scalar this module stores or returns is a plain
 int when its denominator is 1 and a Fraction only otherwise, so integral
 work (nearly all of it: the generator matrices have small integer
 entries) never builds a Fraction; rref and dense_rows are the exception
-and return Fractions throughout.  RatMat stores a sparse matrix
-column-major.  EchelonBasis keeps a growing subspace in reduced row
-echelon form, which is the canonical basis of the subspace, so results
-never depend on insertion order; it is the package's one Gauss-Jordan
+and return Fractions throughout.  RatMat is a sparse column store used
+only by application to sparse vectors; the one operator product is
+bracket_column, a column of the commutator xy - yx, which checks every
+relation.  EchelonBasis keeps a growing subspace in reduced row echelon
+form, which is the canonical basis of the subspace, so results never
+depend on insertion order; it is the package's one Gauss-Jordan
 elimination, over Q or, given modulus=p, over F_p with entries in
 range(p).  No floating point anywhere.
 """
@@ -93,53 +95,22 @@ class RatMat:
                 vec_add_scaled(out, self._cols.get(c, {}), x)
         return out
 
-    def __matmul__(self, other: "RatMat") -> "RatMat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        cols = {}
-        for c, col in other._cols.items():
-            res = self.apply(col)
-            if res:
-                cols[c] = res
-        return RatMat(self.nrows, other.ncols, cols)
-
-    def __add__(self, other: "RatMat") -> "RatMat":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RatMat") -> "RatMat":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "RatMat", sign: int) -> "RatMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        cols: dict[int, SparseVec] = {c: dict(col) for c, col in self._cols.items()}
-        for c, col in other._cols.items():
-            tgt = cols.setdefault(c, {})
-            vec_add_scaled(tgt, col, sign)
-            if not tgt:
-                del cols[c]
-        return RatMat(self.nrows, self.ncols, cols)
-
-    def is_zero(self) -> bool:
-        return not self._cols
-
     def entries(self) -> list[tuple[int, int, Scalar]]:
         """All nonzero entries sorted row-major."""
         out = [(r, c, v) for c, col in self._cols.items() for r, v in col.items()]
         out.sort(key=lambda t: (t[0], t[1]))
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        return (
-            (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and (self - other).is_zero()
-        )
-
     def __repr__(self) -> str:
         nnz = sum(len(col) for col in self._cols.values())
         return f"RatMat({self.nrows}x{self.ncols}, {nnz} nonzero)"
+
+
+def bracket_column(x: RatMat, y: RatMat, c: int) -> SparseVec:
+    """Column c of the commutator xy - yx, from two applications."""
+    out = x.apply(y.column(c))
+    vec_add_scaled(out, y.apply(x.column(c)), -1)
+    return out
 
 
 class EchelonBasis:

@@ -50,7 +50,9 @@ from .glmodules import (
     submodule,
     wedge_generators,
 )
-from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, kernel, vec_add_scaled
+from .linalg import (
+    EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel, vec_add_scaled
+)
 from .weights import (
     WeightVec,
     as_partition,
@@ -195,14 +197,21 @@ def build_bimodule(n: int, m: int, N: int) -> BiModule:
 
 
 def verify_commuting_actions(bim: BiModule) -> None:
-    """Check that every gl(n) generator commutes with every gl(m) generator,
-    as exact matrices.  Raises InvariantViolation on failure."""
-    for label_x, x in [("En", g) for g in bim.En] + [("Fn", g) for g in bim.Fn]:
-        for label_y, y in [("Em", g) for g in bim.Em] + [("Fm", g) for g in bim.Fm]:
-            if not (x @ y - y @ x).is_zero():
-                raise InvariantViolation(
-                    f"{label_x} and {label_y} fail to commute on the wedge module"
-                )
+    """Check that every gl(n) generator commutes with every gl(m) generator
+    on every basis vector, exactly.  Raises InvariantViolation naming the
+    pair and the first basis vector where they fail."""
+
+    def named(**families) -> list[tuple[str, RatMat]]:
+        return [(f"{k}_{i}", g) for k, gs in families.items() for i, g in enumerate(gs)]
+
+    for label_x, x in named(En=bim.En, Fn=bim.Fn):
+        for label_y, y in named(Em=bim.Em, Fm=bim.Fm):
+            for c in range(bim.dim):
+                if bracket_column(x, y, c):
+                    raise InvariantViolation(
+                        f"{label_x} and {label_y} fail to commute on basis vector "
+                        f"{c} of the wedge module"
+                    )
 
 
 def _stacked_rows(

@@ -26,7 +26,7 @@ def as_partition(entries: Iterable[int]) -> Partition:
     p = tuple(int(x) for x in entries)
     if any(x < 0 for x in p):
         raise ValueError(f"partition entries must be nonnegative, got {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if not is_dominant(p):
         raise ValueError(f"partition entries must be weakly decreasing, got {p}")
     while p and p[-1] == 0:
         p = p[:-1]
@@ -98,10 +98,6 @@ def height(diff: Sequence[int]) -> int:
         partial += x
         if partial < 0:
             raise ValueError(f"{tuple(diff)} is not a nonnegative sum of simple roots")
-    # recompute accumulating the height; the loop above only validates
-    partial = 0
-    for x in diff[:-1]:
-        partial += x
         total += partial
     if partial + diff[-1] != 0:
         raise ValueError(f"{tuple(diff)} is not a nonnegative sum of simple roots")

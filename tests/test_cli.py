@@ -648,6 +648,24 @@ def test_springer_decides_large_primes_at_once():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        ("character --lambda 1000000000 -n 1 --size-guard 2000000000",
+         "entries", [{"mu": [10**9], "multiplicity": 1}]),
+        ("decompose --module sym(1000000000) -n 1 --size-guard 2000000000",
+         "multiplicities", [{"lambda": [10**9], "multiplicity": 1}]),
+    ],
+)
+def test_one_long_row_has_its_one_weight_at_once(argv, key, expected):
+    # the one content (10**9) must not be found by trying every part
+    # from 10**9 down to 0; the timeout turns a hang into a failure
+    proc = run_entry_point(argv.split(), timeout=5, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["dim"], payload[key]) == (1, expected)
+
+
 def test_module_entry_point_runs_without_warnings():
     proc = run_entry_point(["character", "--lambda", "1,0", "-n", "2"], timeout=60)
     assert proc.returncode == 0

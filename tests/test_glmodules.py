@@ -173,7 +173,12 @@ def test_chevalley_relations_across_constructors():
         verify_chevalley_relations(mod)
     # doubling F keeps every weight shift but makes [E_i, F_i] = 2 H_i
     for mod in mods[:4]:
-        doubled = tuple(f + f for f in mod.F)
+        doubled = tuple(
+            RatMat.from_entries(
+                f.nrows, f.ncols, [(r, c, 2 * v) for r, c, v in f.entries()]
+            )
+            for f in mod.F
+        )
         bad = ExplicitModule(mod.n, mod.dim, mod.basis_weights, mod.E, doubled)
         with pytest.raises(InvariantViolation, match=r"\[E_"):
             verify_chevalley_relations(bad)

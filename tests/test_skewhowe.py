@@ -9,6 +9,7 @@ from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.glmodules import _rank, decompose, ext_power, verify_chevalley_relations
+from weylworks.linalg import RatMat
 from weylworks.skewhowe import (
     _slice,
     build_bimodule,
@@ -63,6 +64,21 @@ def test_commuting_actions_small():
         for m in (1, 2, 3):
             for N in range(min(n * m, 4) + 1):
                 verify_commuting_actions(build_bimodule(n, m, N))
+
+
+def test_commuting_actions_check_names_the_failing_pair():
+    bim = build_bimodule(2, 2, 2)
+    em = bim.Em[0]
+    (r, c, v), *rest = em.entries()
+    doctored = RatMat.from_entries(em.nrows, em.ncols, [(r, c, -v), *rest])
+    # Em is a cached_property: replace the cached family with one whose
+    # first generator has one entry negated
+    bim.__dict__["Em"] = (doctored, *bim.Em[1:])
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^En_0 and Em_0 fail to commute on basis vector \d+ of the wedge",
+    ):
+        verify_commuting_actions(bim)
 
 
 def test_bimodule_generators_satisfy_bracket():
