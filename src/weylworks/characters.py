@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, max_dimension
 from .weights import (
     WeightVec, as_partition, dominance_leq, is_dominant, pad, partitions
 )
@@ -32,8 +32,8 @@ def check_size(shape, size_guard: int | None = DEFAULT_SIZE_GUARD) -> None:
     """Refuse a tableau count of shape when |shape| exceeds the guard."""
     if size_guard is not None and sum(shape) > size_guard:
         raise ResourceLimitError(
-            f"tableau enumeration for |shape| = {sum(shape)} exceeds the guard "
-            f"{size_guard}; pass size_guard=None or a larger value to override"
+            f"a tableau count for |shape| = {sum(shape)} exceeds the guard "
+            f"{size_guard}; raise it with --size-guard (size_guard= in the library)"
         )
 
 
@@ -186,12 +186,14 @@ class CharacterTable:
 def character_table(
     lam, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUARD
 ) -> CharacterTable:
-    """All weights of the irreducible with highest weight lam, with multiplicity."""
+    """All weights of the irreducible with highest weight lam, with
+    multiplicity; more than WEYLWORKS_MAX_DIM weights are refused."""
     lam = pad(lam, n) if len(lam) < n else tuple(int(x) for x in lam)
     if len(lam) != n:
         raise ValueError(f"highest weight {lam} does not fit rank {n}")
     shape, c = _twist(lam)
     check_size(shape, size_guard)
+    cap = max_dimension()
     top = pad(shape, n)
     entries = {}
     for part in partitions(sum(shape), max_parts=n, max_part=max(shape, default=0)):
@@ -200,4 +202,9 @@ def character_table(
             count = _count_tableaux(shape, content)
             for weight in _distinct_permutations(content):
                 entries[tuple(x - c for x in weight)] = count
+                if len(entries) > cap:
+                    raise ResourceLimitError(
+                        f"the character table has more than {cap} weights, "
+                        "the WEYLWORKS_MAX_DIM guard; raise it if intended"
+                    )
     return CharacterTable(lam=lam, n=n, entries=entries)

@@ -14,6 +14,7 @@ strings, as are all polynomial coefficients and matrix entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -436,6 +437,7 @@ def _add_size_guard(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parsing leaves a parser unchanged: one tree per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylworks",

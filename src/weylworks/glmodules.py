@@ -397,14 +397,14 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
     that span, or with a target weight that has no space, raises
     InvariantViolation, since then the spaces are not a submodule.
     """
-    offsets: dict[WeightVec, tuple[int, dict[int, int]]] = {}
+    position: dict[WeightVec, dict[int, int]] = {}
     vectors: list[SparseVec] = []
     weights: list[WeightVec] = []
-    for w in sorted((w for w in spaces if spaces[w].dim), reverse=True):
-        row_order = spaces[w].sorted_order()
-        offsets[w] = (len(vectors), {ri: p for p, ri in enumerate(row_order)})
-        vectors.extend(spaces[w].rows[ri] for ri in row_order)
-        weights.extend([w] * len(row_order))
+    for w in sorted((w for w in spaces if spaces[w].rows), reverse=True):
+        rows = spaces[w].rows
+        position[w] = {p: len(vectors) + k for k, p in enumerate(sorted(rows))}
+        vectors.extend(rows[p] for p in position[w])
+        weights.extend([w] * len(rows))
     dim = len(vectors)
 
     def restricted(maps, shift) -> tuple[RatMat, ...]:
@@ -417,13 +417,13 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
                 if not image:
                     continue
                 tw = shift(w, alpha)
-                if tw not in offsets:
+                if tw not in position:
                     raise InvariantViolation(
                         f"generator image at weight {tw} leaves the submodule"
                     )
-                base, placement = offsets[tw]
-                for ri, coeff in spaces[tw].coords(image).items():
-                    entries.append((base + placement[ri], col, coeff))
+                at = position[tw]
+                for p, coeff in spaces[tw].coords(image).items():
+                    entries.append((at[p], col, coeff))
             mats.append(RatMat.from_entries(dim, dim, entries))
         return tuple(mats)
 

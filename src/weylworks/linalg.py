@@ -1,18 +1,17 @@
-"""Exact linear algebra over the rationals and over prime fields F_p.
+"""Exact linear algebra over the rationals.
 
 Sparse vectors are dicts mapping coordinate index to a nonzero int or
-Fraction.  Over Q every scalar this module stores or returns is a plain
-int when its denominator is 1 and a Fraction only otherwise, so integral
+Fraction.  Every scalar this module stores or returns is a plain int
+when its denominator is 1 and a Fraction only otherwise, so integral
 work (nearly all of it: the generator matrices have small integer
 entries) never builds a Fraction; rref and dense_rows are the exception
 and return Fractions throughout.  RatMat is a sparse column store used
 only by application to sparse vectors; the one operator product is
 bracket_column, a column of the commutator xy - yx, which checks every
 relation.  EchelonBasis keeps a growing subspace in reduced row echelon
-form, which is the canonical basis of the subspace, so results never
-depend on insertion order; it is the package's one Gauss-Jordan
-elimination, over Q or, given modulus=p, over F_p with entries in
-range(p).  No floating point anywhere.
+form, one row per pivot column; that form is the canonical basis of the
+subspace, so results never depend on insertion order.  It is the
+package's one Gauss-Jordan elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,27 +29,15 @@ def _demote(x: Scalar) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-def vec_add_scaled(
-    target: SparseVec, src: SparseVec, coeff: Scalar, modulus: int | None = None
-) -> None:
-    """target += coeff * src, in place, dropping zeros; mod modulus if given.
-
-    Over Q an integral result is stored as an int.
-    """
+def vec_add_scaled(target: SparseVec, src: SparseVec, coeff: Scalar) -> None:
+    """target += coeff * src, in place, dropping zeros; integral results
+    are stored as ints."""
     if not coeff:
         return
-    if modulus is None:
-        for k, v in src.items():
-            nv = target.get(k, 0) + coeff * v
-            if nv:
-                target[k] = nv if nv.__class__ is int else _demote(nv)
-            else:
-                target.pop(k, None)
-        return
     for k, v in src.items():
-        nv = (target.get(k, 0) + coeff * v) % modulus
+        nv = target.get(k, 0) + coeff * v
         if nv:
-            target[k] = nv
+            target[k] = nv if nv.__class__ is int else _demote(nv)
         else:
             target.pop(k, None)
 
@@ -114,40 +101,28 @@ def bracket_column(x: RatMat, y: RatMat, c: int) -> SparseVec:
 
 
 class EchelonBasis:
-    """A subspace maintained in reduced row echelon form over Q, or over
-    F_modulus for a prime modulus (input integers are reduced on entry).
+    """A subspace maintained in reduced row echelon form over Q.
 
-    Rows are sparse vectors; every pivot entry is 1 and pivot columns are
-    zero in all other rows.  Because RREF is a normal form, the stored
-    rows depend only on the subspace, not on the insertion history.
+    rows maps each pivot column to its sparse row, whose pivot entry is 1;
+    pivot columns are zero in every other row.  RREF is a normal form, so
+    rows depends only on the subspace; its dict order does not, so sort it.
     """
 
-    def __init__(self, modulus: int | None = None):
-        self.modulus = modulus
-        self.rows: list[SparseVec] = []
-        self.pivots: list[int] = []
-        self._pivot_row: dict[int, int] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def __init__(self):
+        self.rows: dict[int, SparseVec] = {}
 
     def _eliminate(self, vec: SparseVec, record: dict[int, Scalar] | None) -> SparseVec:
-        p = self.modulus
-        if p is None:
-            v = {c: x if x.__class__ is int else _demote(x) for c, x in vec.items()}
-        else:
-            v = {c: x % p for c, x in vec.items() if x % p}
+        rows = self.rows
+        v = {c: x if x.__class__ is int else _demote(x) for c, x in vec.items()}
         # RREF rows contain no foreign pivot columns, so one sorted pass
         # over the pivot columns initially present in v is complete.
-        for c in sorted(c for c in v if c in self._pivot_row):
+        for c in sorted(c for c in v if c in rows):
             coeff = v.get(c)
             if not coeff:
                 continue
-            ri = self._pivot_row[c]
             if record is not None:
-                record[ri] = coeff
-            vec_add_scaled(v, self.rows[ri], -coeff, p)
+                record[c] = coeff
+            vec_add_scaled(v, rows[c], -coeff)
         return v
 
     def residual(self, vec: SparseVec) -> SparseVec:
@@ -163,25 +138,18 @@ class EchelonBasis:
         if not v:
             return None
         pivot = min(v)
-        p = self.modulus
-        if p is None:
-            lead = v[pivot]
-            if lead != 1:
-                inv = Fraction(1) / lead
-                v = {c: _demote(val * inv) for c, val in v.items()}
-        else:
-            inv = pow(v[pivot], -1, p)
-            v = {c: val * inv % p for c, val in v.items()}
-        for row in self.rows:
+        lead = v[pivot]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            v = {c: _demote(val * inv) for c, val in v.items()}
+        for row in self.rows.values():
             if pivot in row:
-                vec_add_scaled(row, v, -row[pivot], p)
-        self._pivot_row[pivot] = len(self.rows)
-        self.rows.append(v)
-        self.pivots.append(pivot)
+                vec_add_scaled(row, v, -row[pivot])
+        self.rows[pivot] = v
         return dict(v)
 
     def coords(self, vec: SparseVec) -> dict[int, Scalar]:
-        """Coordinates of vec in the stored rows, keyed by row index.
+        """Coordinates of vec in the stored rows, keyed by pivot column.
 
         Raises InvariantViolation if vec is outside the span.
         """
@@ -191,17 +159,11 @@ class EchelonBasis:
             raise InvariantViolation("vector lies outside the spanned subspace")
         return record
 
-    def sorted_order(self) -> list[int]:
-        """Row indices ordered by pivot column."""
-        return sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-
-    def dense_rows(self, ncols: int) -> list[list[Scalar]]:
-        """The rows ordered by pivot column, as dense lists of length ncols;
-        over Q every entry is a Fraction."""
-        conv = Fraction if self.modulus is None else int
+    def dense_rows(self, ncols: int) -> list[list[Fraction]]:
+        """The rows in pivot order, as dense Fraction lists of length ncols."""
         return [
-            [conv(self.rows[i].get(c, 0)) for c in range(ncols)]
-            for i in self.sorted_order()
+            [Fraction(row.get(c, 0)) for c in range(ncols)]
+            for _, row in sorted(self.rows.items())
         ]
 
 
@@ -215,7 +177,7 @@ def power_ranks(vectors, apply) -> list[int]:
     while True:
         eb = EchelonBasis()
         vectors = [row for row in map(eb.insert, vectors) if row is not None]
-        ranks.append(eb.dim)
+        ranks.append(len(eb.rows))
         if not vectors:
             return ranks
         vectors = [apply(row) for row in vectors]
@@ -232,7 +194,7 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     eb = EchelonBasis()
     for row in rows:
         eb.insert({c: v for c, v in enumerate(row) if v})
-    return eb.dense_rows(ncols), sorted(eb.pivots)
+    return eb.dense_rows(ncols), sorted(eb.rows)
 
 
 def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:
@@ -247,12 +209,9 @@ def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int
     eb = EchelonBasis()
     for row in rows:
         eb.insert(row)
-    pivot_set = set(eb.pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    slot = {f: t for t, f in enumerate(free)}
-    basis: list[SparseVec] = [{f: 1} for f in free]
-    for row, p in zip(eb.rows, eb.pivots):
+    basis: dict[int, SparseVec] = {f: {f: 1} for f in range(ncols) if f not in eb.rows}
+    for p, row in eb.rows.items():
         for c, v in row.items():
             if c != p:
-                basis[slot[c]][p] = -v
-    return [{c: vec[c] for c in sorted(vec)} for vec in basis], free
+                basis[c][p] = -v
+    return [dict(sorted(vec.items())) for vec in basis.values()], list(basis)

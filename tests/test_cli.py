@@ -61,6 +61,23 @@ def test_output_is_byte_identical_across_runs():
     assert outs[0] == outs[1]
 
 
+def test_one_parser_serves_every_command_in_a_process():
+    argvs = [
+        ["irrep", "--lambda", "2,1,0", "-n", "3", "--emit-matrices"],
+        ["irrep", "--lambda", "2,1,0", "-n", "3"],
+        ["springer", "--nu", "2,1", "--mu", "1,1,1", "-n", "3"],
+    ]
+    in_turn = [run_cli(argv) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        alone.append(run_cli(argv))
+    assert in_turn == alone
+    assert [code for code, _, _ in in_turn] == [0, 0, 0]
+    emitted, plain = (json.loads(out) for _, out, _ in in_turn[:2])
+    assert "generators" in emitted and "generators" not in plain
+
+
 def test_character_json_schema():
     payload = payload_of(["character", "--lambda", "3,0", "-n", "2"])
     assert payload["schema_version"] == 1
@@ -592,8 +609,24 @@ def test_springer_refuses_a_huge_part_at_once():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: tableau enumeration for |shape| = 1000000000 exceeds the guard 12; "
-        "pass size_guard=None or a larger value to override\n"
+        "error: a tableau count for |shape| = 1000000000 exceeds the guard 12; "
+        "raise it with --size-guard (size_guard= in the library)\n"
+    )
+
+
+def test_character_refuses_a_table_past_the_weight_guard():
+    # (3000000, 0, 0) has about 4.5 * 10**12 weights; the running weight
+    # count must refuse at WEYLWORKS_MAX_DIM.  The timeout turns a hang
+    # into a failure.
+    proc = run_entry_point(
+        ["character", "--lambda", "3000000,0,0", "-n", "3", "--size-guard", "4000000"],
+        timeout=20, extra_env={"WEYLWORKS_MAX_DIM": "1000000"},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the character table has more than 1000000 weights, the "
+        "WEYLWORKS_MAX_DIM guard; raise it if intended\n"
     )
 
 

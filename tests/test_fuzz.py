@@ -11,6 +11,8 @@ is built, crossval's answer-size guard refuses its huge ranks, and a
 springer count whose jumps do not add up to |nu| is 0 at once.  Huge
 --lambda parts are not drawn: the tableau guard refuses them, except
 under a huge --size-guard, where conjugate(lambda) takes a step per box.
+One-row shapes of up to 5000 boxes are drawn under --size-guard 5000,
+where the character table's weight guard refuses the large tables.
 
 The JSON input of lattice jordan|stratum --subspace FILE is fuzzed the
 same way: valid fixed_point(...).to_dict() payloads, and the same with a
@@ -21,8 +23,10 @@ non-integer or huge n or D, or deep nesting.
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -159,6 +163,35 @@ def assert_answer_refusal_or_usage_error(argv, code, out, err):
 @given(argvs())
 def test_cli_fuzz_answers_refuses_or_reports_usage(argv):
     assert_answer_refusal_or_usage_error(argv, *run_main(argv))
+
+
+# One long row, such as --lambda 4000, under a --size-guard that lets it
+# through: the character table's weight guard, the rank guards and
+# conjugate(lambda), a step per box, must still answer or refuse.  The
+# dimension guard is lowered so that a refused table stays cheap.
+long_row_argvs = st.tuples(
+    st.sampled_from([
+        ["character", "--lambda={row}", "--n={n}"],
+        ["lattice", "mv-cycles", "--lambda={row}", "--mu={mu}", "--n={n}"],
+        ["springer", "--nu={row}", "--mu={mu}", "--n={n}"],
+        ["crossval", "--lambda={row}", "--n={n}", "--m={n}"],
+    ]),
+    st.integers(13, 5000),
+    st.one_of(st.integers(1, 4).map(str), huge_ranks),
+    huge_parts,
+).map(
+    lambda case: [arg.format(row=case[1], n=case[2], mu=case[3]) for arg in case[0]]
+    + ["--size-guard", "5000"]
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(long_row_argvs)
+def test_long_rows_under_a_raised_size_guard(argv):
+    with mock.patch.dict(os.environ, {"WEYLWORKS_MAX_DIM": "20000"}):
+        assert_answer_refusal_or_usage_error(argv, *run_main(argv))
 
 
 NEST = "@nest@"

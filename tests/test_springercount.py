@@ -2,7 +2,9 @@
 
 The production counter peels one step off the flag and multiplies closed
 q-binomial transition counts; the brute-force reference here,
-reference_count_fiber_points, literally walks echelon forms over F_q.  Both are compared here on everything small, and
+reference_count_fiber_points, literally walks echelon forms over F_q on
+its own dense elimination, dense_rref_modq, which shares no code with
+the package's eliminator.  Both are compared on everything small, and
 the q-binomials themselves are checked against an independent Pascal
 recursion on coefficient lists.  The polynomial fit is compared with two
 references: Lagrange interpolation, and the degree search that refits
@@ -21,7 +23,6 @@ from hypothesis import strategies as st
 from weylworks import springercount
 from weylworks.characters import kostka
 from weylworks.errors import InvariantViolation, ResourceLimitError
-from weylworks.linalg import EchelonBasis, RatMat
 from weylworks.springercount import (
     NonPolynomialCountError,
     PointCountTable,
@@ -167,17 +168,35 @@ def jordan_matrix(nu):
     return mat
 
 
-def as_ratmat(mat):
-    """Sparse copy of a square dense integer matrix."""
-    size = len(mat)
-    return RatMat.from_entries(
-        size, size, ((r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row))
-    )
+def dense_rref_modq(rows, q):
+    """Dense Gauss-Jordan elimination over F_q; returns (rows, pivot cols),
+    the nonzero rows sorted by pivot column."""
+    work = [[x % q for x in r] for r in rows]
+    out = []
+    pivots = []
+    for row in work:
+        for r, p in zip(out, pivots):
+            c = row[p]
+            if c:
+                row = [(a - c * b) % q for a, b in zip(row, r)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        inv = pow(row[pivot], -1, q)
+        row = [(inv * x) % q for x in row]
+        for r in out:
+            c = r[pivot]
+            if c:
+                r[:] = [(a - c * b) % q for a, b in zip(r, row)]
+        out.append(row)
+        pivots.append(pivot)
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return [out[i] for i in order], sorted(pivots)
 
 
-def subspaces_modq(coords, k, q, tick):
+def subspaces_modq(coords, size, k, q, tick):
     """All k-dimensional subspaces over F_q of the span of the unit vectors
-    at coords, as reduced echelon bases of sparse rows."""
+    at coords, as reduced echelon bases of dense rows of length size."""
     dim = len(coords)
     for pivots in itertools.combinations(range(dim), k):
         free = [
@@ -188,10 +207,11 @@ def subspaces_modq(coords, k, q, tick):
         ]
         for values in itertools.product(range(q), repeat=len(free)):
             tick()
-            rows = [{coords[p]: 1} for p in pivots]
+            rows = [[0] * size for _ in pivots]
+            for r, p in enumerate(pivots):
+                rows[r][coords[p]] = 1
             for (r, c), v in zip(free, values):
-                if v:
-                    rows[r][coords[c]] = v
+                rows[r][coords[c]] = v
             yield rows
 
 
@@ -199,10 +219,11 @@ def reference_count_fiber_points(q, nu, mu, n=None, *, budget=10**8):
     """Count the same chains as count_fiber_points by direct enumeration.
 
     Walks every echelon form at every step and tests X F_i <= F_{i-1}
-    generator by generator; the flag and the membership tests run on the
-    shared eliminator, linalg.EchelonBasis(q).  Exponentially slower than
-    the recursion, so only for small inputs; budget bounds the number of
-    echelon forms generated before ResourceLimitError.
+    generator by generator; the flag and the membership tests run on
+    dense_rref_modq, an elimination of its own that shares no code with
+    linalg.  Exponentially slower than the recursion, so only for small
+    inputs; budget bounds the number of echelon forms generated before
+    ResourceLimitError.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime for direct enumeration, got {q}")
@@ -222,7 +243,7 @@ def reference_count_fiber_points(q, nu, mu, n=None, *, budget=10**8):
         raise ResourceLimitError(
             f"estimated {estimate} echelon forms exceeds the budget of {budget}"
         )
-    xop = as_ratmat(jordan_matrix(nu))
+    xmat = jordan_matrix(nu)
     spent = [0]
 
     def tick():
@@ -232,21 +253,24 @@ def reference_count_fiber_points(q, nu, mu, n=None, *, budget=10**8):
                 f"echelon enumeration exceeded the budget of {budget} forms"
             )
 
-    def extend(flag, i):
+    def inside(flag, vec):
+        """vec lies in the span of the reduced rows flag."""
+        return len(dense_rref_modq(flag + [vec], q)[0]) == len(flag)
+
+    def extend(flag, pivots, i):
         if i == len(steps):
             return 1
-        complement = [c for c in range(size) if c not in flag.pivots]
+        complement = [c for c in range(size) if c not in pivots]
         total = 0
-        for lifted in subspaces_modq(complement, steps[i], q, tick):
-            if any(flag.residual(xop.apply(v)) for v in lifted):
-                continue
-            grown = EchelonBasis(q)
-            for row in flag.rows + lifted:
-                grown.insert(row)
-            total += extend(grown, i + 1)
+        for lifted in subspaces_modq(complement, size, steps[i], q, tick):
+            images = (
+                [sum(x * v for x, v in zip(row, vec)) for row in xmat] for vec in lifted
+            )
+            if all(inside(flag, image) for image in images):
+                total += extend(*dense_rref_modq(flag + lifted, q), i + 1)
         return total
 
-    return extend(EchelonBasis(q), 0)
+    return extend([], [], 0)
 
 
 def test_fast_route_agrees_with_bruteforce():
