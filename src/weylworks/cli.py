@@ -590,6 +590,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -365,6 +365,14 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     heights = conjugate(shape)
     if not heights:
         return sym_power(0, n)
+    # the running product is the dimension each tensor below checks, so
+    # this refuses the same inputs with the same message, before any
+    # factor is built
+    check_dimension(n)  # before the binomials, which grow with n
+    dim = 1
+    for h in heights:
+        dim *= comb(n, h)
+        check_dimension(dim)
     factors = [ext_power(h, n) for h in heights]
     ambient = functools.reduce(tensor, factors)
     top_weight = pad(shape, n)

@@ -3,10 +3,13 @@
 The ambient space is spanned by monomials z^k e_i with 0 <= k < D,
 1 <= i <= n, and the shift operator X sends z^k e_i to z^{k-1} e_i
 (degree zero maps to 0).  Coordinates are ordered by descending degree
-and then by component, so reduced echelon bases are canonical.  The
-Jordan type of X restricted to a stable subspace classifies which
-stratum of shift-stable subspaces it belongs to; closures are governed
-by dominance.
+and then by component, so reduced echelon bases are canonical.  Vectors
+are sparse (coordinate index -> scalar), as everywhere in linalg; a
+dense row of all n*D coordinates exists only in the JSON file format
+that to_dict writes and from_dict reads.  The Jordan type of X
+restricted to a stable subspace classifies which stratum of
+shift-stable subspaces it belongs to; closures are governed by
+dominance.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, character
 from .errors import check_dimension
-from .linalg import EchelonBasis, Scalar, power_ranks, rref
+from .linalg import EchelonBasis, Scalar, SparseVec, power_ranks
 from .weights import Partition, as_partition, conjugate, dominance_leq, pad
 
 
@@ -49,15 +52,16 @@ def shift_vector(vec: dict[int, Scalar], n: int, D: int) -> dict[int, Scalar]:
 class LatticeSubspace:
     """A shift-stable subspace, stored as a reduced echelon basis.
 
-    Rows are dense coordinate tuples of length n*D in the monomial
-    ordering above.  Instances built by the constructors here are always
-    shift-stable; jordan_type re-validates in case a basis arrived from
-    outside (deserialization).
+    basis holds the rows of EchelonBasis in pivot order: sparse vectors
+    over the n*D coordinates of the monomial ordering above, each entry
+    an int unless it is fractional.  Instances built by the constructors
+    here are always shift-stable; jordan_type re-validates in case a
+    basis arrived from outside.
     """
 
     n: int
     D: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[SparseVec, ...]
 
     @property
     def dim(self) -> int:
@@ -67,7 +71,10 @@ class LatticeSubspace:
         return {
             "n": self.n,
             "D": self.D,
-            "basis": [[str(Fraction(x)) for x in row] for row in self.basis],
+            "basis": [
+                [str(row.get(c, 0)) for c in range(self.n * self.D)]
+                for row in self.basis
+            ],
         }
 
     @classmethod
@@ -93,15 +100,14 @@ class LatticeSubspace:
         basis = data["basis"]
         if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
             raise ValueError("basis must be a list of rows")
-        rows = []
+        eb = EchelonBasis()
         for row in basis:
             if len(row) != n * D:
                 raise ValueError(
                     f"basis row has length {len(row)}, expected n*D = {n * D}"
                 )
-            rows.append([_entry(x) for x in row])
-        reduced, _ = rref(rows)
-        sub = cls(n=n, D=D, basis=tuple(tuple(r) for r in reduced))
+            eb.insert({c: x for c, x in enumerate(map(_entry, row)) if x})
+        sub = _from_echelon(n, D, eb)
         _require_shift_stable(sub)
         return sub
 
@@ -110,10 +116,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _entry(x) -> Fraction:
+def _entry(x) -> Scalar:
     """A basis entry: an integer, or the string of an integer or a fraction."""
     if _is_int(x):
-        return Fraction(x)
+        return x
     if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
         try:
             return Fraction(x)
@@ -122,16 +128,16 @@ def _entry(x) -> Fraction:
     raise ValueError(f"basis entry {x!r} is not an integer or a fraction p/q")
 
 
-def _sparse(row) -> dict[int, Fraction]:
-    return {i: v for i, v in enumerate(row) if v}
+def _from_echelon(n: int, D: int, eb: EchelonBasis) -> LatticeSubspace:
+    return LatticeSubspace(n, D, tuple(row for _, row in sorted(eb.rows.items())))
 
 
 def _require_shift_stable(sub: LatticeSubspace) -> None:
     eb = EchelonBasis()
     for row in sub.basis:
-        eb.insert(_sparse(row))
+        eb.insert(row)
     for row in sub.basis:
-        if eb.residual(shift_vector(_sparse(row), sub.n, sub.D)):
+        if eb.residual(shift_vector(row, sub.n, sub.D)):
             raise ValueError("subspace is not stable under the shift operator")
 
 
@@ -149,23 +155,22 @@ def fixed_point(mu, n: int) -> LatticeSubspace:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     D = max(mu, default=0) + 1
     check_dimension(n * D)
-    tops = []
-    for i in range(n):
-        if mu[i]:
-            top = [0] * (n * D)
-            top[coordinate_index(mu[i] - 1, i, n, D)] = 1
-            tops.append(top)
+    tops = [{coordinate_index(mu[i] - 1, i, n, D): 1} for i in range(n) if mu[i]]
     return close_under_shift(n, D, tops)
 
 
 def close_under_shift(n: int, D: int, vectors) -> LatticeSubspace:
-    """Smallest shift-stable subspace containing the given dense vectors."""
+    """Smallest shift-stable subspace containing the given sparse vectors.
+
+    Each vector maps coordinate indices in range(n * D) to scalars; zero
+    entries are dropped.
+    """
     eb = EchelonBasis()
     queue = []
     for vec in vectors:
-        if len(vec) != n * D:
-            raise ValueError(f"vector length {len(vec)} does not match n*D={n * D}")
-        stored = eb.insert(_sparse([Fraction(x) for x in vec]))
+        if not all(0 <= c < n * D for c in vec):
+            raise ValueError(f"a coordinate lies outside range(n*D) = range({n * D})")
+        stored = eb.insert({c: x for c, x in vec.items() if x})
         if stored is not None:
             queue.append(stored)
     while queue:
@@ -173,7 +178,7 @@ def close_under_shift(n: int, D: int, vectors) -> LatticeSubspace:
         stored = eb.insert(shift_vector(vec, n, D))
         if stored is not None:
             queue.append(stored)
-    return LatticeSubspace(n=n, D=D, basis=tuple(map(tuple, eb.dense_rows(n * D))))
+    return _from_echelon(n, D, eb)
 
 
 def jordan_type(sub: LatticeSubspace) -> Partition:
@@ -184,9 +189,7 @@ def jordan_type(sub: LatticeSubspace) -> Partition:
     ValueError if the subspace is not shift-stable.
     """
     _require_shift_stable(sub)
-    ranks = power_ranks(
-        map(_sparse, sub.basis), lambda vec: shift_vector(vec, sub.n, sub.D)
-    )
+    ranks = power_ranks(sub.basis, lambda vec: shift_vector(vec, sub.n, sub.D))
     drops = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     return conjugate(as_partition(drops))
 

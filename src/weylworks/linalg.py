@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Sparse vectors are dicts mapping coordinate index to a nonzero int or
-Fraction.  Every scalar this module stores or returns is a plain int
-when its denominator is 1 and a Fraction only otherwise, so integral
-work (nearly all of it: the generator matrices have small integer
-entries) never builds a Fraction; rref and dense_rows are the exception
-and return Fractions throughout.  RatMat is a sparse column store used
-only by application to sparse vectors; the one operator product is
+Fraction; they are the package's one vector representation.  Every
+scalar this module stores or returns is a plain int when its
+denominator is 1 and a Fraction only otherwise, so integral work
+(nearly all of it: the generator matrices have small integer entries)
+never builds a Fraction.  RatMat is a sparse column store used only by
+application to sparse vectors; the one operator product is
 bracket_column, a column of the commutator xy - yx, which checks every
 relation.  EchelonBasis keeps a growing subspace in reduced row echelon
 form, one row per pivot column; that form is the canonical basis of the
@@ -159,13 +159,6 @@ class EchelonBasis:
             raise InvariantViolation("vector lies outside the spanned subspace")
         return record
 
-    def dense_rows(self, ncols: int) -> list[list[Fraction]]:
-        """The rows in pivot order, as dense Fraction lists of length ncols."""
-        return [
-            [Fraction(row.get(c, 0)) for c in range(ncols)]
-            for _, row in sorted(self.rows.items())
-        ]
-
 
 def power_ranks(vectors, apply) -> list[int]:
     """Ranks over Q of T^0, T^1, ... on the span of vectors, up to the first 0.
@@ -181,20 +174,6 @@ def power_ranks(vectors, apply) -> list[int]:
         if not vectors:
             return ranks
         vectors = [apply(row) for row in vectors]
-
-
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a dense matrix; returns (rows, pivot cols).
-
-    The nonzero rows come back in pivot order as dense Fraction lists.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    eb = EchelonBasis()
-    for row in rows:
-        eb.insert({c: v for c, v in enumerate(row) if v})
-    return eb.dense_rows(ncols), sorted(eb.rows)
 
 
 def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:

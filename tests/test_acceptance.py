@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from weylworks.characters import character, character_table, kostka
@@ -28,7 +27,7 @@ from weylworks.glmodules import (
     verify_chevalley_relations,
 )
 from weylworks.lattice import StratumLocation, fixed_point, jordan_type, stratum_membership
-from weylworks.linalg import rref
+from weylworks.linalg import EchelonBasis
 from weylworks.skewhowe import (
     build_bimodule,
     decompose_howe,
@@ -222,9 +221,8 @@ def test_criterion_9_out_of_scope_honesty():
         src = [i for i, w in enumerate(mod.basis_weights) if w == (1, 1, 1)]
         dst = [i for i, w in enumerate(mod.basis_weights) if w == (2, 0, 1)]
         assert len(src) == 2 and len(dst) == 1
-        block = []
+        eb = EchelonBasis()
         for s in src:
             col = mod.E[0].column(s)
-            block.append([col.get(d, Fraction(0)) for d in dst])
-        _, pivots = rref(block)
-        assert len(pivots) == 1
+            eb.insert({j: col[d] for j, d in enumerate(dst) if d in col})
+        assert len(eb.rows) == 1

@@ -461,6 +461,18 @@ def test_deeply_nested_module_is_one_error_line():
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_memory_error_is_one_error_line(monkeypatch):
+    from weylworks import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "character", exhausted)
+    code, out, err = run_cli(["character", "--lambda", "1,0", "-n", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: input too large: out of memory\n"
+
+
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
 # count, the flag count, the weight enumerators and the slice enumeration
 # skewhowe._slice are loops, and the skewhowe pairs check enumerates each
@@ -587,6 +599,9 @@ def test_huge_rank_is_refused_before_it_is_built(argv):
         # C(nm, N) for these ranks outlasts the timeout; |lambda| != N is
         # refused without it
         "skewhowe -n 100000 -m 100000 -N 100000000 --lambda 1",
+        # the ambient Lambda^1(C^2)^(x)20 has 2^20 dimensions; building
+        # its first 2^19 before the guard fired took 18 s and 2 GB
+        "irrep --lambda 20,0 -n 2",
         # the tableau guard refuses the adjoint of gl(20); building its
         # 399-dimensional basis first must not take long
         "decompose --module adjoint -n 20",
@@ -598,6 +613,20 @@ def test_cheap_refusal_comes_before_expensive_work(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_long_lattice_jordan_fits_in_one_gib():
+    # n*D = 9,000 passes every guard; a dense n*D x dim matrix of
+    # Fractions for it does not fit in 1 GiB, the sparse rows do
+    def limit_to_one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["lattice", "jordan", "--mu", ",".join(["2"] * 3000), "-n", "3000"]
+    proc = run_entry_point(argv, timeout=60, preexec_fn=limit_to_one_gib)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["dim"], payload["jordan_type"]) == (6000, [2] * 3000)
 
 
 def test_springer_refuses_a_huge_part_at_once():

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_linalg import dense_rref
 from weylworks.lattice import (
     LatticeSubspace,
     StratumLocation,
@@ -21,12 +23,8 @@ from weylworks.weights import pad, partitions
 
 def monomial_subspace(n, D, cells):
     """Subspace spanned by the monomials z^j e_i for (j, i) in cells."""
-    rows = []
-    for idx in sorted(coordinate_index(j, i, n, D) for j, i in cells):
-        row = [Fraction(0)] * (n * D)
-        row[idx] = Fraction(1)
-        rows.append(row)
-    return LatticeSubspace(n=n, D=D, basis=tuple(tuple(r) for r in rows))
+    indices = sorted(coordinate_index(j, i, n, D) for j, i in cells)
+    return LatticeSubspace(n=n, D=D, basis=tuple({idx: 1} for idx in indices))
 
 
 def test_shift_vector():
@@ -115,11 +113,13 @@ def test_stratum_membership_examples():
 
 def test_close_under_shift_reaches_fixed_point():
     n, D = 2, 3
-    vec = [Fraction(0)] * (n * D)
-    vec[coordinate_index(2, 0, n, D)] = Fraction(1)
+    vec = {coordinate_index(2, 0, n, D): Fraction(1)}
     sub = close_under_shift(n, D, [vec])
     assert sub.dim == 3
     assert jordan_type(sub) == (3,)
+    for outside in (-1, n * D):
+        with pytest.raises(ValueError):
+            close_under_shift(n, D, [{outside: 1}])
 
 
 def test_random_shift_stable_subspaces_land_in_their_stratum():
@@ -129,10 +129,10 @@ def test_random_shift_stable_subspaces_land_in_their_stratum():
         D = rng.choice((2, 3))
         vecs = []
         for _ in range(rng.randint(1, 3)):
-            vec = [
-                Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                for _ in range(n * D)
-            ]
+            vec = {
+                c: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                for c in range(n * D)
+            }
             vecs.append(vec)
         sub = close_under_shift(n, D, vecs)
         jt = jordan_type(sub)
@@ -144,12 +144,34 @@ def test_random_shift_stable_subspaces_land_in_their_stratum():
 def test_serialization_round_trip():
     for sub in [
         fixed_point((3, 1, 0), 3),
-        close_under_shift(
-            2, 2, [[Fraction(1, 2), Fraction(0), Fraction(1), Fraction(3)]]
-        ),
+        close_under_shift(2, 2, [{0: Fraction(1, 2), 2: Fraction(1), 3: Fraction(3)}]),
     ]:
         data = json.loads(json.dumps(sub.to_dict()))
         assert LatticeSubspace.from_dict(data) == sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_file_format_is_the_dense_rref_of_the_closure(n, D, data):
+    scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    dense = data.draw(st.lists(st.lists(scalars, min_size=n * D, max_size=n * D),
+                               max_size=3))
+    sub = close_under_shift(n, D, [dict(enumerate(row)) for row in dense])
+    # the closure is spanned by each vector and its shifts; X^D = 0, and
+    # the shift moves every coordinate n places towards degree zero
+    spanning = []
+    for row in dense:
+        for _ in range(D):
+            spanning.append(row)
+            row = [Fraction(0)] * n + row[:-n]
+    reduced, _ = dense_rref(spanning)
+    payload = sub.to_dict()
+    assert payload["basis"] == [[str(x) for x in row] for row in reduced]
+    restored = LatticeSubspace.from_dict(json.loads(json.dumps(payload)))
+    assert restored == sub
+    for stored in (sub, restored):
+        for row in stored.basis:
+            assert all(type(x) is int or x.denominator != 1 for x in row.values())
 
 
 def test_from_dict_rejects_unstable_basis():

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from weylworks.linalg import EchelonBasis, kernel, rref, vec_add_scaled
+from weylworks.linalg import EchelonBasis, kernel, vec_add_scaled
 
 
 def dense_rref(rows):
-    """Textbook Gauss-Jordan elimination, kept as the reference for rref."""
+    """Textbook Gauss-Jordan elimination, kept as the reference for
+    EchelonBasis; returns (rows, pivot columns) as dense Fraction lists."""
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -25,8 +26,21 @@ def dense_rref(rows):
     return mat[:r], pivots
 
 
+def densified(eb, ncols):
+    """eb's rows in pivot order as dense lists, and their pivot columns."""
+    pivots = sorted(eb.rows)
+    return [[eb.rows[p].get(c, 0) for c in range(ncols)] for p in pivots], pivots
+
+
+def echelon_rref(rows, ncols):
+    eb = EchelonBasis()
+    for row in rows:
+        eb.insert({c: v for c, v in enumerate(row) if v})
+    return densified(eb, ncols)
+
+
 def kernel_from_rref(rows, ncols):
-    reduced, pivots = rref(rows)
+    reduced, pivots = dense_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -48,8 +62,8 @@ matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_rref_matches_dense_reference(case):
-    rows, _ = case
-    assert rref(rows) == dense_rref(rows)
+    rows, ncols = case
+    assert echelon_rref(rows, ncols) == dense_rref(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +110,7 @@ def test_echelon_entries_are_int_unless_fractional(case):
         stored = eb.insert(vec)
         if stored is not None:
             assert_canonical(stored.values())
-    assert (eb.dense_rows(ncols), sorted(eb.rows)) == dense_rref(rows)
+    assert densified(eb, ncols) == dense_rref(rows)
     for row in eb.rows.values():
         assert_canonical(row.values())
     for vec in sparse:
@@ -113,11 +127,13 @@ def test_echelon_entries_are_int_unless_fractional(case):
 
 
 def test_rref_keeps_exact_fractions():
-    reduced, pivots = rref([[2, 1], [4, 3]])
-    assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
-    assert all(isinstance(x, Fraction) for row in reduced for x in row)
-    assert rref([]) == ([], [])
-    assert rref([[0, 0]]) == ([], [])
+    assert echelon_rref([[2, 1], [4, 3]], 2) == ([[1, 0], [0, 1]], [0, 1])
+    eb = EchelonBasis()
+    eb.insert({0: 2, 1: 1})
+    assert eb.rows == {0: {0: 1, 1: Fraction(1, 2)}}
+    assert type(eb.rows[0][0]) is int and type(eb.rows[0][1]) is Fraction
+    assert echelon_rref([], 2) == ([], [])
+    assert echelon_rref([[0, 0]], 2) == ([], [])
 
 
 
