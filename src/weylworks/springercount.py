@@ -8,22 +8,26 @@ the quotient: number of partial flags}; the number of choices of F_1
 inducing a given quotient type depends only on how F_1 meets the socle
 filtration S_j = (ker X) meet (im X^{j-1}), which gives a closed product
 of q-binomials.  Which q-binomials and which power of q is the same for
-every q, so the whole pass is compiled once per (nu, nonzero jumps) into
-an integer-indexed edge list (_flag_program, a bounded cache) and run at
-each prime with plain list arithmetic.  The test suite checks this
-against a literal echelon-form enumeration over F_q and against the
-dict forward pass it replaced.
+every q, so the whole pass is compiled into an integer-indexed edge list
+(_flag_program) and run with plain integer arithmetic.  The test suite
+checks this against a literal echelon-form enumeration over F_q and
+against the dict forward pass it replaced.
 
-The count is a polynomial in q with nonnegative integer coefficients
-(the chains stratify into affine cells), so evaluations at a handful of
-primes determine it exactly.  One degree search serves an explicit prime
-list and the default primes alike: the counts go one prime at a time
-into one Newton divided-difference table, kept in ints (for an integer
-polynomial at integer nodes every divided difference is an integer),
-which passes over the degree bounds it rules out, and interpolate fits
-the first bound left and checks it against every count the supply must
-match.  The number of top-dimensional components of the fibre is the
-leading coefficient.
+The compiled pass is a sum of products of q-binomials times powers of
+q, so the count is a polynomial P in q with nonnegative integer
+coefficients, each at most S = P(1).  _count_polynomial reads P off two
+integer passes, once per (nu, nonzero jumps) behind a bounded cache: S
+at q = 1, where each q-binomial is a binomial, and P(2^B) with
+B = S.bit_length(), whose base-2^B digits are the coefficients.  Each
+prime is then one Horner evaluation.  Point count tables still fit the
+counts at a handful of primes: one degree search serves an explicit
+prime list and the default primes alike, the counts going one prime at
+a time into one Newton divided-difference table, kept in ints (for an
+integer polynomial at integer nodes every divided difference is an
+integer), which passes over the degree bounds it rules out, and
+interpolate fits the first bound left and checks it against every count
+the supply must match.  The number of top-dimensional components of the
+fibre is the leading coefficient.
 """
 
 from __future__ import annotations
@@ -84,14 +88,18 @@ def is_prime(m: int) -> bool:
     return True
 
 
+# The primes found so far, in order; first_primes only ever grows it.
+_PRIMES: list[int] = []
+
+
 def first_primes(count: int) -> list[int]:
-    out: list[int] = []
-    m = 2
-    while len(out) < count:
+    """The first count primes, as a new list."""
+    m = _PRIMES[-1] + 1 if _PRIMES else 2
+    while len(_PRIMES) < count:
         if is_prime(m):
-            out.append(m)
+            _PRIMES.append(m)
         m += 1
-    return out
+    return _PRIMES[: max(count, 0)]
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
@@ -171,7 +179,6 @@ def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
     return steps
 
 
-@functools.lru_cache(maxsize=256)
 def _flag_program(nu: Partition, steps: tuple[int, ...]):
     """The forward pass over the nonzero jumps steps, compiled free of q.
 
@@ -198,31 +205,14 @@ def _flag_program(nu: Partition, steps: tuple[int, ...]):
     return tuple(keys), tuple(layers), index.get(())
 
 
-def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
-    """Number of chains 0 = F_0 <= ... <= F_n = F_q^N over F_q.
+def _run_program(program, q: int) -> int:
+    """The compiled pass at q >= 1; at q = 1 each q-binomial is a binomial.
 
-    The chains have dim(F_i / F_{i-1}) = mu_i and X F_i <= F_{i-1} for a
-    nilpotent X of Jordan type nu with N = |nu|.  When n is given, mu is
-    padded with zero jumps to n steps.  If the jumps do not sum to |nu|
-    no chain can close up, and the count is 0.
-
-    The q-free forward pass over the steps is compiled once per (nu,
-    nonzero jumps) by _flag_program, whose bounded cache keeps the
-    programs of the last 256 such pairs (a zero jump is the identity and
-    adds no layer).  At q each q-binomial and each distinct weight is
-    evaluated once, and each layer carries the number of partial flags
-    F_1 <= ... <= F_i per Jordan type of V/F_i in a list indexed by the
-    compiled state numbers.
+    Each distinct q-binomial and weight is evaluated once, and each layer
+    carries the number of partial flags F_1 <= ... <= F_i per Jordan type
+    of V/F_i in a list indexed by the compiled state numbers.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    nu = as_partition(nu)
-    steps = _checked_steps(mu, n)
-    if sum(steps) != sum(nu):
-        return 0
-    keys, layers, empty = _flag_program(nu, tuple(k for k in steps if k))
-    if empty is None:
-        return 0
+    keys, layers, empty = program
     binomials: dict[tuple[int, int], int] = {}
     weights = []
     for binomial_args, power in keys:
@@ -230,7 +220,9 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
         for args in binomial_args:
             value = binomials.get(args)
             if value is None:
-                value = binomials[args] = gaussian_binomial(*args, q)
+                value = binomials[args] = (
+                    math.comb(*args) if q == 1 else gaussian_binomial(*args, q)
+                )
             weight *= value
         weights.append(weight)
     counts = [1]
@@ -240,6 +232,63 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
             grown[dst] += counts[src] * weights[key]
         counts = grown
     return counts[empty]
+
+
+@functools.lru_cache(maxsize=256)
+def _count_polynomial(nu: Partition, steps: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending coefficients of the count over the nonzero jumps steps.
+
+    Every coefficient is a nonnegative integer, so each is at most the
+    count S at q = 1 (a binomial per q-binomial) and below 2^B with
+    B = S.bit_length(): the coefficients are the base-2^B digits of the
+    count at q = 2^B, and their sum must come back as S.  A negative
+    coefficient or a wrong evaluation makes a carry or a borrow, which
+    moves the digit sum by a nonzero multiple of 2^B - 1, and raises
+    InvariantViolation.  The empty tuple is the zero count.
+    """
+    program = _flag_program(nu, steps)
+    if program[2] is None:
+        return ()
+    total = _run_program(program, 1)
+    width = total.bit_length()
+    base = 1 << width
+    value = _run_program(program, base)
+    coeffs = []
+    while value > 0:
+        coeffs.append(value & (base - 1))
+        value >>= width
+    if sum(coeffs) != total:
+        raise InvariantViolation(
+            f"count polynomial for nu={nu}, jumps={steps} has base-2^{width} "
+            f"digits {coeffs} that do not sum to its count {total} at q=1"
+        )
+    return tuple(coeffs)
+
+
+def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
+    """Number of chains 0 = F_0 <= ... <= F_n = F_q^N over F_q.
+
+    The chains have dim(F_i / F_{i-1}) = mu_i and X F_i <= F_{i-1} for a
+    nilpotent X of Jordan type nu with N = |nu|.  When n is given, mu is
+    padded with zero jumps to n steps.  If the jumps do not sum to |nu|
+    no chain can close up, and the count is 0.
+
+    The count polynomial is read off two integer passes of the compiled
+    program once per (nu, nonzero jumps) by _count_polynomial, whose
+    bounded cache keeps the polynomials of the last 256 such pairs (a
+    zero jump is the identity and adds no layer); the count at q is its
+    Horner value.
+    """
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    nu = as_partition(nu)
+    steps = _checked_steps(mu, n)
+    if sum(steps) != sum(nu):
+        return 0
+    acc = 0
+    for c in reversed(_count_polynomial(nu, tuple(k for k in steps if k))):
+        acc = acc * q + c
+    return acc
 
 
 def _poly_eval(coeffs, x) -> Scalar:

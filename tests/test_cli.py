@@ -274,10 +274,10 @@ def test_crossval_checks_the_point_counts_across_each_orbit(monkeypatch):
         return found
 
     monkeypatch.setattr(springercount, "_transitions", skewed)
-    # compile past the cache of flag programs, so that the skew reaches
-    # the counts and no skewed program is left cached for later callers
+    # count past the cache of count polynomials, so that the skew reaches
+    # the counts and no skewed polynomial is left cached for later callers
     monkeypatch.setattr(
-        springercount, "_flag_program", springercount._flag_program.__wrapped__
+        springercount, "_count_polynomial", springercount._count_polynomial.__wrapped__
     )
     with pytest.raises(WeylworksError, match="point-count polynomial") as err:
         cross_validate((2, 2), 3, 3)

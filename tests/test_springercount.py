@@ -100,6 +100,15 @@ def test_is_prime_and_first_primes():
         is_prime(3317044064679887385961981)
 
 
+def test_first_primes_hands_out_fresh_lists():
+    assert first_primes(0) == [] and first_primes(-3) == []
+    head = first_primes(4)
+    head.append(0)
+    assert first_primes(4) == [2, 3, 5, 7]
+    assert first_primes(30)[-1] == 113
+    assert first_primes(5) == [2, 3, 5, 7, 11]
+
+
 def test_gaussian_binomial_matches_pascal_oracle():
     for a in range(9):
         for b in range(a + 1):
@@ -573,7 +582,43 @@ def test_compiled_count_matches_dict_pass(case):
 
 
 def test_flag_program_cache_is_bounded():
-    assert springercount._flag_program.cache_info().maxsize is not None
+    # one bounded cache, on the polynomials; the compiled programs are
+    # not kept behind it
+    assert springercount._count_polynomial.cache_info().maxsize is not None
+    assert not hasattr(springercount._flag_program, "cache_info")
+
+
+def test_count_polynomial_matches_the_fit_of_the_dict_pass():
+    # every nu of at most 6 boxes against full flags, its conjugate, one
+    # step, and its own parts reversed between zero jumps
+    for total in range(7):
+        for nu in partitions(total):
+            zeros = (0,) + tuple(reversed(nu)) + (0,)
+            for mu in {(1,) * total, conjugate(nu), (total,), zeros}:
+                steps = tuple(k for k in mu if k)
+                cap = sum(a * b for a, b in itertools.combinations(steps, 2))
+                points = [(p, reference_skeleton_count(p, nu, mu))
+                          for p in first_primes(cap + 2)]
+                expected = reference_interpolate(points, cap)
+                poly = springercount._count_polynomial(nu, steps)
+                assert (poly or (0,)) == expected, (nu, mu)
+                assert all(type(c) is int and c >= 0 for c in poly), (nu, mu)
+
+
+def test_count_polynomial_digit_sum_check_fires(monkeypatch):
+    # [2 choose 1]_q = q + 1 doctored to q^2 - q + 2: the same value 2 at
+    # q = 1, but a negative coefficient borrows across the base-2^B digits
+    honest = springercount.gaussian_binomial
+
+    def doctored(a, b, q):
+        return q * q - q + 2 if (a, b) == (2, 1) else honest(a, b, q)
+
+    monkeypatch.setattr(springercount, "gaussian_binomial", doctored)
+    monkeypatch.setattr(
+        springercount, "_count_polynomial", springercount._count_polynomial.__wrapped__
+    )
+    with pytest.raises(InvariantViolation, match="do not sum to its count 2"):
+        count_fiber_points(5, (1, 1), (1, 1))
 
 
 # The stop rule's edges: degree = cap, cap 0, an empty fibre, and an
