@@ -41,10 +41,12 @@ honesty notes:
     module with highest weight (2,1,0) at n=m=3 only the rank (= 1) of E_1
     from the (1,1,1) weight space to the (2,0,1) weight space is verified,
     because the rank does not depend on the basis choice.
-  * point counts assume the chain varieties are paved by affine cells; the
-    interpolated polynomial must have nonnegative integer coefficients and
-    its leading coefficient is cross-checked against a Kostka number, so a
-    failure of the assumption cannot pass silently.
+  * point counts are polynomials in q with nonnegative integer coefficients
+    by the construction of the counting program (a sum of products of
+    q-binomials times powers of q), not by an assumed paving by affine
+    cells; the polynomial is read off two exact passes and checked by its
+    digit sum, and its leading coefficient is cross-checked against a
+    Kostka number, so a failure cannot pass silently.
 """
 
 _EPILOG = _HONESTY_NOTES + """

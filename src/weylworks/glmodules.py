@@ -11,7 +11,9 @@ One builder, _generators, makes generator matrices from what a generator
 does to one basis label: monomials (sym_power), wedge subsets (ext_power
 and the skew Howe wedge, through wedge_generators) and matrix units
 (adjoint_module, bracketed on labels).  tensor lifts its factors'
-matrices instead: on a labelled basis it ran twice as slow.
+matrices instead: on a labelled basis it ran twice as slow.  It builds
+whole products for decompose; irrep_plucker's ambient is never built,
+and its generators act as a Kronecker sum of two tensor-built blocks.
 
 submodule restricts an ambient module's generators to a weight-graded
 subspace given by one echelon basis per weight, checking exactly that the
@@ -26,11 +28,13 @@ import itertools
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
-from .linalg import EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel
+from .linalg import (
+    EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel, kronecker_sum
+)
 from .weights import (
     WeightVec,
     as_partition,
@@ -353,10 +357,13 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
 
     One exterior-power factor per column of the diagram of lam; the
     highest vector is the tensor of top wedges e_1 ^ ... ^ e_h over the
-    columns.  Its closure under the lowering generators is computed with
-    exact echelon reduction, one weight space at a time; the resulting
-    reduced echelon bases are canonical, so the output is deterministic.
-    The generators are restricted to that span by submodule.
+    columns.  The ambient product is an index space that is never built:
+    vectors are sparse in tensor's basis order, and the generators act
+    on them through _kronecker_generators.  The highest vector's closure
+    under the lowering generators is computed with exact echelon
+    reduction, one weight space at a time; the resulting reduced echelon
+    bases are canonical, so the output is deterministic.  The generators
+    are restricted to that span by submodule.
     """
     shape = as_partition(lam)
     if len(shape) > n:
@@ -365,16 +372,14 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     heights = conjugate(shape)
     if not heights:
         return sym_power(0, n)
-    # the running product is the dimension each tensor below checks, so
-    # this refuses the same inputs with the same message, before any
-    # factor is built
+    # the ambient is never built, but its dimension stays under the
+    # guard: the running product is checked before any factor is built
     check_dimension(n)  # before the binomials, which grow with n
     dim = 1
     for h in heights:
         dim *= comb(n, h)
         check_dimension(dim)
-    factors = [ext_power(h, n) for h in heights]
-    ambient = functools.reduce(tensor, factors)
+    E, F = _kronecker_generators([ext_power(h, n) for h in heights])
     top_weight = pad(shape, n)
     bases: dict[WeightVec, EchelonBasis] = {}
     start = bases.setdefault(top_weight, EchelonBasis()).insert({0: 1})
@@ -382,15 +387,35 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     while queue:
         w, vec = queue.popleft()
         for i in range(n - 1):
-            image = ambient.F[i].apply(vec)
+            image = F[i](vec)
             if not image:
                 continue
             tw = weight_diff(w, simple_root(i, n))
             stored = bases.setdefault(tw, EchelonBasis()).insert(image)
             if stored is not None:
                 queue.append((tw, stored))
-    return submodule(
-        n, bases, [m.apply for m in ambient.E], [m.apply for m in ambient.F]
+    return submodule(n, bases, E, F)
+
+
+def _kronecker_generators(factors: list[ExplicitModule]):
+    """E_i and F_i of functools.reduce(tensor, factors) as maps on sparse
+    vectors in its basis order, without building that product.
+
+    The factors split into two contiguous runs whose dimensions are as
+    close as possible; each run is built with tensor, and a generator g
+    acts as the Kronecker sum g (x) 1 + 1 (x) g of the runs' matrices.
+    A single factor is paired with the trivial module.
+    """
+    dims = [f.dim for f in factors]
+    split = min(
+        range(1, len(factors) + 1),
+        key=lambda k: abs(prod(dims[:k]) - prod(dims[k:])),
+    )
+    a = functools.reduce(tensor, factors[:split])
+    b = functools.reduce(tensor, factors[split:] or [sym_power(0, a.n)])
+    return (
+        [kronecker_sum(x, y) for x, y in zip(a.E, b.E)],
+        [kronecker_sum(x, y) for x, y in zip(a.F, b.F)],
     )
 
 

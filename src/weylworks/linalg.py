@@ -8,7 +8,8 @@ denominator is 1 and a Fraction only otherwise, so integral work
 never builds a Fraction.  RatMat is a sparse column store used only by
 application to sparse vectors; the one operator product is
 bracket_column, a column of the commutator xy - yx, which checks every
-relation.  EchelonBasis keeps a growing subspace in reduced row echelon
+relation.  kronecker_sum applies x (x) 1 + 1 (x) y without building
+it.  EchelonBasis keeps a growing subspace in reduced row echelon
 form, one row per pivot column; that form is the canonical basis of the
 subspace, so results never depend on insertion order.  It is the
 package's one Gauss-Jordan elimination.  No floating point anywhere.
@@ -93,6 +94,39 @@ class RatMat:
         return f"RatMat({self.nrows}x{self.ncols}, {nnz} nonzero)"
 
 
+def kronecker_sum(x: RatMat, y: RatMat):
+    """The map x (x) 1 + 1 (x) y of two square matrices, never built.
+
+    Returns a function applying it to a sparse vector whose key
+    i * y.ncols + j is e_i (x) e_j, the basis order of
+    glmodules.tensor.  Each column of x and y is read once into (key
+    delta, value) pairs, so one key costs one divmod and two lookups.
+    The result equals the built matrix's apply, with ints unless
+    fractional.
+    """
+    step = y.ncols
+    cols_x = [
+        tuple(((r - c) * step, v) for r, v in x.column(c).items())
+        for c in range(x.ncols)
+    ]
+    cols_y = [tuple((r - c, v) for r, v in y.column(c).items()) for c in range(step)]
+
+    def apply(vec: SparseVec) -> SparseVec:
+        out: SparseVec = {}
+        for key, coeff in vec.items():
+            i, j = divmod(key, step)
+            for delta, v in cols_x[i] + cols_y[j]:
+                k = key + delta
+                nv = out.get(k, 0) + coeff * v
+                if nv:
+                    out[k] = nv if nv.__class__ is int else _demote(nv)
+                else:
+                    out.pop(k, None)
+        return out
+
+    return apply
+
+
 def bracket_column(x: RatMat, y: RatMat, c: int) -> SparseVec:
     """Column c of the commutator xy - yx, from two applications."""
     out = x.apply(y.column(c))
@@ -110,6 +144,9 @@ class EchelonBasis:
 
     def __init__(self):
         self.rows: dict[int, SparseVec] = {}
+        # every column any stored row has held; it only grows, so a new
+        # pivot outside it is in no row and needs no back-substitution
+        self._held: set[int] = set()
 
     def _eliminate(self, vec: SparseVec, record: dict[int, Scalar] | None) -> SparseVec:
         rows = self.rows
@@ -142,9 +179,11 @@ class EchelonBasis:
         if lead != 1:
             inv = Fraction(1) / lead
             v = {c: _demote(val * inv) for c, val in v.items()}
-        for row in self.rows.values():
-            if pivot in row:
-                vec_add_scaled(row, v, -row[pivot])
+        if pivot in self._held:
+            for row in self.rows.values():
+                if pivot in row:
+                    vec_add_scaled(row, v, -row[pivot])
+        self._held.update(v)
         self.rows[pivot] = v
         return dict(v)
 

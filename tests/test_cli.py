@@ -321,6 +321,7 @@ def test_help_states_honesty_notes():
     assert "derived from character data" in text
     assert "basis-dependent" in text
     assert "rank (= 1)" in text
+    assert "by the construction of the counting program" in text
     assert "WEYLWORKS_MAX_DIM" in text
 
 

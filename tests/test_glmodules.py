@@ -1,11 +1,16 @@
+import functools
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
+from weylworks import glmodules
 from weylworks.characters import character, character_table, dim_irrep
 from weylworks.errors import InvariantViolation
 from weylworks.glmodules import (
     ExplicitModule,
+    _kronecker_generators,
     adjoint_module,
     decompose,
     ext_power,
@@ -216,6 +221,48 @@ def test_irrep_plucker_character_and_uniqueness():
 def test_irrep_plucker_rejects_long_shapes():
     with pytest.raises(ValueError):
         irrep_plucker((1, 1, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [ext_power(2, 4)],  # one column, paired with the trivial module
+        [ext_power(h, 5) for h in (4, 3, 2, 1)],  # the columns of (4,3,2,1)
+        [adjoint_module(3), sym_power(2, 3), standard_module(3)],
+    ],
+    ids=["one-column", "columns-of-4321", "three-factors"],
+)
+def test_kronecker_generators_match_the_built_tensor_product(factors):
+    built = functools.reduce(tensor, factors)
+    E, F = _kronecker_generators(factors)
+    rng = random.Random(0)
+    vectors = [{key: 1} for key in range(built.dim)]
+    for _ in range(30):
+        keys = rng.sample(range(built.dim), min(built.dim, rng.randint(1, 8)))
+        # numerators and denominators that give ints and fractions alike
+        coeffs = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in keys]
+        vectors.append(dict(zip(keys, coeffs)))
+    for apply, mat in zip(E + F, built.E + built.F):
+        for vec in vectors:
+            image = apply(vec)
+            assert image == mat.apply(vec)
+            assert all(type(x) is int or x.denominator != 1 for x in image.values())
+
+
+def test_irrep_plucker_never_builds_the_ambient_product(monkeypatch):
+    built = []
+
+    def recording_tensor(a, b):
+        mod = tensor(a, b)
+        built.append(mod.dim)
+        return mod
+
+    monkeypatch.setattr(glmodules, "tensor", recording_tensor)
+    # the columns have heights 4, 2, 2, 1, 1: the ambient has 5*10*10*5*5 = 12,500
+    # dimensions, and the two blocks 50 and 250
+    mod = irrep_plucker((5, 3, 1, 1, 0), 5)
+    assert mod.dim == dim_irrep((5, 3, 1, 1, 0), 5)
+    assert built and max(built) <= 500
 
 
 def _spaces(vectors_by_weight):

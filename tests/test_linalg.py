@@ -136,6 +136,33 @@ def test_rref_keeps_exact_fractions():
     assert echelon_rref([[0, 0]], 2) == ([], [])
 
 
+def test_insert_leaves_no_foreign_pivot_in_any_row():
+    eb = EchelonBasis()
+    inserts = [
+        ({1: 1, 2: 1}, {1: {1: 1, 2: 1}}),
+        # pivot 2 is held by row 1: back-substitution clears it there
+        ({2: 2}, {1: {1: 1}, 2: {2: 1}}),
+        # pivot 0 was never held: no row is touched
+        ({0: 3, 3: 1}, {0: {0: 1, 3: Fraction(1, 3)}, 1: {1: 1}, 2: {2: 1}}),
+        # pivot 3 is held by row 0
+        (
+            {3: 1, 4: 1},
+            {0: {0: 1, 4: Fraction(-1, 3)}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1, 4: 1}},
+        ),
+        # pivot 4 is held by rows 0 and 3
+        (
+            {4: 1},
+            {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}, 4: {4: 1}},
+        ),
+    ]
+    for vec, expected in inserts:
+        eb.insert(vec)
+        assert eb.rows == expected
+        for p, row in eb.rows.items():
+            assert row[p] == 1
+            assert not (set(row) & set(eb.rows)) - {p}, (p, row)
+
+
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_matrices, st.data())
