@@ -15,18 +15,23 @@ matrices instead: on a labelled basis it ran twice as slow.  It builds
 whole products for decompose; irrep_plucker's ambient is never built,
 and its generators act as a Kronecker sum of two tensor-built blocks.
 
-submodule restricts an ambient module's generators to a weight-graded
-subspace given by one echelon basis per weight, checking exactly that the
-subspace is closed.  Both constructions of an irreducible end with it:
-irrep_plucker here and skewhowe.induced_gln_module.
+submodule builds the module generated under the lowering generators by
+seed spaces, one echelon basis per weight, and restricts the ambient
+generators to it in the same pass: it visits the weights in descending
+order, so each weight space is final before any image of it is expanded,
+and it applies each generator once per basis vector.  Every raising image
+is expanded exactly, so closure under E stays checked.  Both
+constructions of an irreducible end with it: irrep_plucker seeds it with
+the highest vector alone, and skewhowe.induced_gln_module with every hom
+space, then checks that nothing was added, which is closure under F.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -359,11 +364,12 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     highest vector is the tensor of top wedges e_1 ^ ... ^ e_h over the
     columns.  The ambient product is an index space that is never built:
     vectors are sparse in tensor's basis order, and the generators act
-    on them through _kronecker_generators.  The highest vector's closure
-    under the lowering generators is computed with exact echelon
-    reduction, one weight space at a time; the resulting reduced echelon
-    bases are canonical, so the output is deterministic.  The generators
-    are restricted to that span by submodule.
+    on them through _kronecker_generators.  submodule, seeded with the
+    highest vector alone, builds its closure under the lowering
+    generators in one descending pass over the weights, one exact
+    echelon basis per weight, and restricts E and F to it as it goes, so
+    each generator is applied once per basis vector.  The reduced echelon
+    bases are canonical, so the output is deterministic.
     """
     shape = as_partition(lam)
     if len(shape) > n:
@@ -380,21 +386,9 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
         dim *= comb(n, h)
         check_dimension(dim)
     E, F = _kronecker_generators([ext_power(h, n) for h in heights])
-    top_weight = pad(shape, n)
-    bases: dict[WeightVec, EchelonBasis] = {}
-    start = bases.setdefault(top_weight, EchelonBasis()).insert({0: 1})
-    queue: deque[tuple[WeightVec, dict]] = deque([(top_weight, start)])
-    while queue:
-        w, vec = queue.popleft()
-        for i in range(n - 1):
-            image = F[i](vec)
-            if not image:
-                continue
-            tw = weight_diff(w, simple_root(i, n))
-            stored = bases.setdefault(tw, EchelonBasis()).insert(image)
-            if stored is not None:
-                queue.append((tw, stored))
-    return submodule(n, bases, E, F)
+    top = EchelonBasis()
+    top.insert({0: 1})
+    return submodule(n, {pad(shape, n): top}, E, F)
 
 
 def _kronecker_generators(factors: list[ExplicitModule]):
@@ -420,46 +414,89 @@ def _kronecker_generators(factors: list[ExplicitModule]):
 
 
 def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitModule:
-    """The gl(n) module on a weight-graded subspace of an ambient module.
+    """The gl(n) module generated by spaces under the lowering generators,
+    with E and F restricted to it.
 
-    spaces maps each weight to an EchelonBasis of its weight space in
-    ambient coordinates; E[i] and F[i] map a sparse ambient vector to its
-    image under the i-th raising and lowering generator.  The basis is
-    each space's rows in pivot order, weights descending.  Every image is
-    expanded exactly in the space of its target weight: an image outside
-    that span, or with a target weight that has no space, raises
-    InvariantViolation, since then the spaces are not a submodule.
+    spaces maps weights to EchelonBasis seeds in ambient coordinates;
+    E[i] and F[i] map a sparse ambient vector to its image under the i-th
+    raising and lowering generator.  One pass visits the weights in
+    descending lexicographic order.  w + alpha_i is greater than w, so
+    the spaces above w are final when w is reached.  At w the pass
+    inserts the F_i images of the rows at each w + alpha_i into w's
+    space, then reads each image's coordinates off w's final pivot
+    columns: a member v of an RREF span is sum_p v[p] * row_p, and the
+    insert has just put v in the span.  Each E_i image of w's rows is
+    expanded exactly in the space at w + alpha_i; an image outside that
+    span, or at a weight with no space, raises InvariantViolation, since
+    then the generated spaces are not closed under E.  Each generator is
+    applied once per basis vector.
+
+    The basis is each space's rows in pivot order, weights descending.
+    The pass pops each weight's seeds from spaces and drops its rows once
+    every weight below it that reads them is done, so spaces is empty
+    afterwards: a caller that compares the result with its seeds takes
+    their sizes before the call.
     """
-    position: dict[WeightVec, dict[int, int]] = {}
-    vectors: list[SparseVec] = []
+    roots = [simple_root(i, n) for i in range(n - 1)]
+    heap = [tuple(-x for x in w) for w in spaces]  # max-heap of weights
+    heapq.heapify(heap)
+    queued = set(spaces)
+    # the spaces still read from below, descending, with each pivot's
+    # basis position
+    live: dict[WeightVec, tuple[EchelonBasis, dict[int, int]]] = {}
     weights: list[WeightVec] = []
-    for w in sorted((w for w in spaces if spaces[w].rows), reverse=True):
-        rows = spaces[w].rows
-        position[w] = {p: len(vectors) + k for k, p in enumerate(sorted(rows))}
-        vectors.extend(rows[p] for p in position[w])
-        weights.extend([w] * len(rows))
-    dim = len(vectors)
-
-    def restricted(maps, shift) -> tuple[RatMat, ...]:
-        mats = []
-        for i, apply in enumerate(maps):
-            alpha = simple_root(i, n)
-            entries = []
-            for col, (w, vec) in enumerate(zip(weights, vectors)):
-                image = apply(vec)
-                if not image:
-                    continue
-                tw = shift(w, alpha)
-                if tw not in position:
-                    raise InvariantViolation(
-                        f"generator image at weight {tw} leaves the submodule"
-                    )
-                at = position[tw]
-                for p, coeff in spaces[tw].coords(image).items():
-                    entries.append((at[p], col, coeff))
-            mats.append(RatMat.from_entries(dim, dim, entries))
-        return tuple(mats)
-
+    e_cols: list[dict[int, SparseVec]] = [{} for _ in roots]
+    f_cols: list[dict[int, SparseVec]] = [{} for _ in roots]
+    while heap:
+        w = tuple(-x for x in heapq.heappop(heap))
+        space = spaces.pop(w, None) or EchelonBasis()
+        pulled = []
+        for i, alpha in enumerate(roots):
+            above = live.get(weight_sum(w, alpha))
+            if above is None:
+                continue
+            source, source_at = above
+            for p, col in source_at.items():
+                image = F[i](source.rows[p])
+                if image:
+                    space.insert(image)
+                    pulled.append((i, col, image))
+        if space.rows:
+            pivots = sorted(space.rows)
+            at = {p: len(weights) + k for k, p in enumerate(pivots)}
+            weights.extend([w] * len(pivots))
+            for i, col, image in pulled:
+                f_cols[i][col] = {at[p]: image[p] for p in pivots if p in image}
+            for i, alpha in enumerate(roots):
+                tw = weight_sum(w, alpha)
+                for p, col in at.items():
+                    image = E[i](space.rows[p])
+                    if not image:
+                        continue
+                    if tw not in live:
+                        raise InvariantViolation(
+                            f"generator image at weight {tw} leaves the submodule"
+                        )
+                    target, target_at = live[tw]
+                    e_cols[i][col] = {
+                        target_at[q]: c for q, c in target.coords(image).items()
+                    }
+                below = weight_diff(w, alpha)
+                if below not in queued:
+                    queued.add(below)
+                    heapq.heappush(heap, tuple(-x for x in below))
+            live[w] = space, at
+        # a space is read by the n - 1 weights u - alpha_i below it, the
+        # least of which is u - alpha_0; once that is passed, drop it
+        for u in list(live):
+            if roots and weight_diff(u, roots[0]) < w:
+                break
+            del live[u]
+    dim = len(weights)
     return ExplicitModule(
-        n, dim, tuple(weights), restricted(E, weight_sum), restricted(F, weight_diff)
+        n,
+        dim,
+        tuple(weights),
+        tuple(RatMat(dim, dim, cols) for cols in e_cols),
+        tuple(RatMat(dim, dim, cols) for cols in f_cols),
     )

@@ -13,9 +13,11 @@ slices alone: the slice is enumerated directly, generators are applied to
 subsets on the fly, and the whole wedge is never built.  The dimension
 guard (WEYLWORKS_MAX_DIM) applies to each slice there.
 
-The induced module takes each hom space, in reduced echelon form, as its
-weight space mu and restricts the gl(n) generators to them through
-glmodules.submodule, the same step that ends irrep_plucker.
+The induced module seeds glmodules.submodule, the same pass that ends
+irrep_plucker, with every hom space in reduced echelon form as its
+weight space mu.  The pass checks closure under the raising generators;
+the module it generates must be no larger than the hom spaces, which is
+closure under the lowering ones.
 
 hom_dims, which crossval reads, needs only the dimensions.  A row
 permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
@@ -392,8 +394,11 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
 
     Each hom space, in reduced echelon form, is the weight space mu of
     the module; glmodules.submodule restricts the gl(n) generators to
-    them exactly.  The result is the irreducible with highest weight
-    conjugate(lam).
+    them exactly.  submodule generates under F from its seeds, so the
+    hom spaces' total dimension is taken first and the result must
+    match it: a larger module means they were not closed under F, and
+    raises InvariantViolation.  The result is the irreducible with
+    highest weight conjugate(lam).
     """
     shape = as_partition(lam)
     if sum(shape) != bim.N:
@@ -420,9 +425,17 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
 
         return apply
 
-    return submodule(
+    hom_total = sum(len(space.rows) for space in spaces.values())
+    mod = submodule(
         bim.n,
         spaces,
         [action(move) for move in _moves(bim.n, True, True)],
         [action(move) for move in _moves(bim.n, True, False)],
     )
+    if mod.dim != hom_total:
+        raise InvariantViolation(
+            f"the hom spaces of lam={shape} sum to dimension {hom_total}, but "
+            f"the module they generate has dimension {mod.dim}: they are not "
+            "closed under the lowering generators"
+        )
+    return mod

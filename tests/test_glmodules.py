@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from weylworks.glmodules import (
 from weylworks.linalg import EchelonBasis, RatMat
 from weylworks.weights import (
     compositions,
+    conjugate,
+    pad,
     partitions,
     simple_root,
     weight_diff,
@@ -213,8 +216,6 @@ def test_irrep_plucker_character_and_uniqueness():
                 hwv = highest_weight_vectors(mod)
                 assert len(hwv) == 1
                 assert len(hwv[0][1]) == 1
-                from weylworks.weights import pad
-
                 assert hwv[0][0] == pad(lam, n)
 
 
@@ -277,20 +278,97 @@ def _spaces(vectors_by_weight):
 def test_submodule_rejects_spaces_not_closed_under_the_generators():
     std = standard_module(2)
     gens = ([m.apply for m in std.E], [m.apply for m in std.F])
-    full = submodule(2, _spaces({(1, 0): [{0: 1}], (0, 1): [{1: 1}]}), *gens)
+    # e_1 alone generates C^2: F_0 e_1 = e_2
+    full = submodule(2, _spaces({(1, 0): [{0: 1}]}), *gens)
     assert full.basis_weights == std.basis_weights
     assert [m.entries() for m in full.E + full.F] == [
         m.entries() for m in std.E + std.F
     ]
-    # F_0 e_1 = e_2 has weight (0, 1), which has no space
+    # E_0 e_2 = e_1 has weight (1, 0), which has no space
     with pytest.raises(InvariantViolation, match="leaves the submodule"):
-        submodule(2, _spaces({(1, 0): [{0: 1}]}), *gens)
-    # in C^2 (x) C^2, F_0 (e_1 (x) e_1) = e_2 (x) e_1 + e_1 (x) e_2, which is
-    # not in the span of e_1 (x) e_2 although its weight (1, 1) has a space
+        submodule(2, _spaces({(0, 1): [{1: 1}]}), *gens)
+    # in C^2 (x) C^2, E_0 (e_2 (x) e_2) = e_1 (x) e_2 + e_2 (x) e_1, which is
+    # not in the span of e_1 (x) e_2 - e_2 (x) e_1 although its weight (1, 1)
+    # has a space; (2, 0) has none, so no F image enlarges that space
     sq = tensor(std, std)
-    spaces = _spaces({(2, 0): [{0: 1}], (1, 1): [{1: 1}], (0, 2): [{3: 1}]})
+    spaces = _spaces({(1, 1): [{1: 1, 2: -1}], (0, 2): [{3: 1}]})
     with pytest.raises(InvariantViolation, match="outside the spanned subspace"):
         submodule(2, spaces, [m.apply for m in sq.E], [m.apply for m in sq.F])
+
+
+def reference_irrep_plucker(lam, n):
+    """irrep_plucker by a breadth-first closure of the highest vector under
+    F, then a second pass that applies every generator to every basis
+    vector and expands the image in its weight space."""
+    shape = tuple(lam)
+    heights = conjugate(shape)
+    if not heights:
+        return sym_power(0, n)
+    E, F = _kronecker_generators([ext_power(h, n) for h in heights])
+    bases = {pad(shape, n): EchelonBasis()}
+    queue = deque([(pad(shape, n), bases[pad(shape, n)].insert({0: 1}))])
+    while queue:
+        w, vec = queue.popleft()
+        for i in range(n - 1):
+            image = F[i](vec)
+            if image:
+                tw = weight_diff(w, simple_root(i, n))
+                stored = bases.setdefault(tw, EchelonBasis()).insert(image)
+                if stored is not None:
+                    queue.append((tw, stored))
+    position, vectors, weights = {}, [], []
+    for w in sorted((w for w in bases if bases[w].rows), reverse=True):
+        rows = bases[w].rows
+        position[w] = {p: len(vectors) + k for k, p in enumerate(sorted(rows))}
+        vectors.extend(rows[p] for p in position[w])
+        weights.extend([w] * len(rows))
+    dim = len(vectors)
+
+    def restricted(maps, shift):
+        mats = []
+        for i, apply in enumerate(maps):
+            entries = []
+            for col, (w, vec) in enumerate(zip(weights, vectors)):
+                image = apply(vec)
+                if image:
+                    tw = shift(w, simple_root(i, n))
+                    for p, coeff in bases[tw].coords(image).items():
+                        entries.append((position[tw][p], col, coeff))
+            mats.append(RatMat.from_entries(dim, dim, entries))
+        return tuple(mats)
+
+    return ExplicitModule(
+        n, dim, tuple(weights), restricted(E, weight_sum), restricted(F, weight_diff)
+    )
+
+
+def test_irrep_plucker_matches_the_two_pass_reference():
+    cases = [(lam, n) for n in range(1, 5) for total in range(7)
+             for lam in partitions(total, max_parts=n)]
+    cases.append(((4, 3, 2, 1, 0), 5))
+    for lam, n in cases:
+        assert_same_module(irrep_plucker(lam, n), reference_irrep_plucker(lam, n))
+
+
+@pytest.mark.parametrize("lam", [(4, 3, 2, 1, 0), (5, 3, 1, 1, 0)])
+def test_irrep_plucker_applies_each_generator_once_per_basis_vector(monkeypatch, lam):
+    calls = {"E": 0, "F": 0}
+
+    def counted(name, apply):
+        def wrapper(vec):
+            calls[name] += 1
+            return apply(vec)
+
+        return wrapper
+
+    def counting_generators(factors):
+        E, F = _kronecker_generators(factors)
+        return [counted("E", e) for e in E], [counted("F", f) for f in F]
+
+    monkeypatch.setattr(glmodules, "_kronecker_generators", counting_generators)
+    mod = irrep_plucker(lam, 5)
+    assert mod.dim == dim_irrep(lam, 5)
+    assert calls == {"E": mod.dim * 4, "F": mod.dim * 4}
 
 
 def reference_wedge_replace(subset, old, new):

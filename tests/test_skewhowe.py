@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -213,6 +214,22 @@ def test_induced_module_rejects_corrupted_gln_signs(monkeypatch):
     # unsigned gl(n) moves send hom-space vectors outside the hom spaces
     monkeypatch.setattr(skewhowe, "_move_images", unsigned_gln_moves)
     with pytest.raises(InvariantViolation):
+        induced_gln_module(build_bimodule(3, 3, 3), (2, 1))
+
+
+def test_induced_module_rejects_hom_spaces_not_closed_under_f(monkeypatch):
+    honest = skewhowe.hom_space
+
+    def short_hom_space(bim, lam, mu):
+        hs = honest(bim, lam, mu)
+        if mu == (1, 1, 1):  # not the top weight (2, 1, 0): drop one vector
+            return dataclasses.replace(hs, dim=hs.dim - 1, vectors=hs.vectors[1:])
+        return hs
+
+    # the F images of the weight spaces above regenerate the dropped
+    # vector, so the module is larger than the hom spaces
+    monkeypatch.setattr(skewhowe, "hom_space", short_hom_space)
+    with pytest.raises(InvariantViolation, match=r"lam=\(2, 1\) sum to dimension 7"):
         induced_gln_module(build_bimodule(3, 3, 3), (2, 1))
 
 
