@@ -340,11 +340,11 @@ def _run_lattice(args: argparse.Namespace):
             "jordan_type": list(jt),
         }
         return body, _tsv([body], ("n", "D", "dim", "jordan_type")), 0
-    location = lattice.stratum_membership(sub, args.lam)
+    lam = as_partition(args.lam)
     body = {
-        "lambda": list(as_partition(args.lam)),
+        "lambda": list(lam),
         "jordan_type": list(jt),
-        "location": location.value,
+        "location": lattice.stratum_location(jt, lam).value,
     }
     return body, _tsv([body], ("lambda", "jordan_type", "location")), 0
 

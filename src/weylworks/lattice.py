@@ -201,7 +201,12 @@ def stratum_membership(sub: LatticeSubspace, lam) -> StratumLocation:
     is strictly below lam in dominance order, OUTSIDE otherwise.
     """
     lam = as_partition(lam)
-    jt = jordan_type(sub)
+    return stratum_location(jordan_type(sub), lam)
+
+
+def stratum_location(jt: Partition, lam: Partition) -> StratumLocation:
+    """Locate a subspace of Jordan type jt relative to the stratum of the
+    partition lam, as stratum_membership does."""
     if jt == lam:
         return StratumLocation.IN_STRATUM
     if sum(jt) == sum(lam):

@@ -19,15 +19,10 @@ coefficients, each at most S = P(1).  _count_polynomial reads P off two
 integer passes, once per (nu, nonzero jumps) behind a bounded cache: S
 at q = 1, where each q-binomial is a binomial, and P(2^B) with
 B = S.bit_length(), whose base-2^B digits are the coefficients.  Each
-prime is then one Horner evaluation.  Point count tables still fit the
-counts at a handful of primes: one degree search serves an explicit
-prime list and the default primes alike, the counts going one prime at
-a time into one Newton divided-difference table, kept in ints (for an
-integer polynomial at integer nodes every divided difference is an
-integer), which passes over the degree bounds it rules out, and
-interpolate fits the first bound left and checks it against every count
-the supply must match.  The number of top-dimensional components of the
-fibre is the leading coefficient.
+prime is then one Horner evaluation.  point_count_table prints P with
+its counts at a handful of primes, and fits those counts once at P's
+degree (interpolate), which must give P back.  The number of
+top-dimensional components of the fibre is the leading coefficient.
 """
 
 from __future__ import annotations
@@ -381,10 +376,10 @@ def interpolate(points, degree_bound: int) -> tuple[Scalar, ...]:
 
 @dataclass(frozen=True)
 class PointCountTable:
-    """Prime evaluations of a chain count plus the interpolated polynomial.
+    """Prime evaluations of a chain count plus its count polynomial.
 
-    coefficients are ascending powers of q; evaluations hold every
-    (prime, count) pair that was computed along the way.
+    coefficients are ascending powers of q; evaluations hold the
+    (prime, count) pairs, primes ascending, that the fit checked.
     """
 
     nu: Partition
@@ -407,73 +402,59 @@ class PointCountTable:
 
 
 def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCountTable:
-    """Count chains at several primes and recover the exact polynomial.
+    """Count chains at several primes, with their exact count polynomial.
 
-    The prime supply is the sorted explicit primes, all of whose counts
-    must fit, or by default the first cap + 3 primes, whose counts up to
-    index cap must fit: cap (the sum of products of distinct jumps, or 0
-    when the jumps do not add up to |nu| and every count is 0) bounds
-    the degree, and cap + 1 counts pin a polynomial of degree up to cap.  Each bound b = 0, 1, ..., up to cap and to two less than the
-    supply, grows one Newton divided-difference table (_add_node) to
-    b + 3 nodes and is passed over while Newton coefficient b + 1 or
-    b + 2 is nonzero; otherwise interpolate fits degree b and checks
-    every count the supply must match, accepting or rejecting b.
-    Coefficients must come out as nonnegative integers; anything else
-    raises InvariantViolation.
+    The polynomial is _count_polynomial's, or zero when the jumps do not
+    add up to |nu| or no chain closes up; its degree d is at most cap,
+    the sum of products of distinct jumps (0 when the jumps do not add
+    up to |nu|).  The counts are taken at the sorted explicit primes, or
+    by default at the first max(cap + 1, d + 3) primes.  An explicit list
+    is refused with NonPolynomialCountError when d > min(cap, len - 2),
+    raised from the failed fit at that bound: its counts cannot pin the
+    polynomial down.  Otherwise interpolate fits every count once at
+    degree d, and a fit other than the polynomial raises
+    InvariantViolation.
     """
     nu = as_partition(nu)
     steps = _checked_steps(mu, n)
-    total = sum(steps)
-    cap = (total * total - sum(x * x for x in steps)) // 2 if total == sum(nu) else 0
     if primes is not None:
         supply = sorted(int(p) for p in primes)
         if len(set(supply)) != len(supply) or any(not is_prime(p) for p in supply):
             raise ValueError("primes must be distinct primes")
         if len(supply) < 2:
             raise ValueError("need at least two primes")
-        checked, counts = len(supply), "supplied counts"
-    else:
-        supply = first_primes(cap + 3)
-        checked, counts = cap + 1, "counts"
+    total = sum(steps)
+    cap, coeffs = 0, (0,)
+    if total == sum(nu):
+        cap = (total * total - sum(x * x for x in steps)) // 2
+        coeffs = _count_polynomial(nu, tuple(k for k in steps if k)) or coeffs
+    degree = len(coeffs) - 1
+    if primes is None:
+        supply = first_primes(max(cap + 1, degree + 3))
+    values = {p: count_fiber_points(p, nu, steps) for p in supply}
     limit = min(cap, len(supply) - 2)
-    # values holds the counts of a prefix of supply; the Newton table
-    # (nodes, row, newton) covers a prefix of that.
-    values: dict[int, int] = {}
-    nodes: list[int] = []
-    row: list[Scalar] = []
-    newton: list[Scalar] = []
-    for bound in range(limit + 1):
-        for p in supply[len(nodes) : bound + 3]:
-            if p not in values:
-                values[p] = count_fiber_points(p, nu, steps)
-            newton.append(_add_node(nodes, row, p, values[p]))
-        if any(newton[bound + 1 : bound + 3]):
-            continue
-        for p in supply[len(values) : checked]:
-            values[p] = count_fiber_points(p, nu, steps)
+    if degree > limit:
+        counts = "counts" if primes is None else "supplied counts"
         try:
-            coeffs = interpolate(values, bound)
-        except NonPolynomialCountError:
-            continue
-        for c in coeffs:
-            if c.denominator != 1 or c < 0:
-                raise InvariantViolation(
-                    f"count polynomial for nu={nu}, mu={steps} has coefficient "
-                    f"{c}; expected a nonnegative integer"
-                )
-        return PointCountTable(
-            nu=nu, mu=steps, evaluations=tuple(values.items()),
-            coefficients=coeffs,
+            interpolate(values, limit)
+        except NonPolynomialCountError as err:
+            raise NonPolynomialCountError(
+                f"no polynomial of degree <= {limit} fits the {counts} for nu={nu}, "
+                f"mu={steps}"
+            ) from err
+        raise InvariantViolation(
+            f"the counts for nu={nu}, mu={steps} fit degree {limit}, below the "
+            f"degree {degree} of their count polynomial"
         )
-    # Every bound failed; chain the refusal to the failed fit at the last.
-    cause = None
-    try:
-        interpolate(values, limit)
-    except NonPolynomialCountError as err:
-        cause = err
-    raise NonPolynomialCountError(
-        f"no polynomial of degree <= {limit} fits the {counts} for nu={nu}, mu={steps}"
-    ) from cause
+    fit = interpolate(values, degree)
+    if fit != coeffs:
+        raise InvariantViolation(
+            f"the counts for nu={nu}, mu={steps} fit {fit}, not their count "
+            f"polynomial {coeffs}"
+        )
+    return PointCountTable(
+        nu=nu, mu=steps, evaluations=tuple(values.items()), coefficients=coeffs
+    )
 
 
 def component_count(nu, mu, n: int | None = None, *, primes=None,

@@ -79,8 +79,8 @@ def calls(monkeypatch):
 def test_point_count_table_calls_the_counter_and_the_fit(calls, primes):
     table = springercount.point_count_table((2, 1, 1), (1, 1, 1, 1), primes=primes)
     assert calls["springercount.count_fiber_points"] == len(table.evaluations)
-    # the Newton table passes over the bounds it rules out, so either
-    # supply makes one fit per table
+    # the table fits its counts once, at the degree of the polynomial the
+    # flag program gives, whichever primes are supplied
     assert calls["springercount.interpolate"] == 1
 
 

@@ -17,6 +17,7 @@ from weylworks.cli import (
     parse_module_expr,
 )
 from weylworks.errors import InvariantViolation, ResourceLimitError, WeylworksError
+from weylworks.linalg import RatMat
 
 
 def run_cli(args):
@@ -191,6 +192,52 @@ def test_springer_cli_matches_documented_shape():
     assert payload["match"] is True
 
 
+def one_error_line(args, start):
+    """Run the CLI, expecting a refusal: exit 1, no stdout, and one
+    stderr line beginning with start."""
+    code, out, err = run_cli(args)
+    assert (code, out) == (1, ""), err
+    assert err.startswith(start) and err.count("\n") == 1, err
+
+
+def test_springer_refuses_primes_too_few_for_the_degree():
+    # the count 1 + 2q needs three primes
+    one_error_line(
+        ["springer", "--nu", "2,1", "--mu", "1,1,1", "-n", "3", "--primes", "2,3"],
+        "error: no polynomial of degree <= 0 fits the supplied counts for "
+        "nu=(2, 1), mu=(1, 1, 1)\n",
+    )
+
+
+def test_decompose_cli_refuses_a_module_with_too_many_highest_weights(monkeypatch):
+    from weylworks import cli
+    from weylworks.glmodules import ExplicitModule
+
+    zero = (RatMat.from_entries(2, 2, []),)
+    argv = ["decompose", "--module", "std", "-n", "2"]
+    # with E = 0, e_2 of C^2 is a highest-weight vector at (0, 1)
+    std = ExplicitModule(2, 2, ((1, 0), (0, 1)), zero, zero)
+    monkeypatch.setattr(cli, "parse_module_expr", lambda text, n: std)
+    one_error_line(argv, "error: highest-weight vector found at non-dominant weight")
+    # weights (2, 0) and (1, 1) with E = 0 claim 3 + 1 dimensions out of 2
+    doctored = ExplicitModule(2, 2, ((2, 0), (1, 1)), zero, zero)
+    monkeypatch.setattr(cli, "parse_module_expr", lambda text, n: doctored)
+    one_error_line(argv, "error: multiplicities account for dimension 4, module has 2")
+
+
+def test_skewhowe_pairs_check_the_dimension_identity(monkeypatch):
+    from weylworks import skewhowe
+
+    honest = skewhowe.dim_irrep
+    monkeypatch.setattr(
+        skewhowe, "dim_irrep", lambda *args, **kwargs: honest(*args, **kwargs) + 1
+    )
+    one_error_line(
+        ["skewhowe", "-n", "2", "-m", "3", "-N", "3"],
+        "error: summand dimensions add to 37, wedge has 20\n",
+    )
+
+
 def test_springer_cli_default_primes():
     code, out, _ = run_cli(["springer", "--nu", "2,1", "--mu", "1,1,1", "-n", "3"])
     assert code == 0
@@ -217,6 +264,23 @@ def test_lattice_stratum_cli(tmp_path):
     assert payload["location"] == "in-closure-only"
     payload = payload_of(["lattice", "stratum", "--lambda", "2,1", "--mu", "2,1"])
     assert payload["location"] == "in-stratum"
+
+
+def test_lattice_stratum_finds_the_jordan_type_once(monkeypatch):
+    from weylworks import lattice
+
+    calls = {"_require_shift_stable": 0, "power_ranks": 0}
+    for name in calls:
+        honest = getattr(lattice, name)
+
+        def counted(*args, _name=name, _honest=honest):
+            calls[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    payload = payload_of(["lattice", "stratum", "--lambda", "2,1", "--mu", "2,1"])
+    assert payload["location"] == "in-stratum"
+    assert calls == {"_require_shift_stable": 1, "power_ranks": 1}
 
 
 def test_lattice_mv_cycles_cli():

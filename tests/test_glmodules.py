@@ -192,6 +192,35 @@ def test_chevalley_relations_across_constructors():
             verify_chevalley_relations(bad)
 
 
+def test_decompose_rejects_a_non_dominant_highest_weight():
+    # C^2 with E = 0: e_2, of the non-dominant weight (0, 1), is a
+    # highest-weight vector
+    std = standard_module(2)
+    zero = (RatMat.from_entries(2, 2, []),)
+    mod = ExplicitModule(2, 2, std.basis_weights, zero, std.F)
+    with pytest.raises(InvariantViolation, match=r"non-dominant weight \(0, 1\)$"):
+        decompose(mod)
+
+
+def test_decompose_checks_the_dimension_sum():
+    # weights (2, 0) and (1, 1) with E = 0 claim V(2,0) + V(1,1), of
+    # dimension 3 + 1, in a module of dimension 2
+    zero = (RatMat.from_entries(2, 2, []),)
+    mod = ExplicitModule(2, 2, ((2, 0), (1, 1)), zero, zero)
+    with pytest.raises(InvariantViolation, match="dimension 4, module has 2$"):
+        decompose(mod)
+
+
+def test_chevalley_relations_check_the_weight_shifts():
+    # E and F of C^2 swapped: "E_0" sends e_1 of weight (1, 0) to e_2
+    std = standard_module(2)
+    swapped = ExplicitModule(std.n, std.dim, std.basis_weights, std.F, std.E)
+    with pytest.raises(
+        InvariantViolation, match=r"^E_0 maps weight \(1, 0\) outside weight \(2, -1\)$"
+    ):
+        verify_chevalley_relations(swapped)
+
+
 def test_irrep_plucker_row_is_sym():
     for k in range(5):
         mod = irrep_plucker((k,), 2)

@@ -111,6 +111,16 @@ def test_decompose_howe_dimension_identity():
                 assert total == math.comb(n * m, N), (n, m, N)
 
 
+
+def test_decompose_howe_checks_the_dimension_identity(monkeypatch):
+    honest = skewhowe.dim_irrep
+    monkeypatch.setattr(
+        skewhowe, "dim_irrep", lambda *args, **kwargs: honest(*args, **kwargs) + 1
+    )
+    # C(6, 3) = 20 = 2 * 8 + 4 * 1; each dimension one too large gives 3 * 9 + 5 * 2
+    with pytest.raises(InvariantViolation, match="add to 37, wedge has 20$"):
+        decompose_howe(2, 3, 3)
+
 def test_decompose_howe_checked_against_bimodule():
     # decompose_howe recounts joint highest weight vectors inside the bimodule
     pairs = decompose_howe(2, 3, 3)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from weylworks import springercount
 from weylworks.characters import kostka
+from weylworks.cli import main
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.springercount import (
     NonPolynomialCountError,
@@ -643,50 +644,59 @@ def test_degree_search_matches_the_refit_loop(case):
 
 @st.composite
 def doctored_counts(draw):
-    """Jumps, a polynomial to count with, and one prime whose count is off:
-    either inside the sample of the polynomial's own degree or only among
-    the extra primes that certify it."""
-    steps = draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]))
-    cap = sum(a * b for a, b in itertools.combinations(steps, 2))
-    degree = draw(st.integers(0, cap))
-    coeffs = draw(st.lists(st.integers(-3, 9), min_size=degree + 1, max_size=degree + 1))
-    primes = first_primes(cap + 3)
-    sample = primes[: degree + 3]
-    extra = primes[degree + 3 : cap + 1]
-    beyond = primes[max(degree + 3, cap + 1) :]
-    pool = draw(st.sampled_from([None] + [p for p in (sample, extra, beyond) if p]))
-    moved = None if pool is None else draw(st.sampled_from(pool))
-    shift = draw(st.sampled_from([-2, -1, 1, 3]))
-    explicit = draw(st.one_of(
-        st.none(), st.lists(st.sampled_from(primes), min_size=2, unique=True)
+    """A flag case, a prime list, and a doctoring of the counts: one count
+    moved at one printed prime, or every count taken from another
+    polynomial that differs from the honest one in a coefficient of
+    index at most its degree + 1."""
+    nu = draw(st.sampled_from([nu for total in range(6) for nu in partitions(total)]))
+    total = sum(nu) + draw(st.sampled_from([0, 0, 0, 1]))
+    mu = draw(st.sampled_from(list(compositions(total, draw(st.integers(1, 4))))))
+    primes = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(_SMALL_PRIMES), min_size=2, max_size=10, unique=True),
     ))
-    return steps, coeffs, moved, shift, explicit
-
-
-# EDGE_CASES undoctored: each counter is the real count polynomial of the
-# matching case (the fake counter does not read nu).
-EDGE_COUNTS = [
-    ((2, 1), [1, 1, 1], None, 1, None),
-    ((1,), [1], None, 1, None),
-    ((2, 1), [0], None, 1, None),
-    ((1, 1, 1), [1, 2], None, 1, [2, 3]),
-]
+    moved = draw(st.integers(0, 20))
+    shift = draw(st.sampled_from([-2, -1, 1, 3]))
+    replace = draw(st.booleans())
+    return nu, mu, primes, moved, shift, replace
 
 
 @settings(max_examples=200, deadline=None)
 @given(doctored_counts())
-@examples(EDGE_COUNTS)
-def test_degree_search_on_doctored_counts(case):
-    steps, coeffs, moved, shift, explicit = case
+@examples([
+    ((2, 1), (1, 1, 1), None, 0, 1, False),
+    ((2, 1), (1, 1, 1), None, 4, -1, False),
+    ((2, 1), (1, 1, 1), None, 2, 1, True),
+    ((1, 1, 1), (2, 1), [2, 3, 5], 1, 1, False),
+    ((3,), (2, 1), None, 1, 3, True),
+    ((2, 1), (1, 1, 1), [2, 3], 0, 1, True),
+])
+def test_doctored_counts_are_never_tabulated(case):
+    # Counts no flag program makes never come back as a table: the one fit
+    # at the program's degree fails or gives another polynomial, and a
+    # refused explicit list stays refused.  The other polynomial differs
+    # from the honest one by degree at most d + 1, below the number of
+    # printed primes (at least d + 2), so it differs at one of them.
+    nu, mu, primes, moved, shift, replace = case
+    honest = springercount.count_fiber_points
+    try:
+        table = point_count_table(nu, mu, primes=primes)
+    except NonPolynomialCountError:
+        printed, coeffs = sorted(primes), (0,)
+    else:
+        printed, coeffs = [p for p, _ in table.evaluations], table.coefficients
+    at = printed[moved % len(printed)]
+    other = list(coeffs) + [0]
+    other[moved % len(other)] += shift
 
-    def fake(q, nu, mu, n=None):
-        return eval_poly(coeffs, q) + (shift if q == moved else 0)
+    def doctored(q, nu, mu, n=None):
+        if replace:
+            return eval_poly(other, q)
+        return honest(q, nu, mu, n) + (shift if q == at else 0)
 
-    nu = (1,) * sum(steps)
-    with mock.patch.object(springercount, "count_fiber_points", fake):
-        new = _table_outcome(point_count_table, nu, steps, None, explicit)
-        old = _table_outcome(reference_point_count_table, nu, steps, None, explicit)
-    assert new == old
+    with mock.patch.object(springercount, "count_fiber_points", doctored):
+        with pytest.raises((NonPolynomialCountError, InvariantViolation)):
+            point_count_table(nu, mu, primes=primes)
 
 
 def test_point_count_table_default_primes():
@@ -717,6 +727,61 @@ def test_point_count_table_prime_validation():
     # two primes cannot pin down a linear count: must refuse, not fit
     with pytest.raises(NonPolynomialCountError):
         point_count_table((2, 1), (1, 1, 1), 3, primes=[2, 3])
+
+
+def test_point_count_table_demands_the_fit_of_its_polynomial(monkeypatch):
+    # (2,1) on full flags counts 1 + 2q; counts of 1 + 3q fit, but not it
+    monkeypatch.setattr(
+        springercount, "count_fiber_points", lambda q, nu, mu, n=None: 1 + 3 * q
+    )
+    with pytest.raises(InvariantViolation, match=r"fit \(1, 3\), not their count"):
+        point_count_table((2, 1), (1, 1, 1), 3)
+    # two primes cannot pin down 1 + 2q; constant counts would fit degree 0
+    monkeypatch.setattr(springercount, "count_fiber_points", lambda q, nu, mu, n=None: 5)
+    with pytest.raises(InvariantViolation, match="fit degree 0, below the degree 1"):
+        point_count_table((2, 1), (1, 1, 1), 3, primes=[2, 3])
+
+
+class SkewedSquare(int):
+    """An integer q whose square comes out one too large."""
+
+    def __pow__(self, e):
+        return int(self) ** e + (e == 2)
+
+
+def test_gaussian_binomial_divisibility_check_fires():
+    # [2 choose 1]_q = (q^2 - 1) / (q - 1); with q^2 one too large the
+    # quotient q^2 / (q - 1) leaves remainder 1
+    with pytest.raises(InvariantViolation, match="did not divide exactly"):
+        gaussian_binomial(2, 1, SkewedSquare(3))
+
+
+def test_springer_cli_reports_a_failed_q_binomial(monkeypatch, capsys):
+    # the pass at q = 2^B evaluates [2 choose 1]_q with a skewed square;
+    # the uncached polynomial keeps the skewed run out of the cache
+    honest = springercount._run_program
+    monkeypatch.setattr(
+        springercount,
+        "_run_program",
+        lambda program, q: honest(program, SkewedSquare(q) if q > 1 else q),
+    )
+    monkeypatch.setattr(
+        springercount, "_count_polynomial", springercount._count_polynomial.__wrapped__
+    )
+    assert main(["springer", "--nu", "1,1", "--mu", "1,1", "-n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: q-binomial product did not divide exactly\n")
+
+
+def test_component_count_checks_kostka(monkeypatch):
+    honest = springercount.kostka
+    monkeypatch.setattr(
+        springercount, "kostka", lambda *args, **kwargs: honest(*args, **kwargs) + 1
+    )
+    with pytest.raises(
+        InvariantViolation, match="leading coefficient 2 disagrees with the Kostka count 3"
+    ):
+        component_count((2, 1), (1, 1, 1), 3)
 
 
 def test_point_count_table_empty_fiber():
