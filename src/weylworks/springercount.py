@@ -8,21 +8,20 @@ the quotient: number of partial flags}; the number of choices of F_1
 inducing a given quotient type depends only on how F_1 meets the socle
 filtration S_j = (ker X) meet (im X^{j-1}), which gives a closed product
 of q-binomials.  Which q-binomials and which power of q is the same for
-every q, so the whole pass is compiled into an integer-indexed edge list
-(_flag_program) and run with plain integer arithmetic.  The test suite
-checks this against a literal echelon-form enumeration over F_q and
-against the dict forward pass it replaced.
+every q (_transitions), so the pass (_flag_count) runs at any integer q.
+The test suite checks the counts against a literal echelon-form
+enumeration over F_q and against the same pass evaluated at the prime.
 
-The compiled pass is a sum of products of q-binomials times powers of
-q, so the count is a polynomial P in q with nonnegative integer
-coefficients, each at most S = P(1).  _count_polynomial reads P off two
-integer passes, once per (nu, nonzero jumps) behind a bounded cache: S
-at q = 1, where each q-binomial is a binomial, and P(2^B) with
-B = S.bit_length(), whose base-2^B digits are the coefficients.  Each
-prime is then one Horner evaluation.  point_count_table prints P with
-its counts at a handful of primes, and fits those counts once at P's
-degree (interpolate), which must give P back.  The number of
-top-dimensional components of the fibre is the leading coefficient.
+The pass is a sum of products of q-binomials times powers of q, so the
+count is a polynomial P in q with nonnegative integer coefficients,
+each at most S = P(1).  _count_polynomial reads P off two such passes,
+once per (nu, nonzero jumps) behind a bounded cache: S at q = 1,
+where each q-binomial is a binomial, and P(2^B) with B = S.bit_length(),
+whose base-2^B digits are the coefficients.  Each prime is then one
+Horner evaluation.  point_count_table prints P with its counts at a
+handful of primes, and fits those counts once at P's degree
+(interpolate), which must give P back.  The number of top-dimensional
+components of the fibre is the leading coefficient.
 """
 
 from __future__ import annotations
@@ -127,9 +126,9 @@ def _transitions(nu: Partition, k: int) -> tuple[tuple[Partition, tuple, int], .
     Returns one (quotient type, ((a, b), ...), e) per profile: over F_q
     it stands for prod [a choose b]_q * q^e subspaces W (binomials equal
     to 1 are left out).  The skeleton is the same for every q; it is
-    read only by _flag_program, once per compiled program, and a bounded
-    cache shares it between programs.  Profiles are extended one index j
-    at a time from a work list, without recursion.
+    read only by _flag_count, and a bounded cache shares it between
+    passes.  Profiles are extended one index j at a time from a work
+    list, without recursion.
     """
     if k < 0:
         return ()
@@ -168,65 +167,39 @@ def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
     if any(x < 0 for x in steps):
         raise ValueError(f"dimension jumps must be nonnegative, got {steps}")
     if n is not None:
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         if len(steps) > n:
             raise ValueError(f"mu has {len(steps)} parts, more than n={n}")
         steps = pad(steps, n)
     return steps
 
 
-def _flag_program(nu: Partition, steps: tuple[int, ...]):
-    """The forward pass over the nonzero jumps steps, compiled free of q.
+def _flag_count(nu: Partition, steps: tuple[int, ...], q: int) -> int | None:
+    """Chains over the nonzero jumps steps at an integer q >= 1, or None
+    when no chain closes up.
 
-    Walks _transitions once, numbering the Jordan types of V/F_i in each
-    layer in the order they are first reached.  Returns (keys, layers,
-    empty): keys are the distinct (binomial_args, power) weights, each
-    layer is (width, ((src, dst, key), ...)) with src indexing the layer
-    before (nu alone is index 0), and empty is the index of the empty
-    partition in the last layer, or None when no chain closes up.
+    Carries {Jordan type of V/F_i: number of partial flags F_1 <= ... <= F_i}
+    in a dict, with one _transitions lookup per type and jump.  Each
+    distinct q-binomial is evaluated once per pass, as a binomial at q = 1.
     """
-    keys: dict[tuple, int] = {}
-    layers = []
-    index = {nu: 0}
+    binomials: dict[tuple[int, int], int] = {}
+    counts = {nu: 1}
     for k in steps:
         grown: dict[Partition, int] = {}
-        edges = []
-        for shape, src in index.items():
+        for shape, count in counts.items():
             for quotient, binomial_args, power in _transitions(shape, k):
-                dst = grown.setdefault(quotient, len(grown))
-                key = keys.setdefault((binomial_args, power), len(keys))
-                edges.append((src, dst, key))
-        layers.append((len(grown), tuple(edges)))
-        index = grown
-    return tuple(keys), tuple(layers), index.get(())
-
-
-def _run_program(program, q: int) -> int:
-    """The compiled pass at q >= 1; at q = 1 each q-binomial is a binomial.
-
-    Each distinct q-binomial and weight is evaluated once, and each layer
-    carries the number of partial flags F_1 <= ... <= F_i per Jordan type
-    of V/F_i in a list indexed by the compiled state numbers.
-    """
-    keys, layers, empty = program
-    binomials: dict[tuple[int, int], int] = {}
-    weights = []
-    for binomial_args, power in keys:
-        weight = q**power
-        for args in binomial_args:
-            value = binomials.get(args)
-            if value is None:
-                value = binomials[args] = (
-                    math.comb(*args) if q == 1 else gaussian_binomial(*args, q)
-                )
-            weight *= value
-        weights.append(weight)
-    counts = [1]
-    for width, edges in layers:
-        grown = [0] * width
-        for src, dst, key in edges:
-            grown[dst] += counts[src] * weights[key]
+                ways = count * q**power
+                for args in binomial_args:
+                    value = binomials.get(args)
+                    if value is None:
+                        value = binomials[args] = (
+                            math.comb(*args) if q == 1 else gaussian_binomial(*args, q)
+                        )
+                    ways *= value
+                grown[quotient] = grown.get(quotient, 0) + ways
         counts = grown
-    return counts[empty]
+    return counts.get(())
 
 
 @functools.lru_cache(maxsize=256)
@@ -234,20 +207,19 @@ def _count_polynomial(nu: Partition, steps: tuple[int, ...]) -> tuple[int, ...]:
     """Ascending coefficients of the count over the nonzero jumps steps.
 
     Every coefficient is a nonnegative integer, so each is at most the
-    count S at q = 1 (a binomial per q-binomial) and below 2^B with
-    B = S.bit_length(): the coefficients are the base-2^B digits of the
+    count S that _flag_count gives at q = 1 and below 2^B with
+    B = S.bit_length(): the coefficients are the base-2^B digits of its
     count at q = 2^B, and their sum must come back as S.  A negative
     coefficient or a wrong evaluation makes a carry or a borrow, which
     moves the digit sum by a nonzero multiple of 2^B - 1, and raises
     InvariantViolation.  The empty tuple is the zero count.
     """
-    program = _flag_program(nu, steps)
-    if program[2] is None:
+    total = _flag_count(nu, steps, 1)
+    if total is None:
         return ()
-    total = _run_program(program, 1)
     width = total.bit_length()
     base = 1 << width
-    value = _run_program(program, base)
+    value = _flag_count(nu, steps, base)
     coeffs = []
     while value > 0:
         coeffs.append(value & (base - 1))
@@ -268,11 +240,10 @@ def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     padded with zero jumps to n steps.  If the jumps do not sum to |nu|
     no chain can close up, and the count is 0.
 
-    The count polynomial is read off two integer passes of the compiled
-    program once per (nu, nonzero jumps) by _count_polynomial, whose
-    bounded cache keeps the polynomials of the last 256 such pairs (a
-    zero jump is the identity and adds no layer); the count at q is its
-    Horner value.
+    The count polynomial is read off two passes of _flag_count once per
+    (nu, nonzero jumps) by _count_polynomial, whose bounded cache keeps
+    the polynomials of the last 256 such pairs (a zero jump is the
+    identity and adds no layer); the count at q is its Horner value.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")

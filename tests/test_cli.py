@@ -200,6 +200,12 @@ def one_error_line(args, start):
     assert err.startswith(start) and err.count("\n") == 1, err
 
 
+def test_springer_refuses_a_negative_n():
+    one_error_line(
+        ["springer", "--nu=", "--mu=", "-n", "-1"], "error: n must be nonnegative, got -1\n"
+    )
+
+
 def test_springer_refuses_primes_too_few_for_the_degree():
     # the count 1 + 2q needs three primes
     one_error_line(
@@ -614,8 +620,8 @@ def run_entry_point(argv, timeout, preexec_fn=None, extra_env=None):
     ],
 )
 def test_stdout_does_not_depend_on_the_hash_seed(argv):
-    # the compiled flag programs number states in dict order, and no set
-    # order may reach stdout anywhere else either
+    # the flag count carries its states in a dict, and no set order may
+    # reach stdout anywhere
     outs = []
     for seed in ("0", "1"):
         proc = run_entry_point(argv.split(), timeout=120,

@@ -143,6 +143,14 @@ def test_count_fiber_points_argument_checks():
     assert count_fiber_points(2, (2, 1), (1, 1)) == 0  # size mismatch: no chains
 
 
+def test_negative_n_is_refused_as_such():
+    # not as "mu has 0 parts, more than n=-1"
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        count_fiber_points(2, (), (), -1)
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        point_count_table((), (), -1)
+
+
 def test_single_point_fibers():
     for total in range(1, 6):
         for nu in partitions(total):
@@ -510,11 +518,12 @@ def examples(cases):
 
 
 def reference_skeleton_count(q, nu, mu, n=None):
-    """The forward pass count_fiber_points made before it compiled the
-    skeleton: {Jordan type of V/F_i: number of partial flags} in a dict,
-    one springercount._transitions lookup per state and jump (zero jumps
-    included) and one call of a ways closure per edge, which evaluates
-    each q-binomial once."""
+    """The forward pass evaluated directly at the prime q, where
+    count_fiber_points reads its count polynomial off passes at q = 1
+    and q = 2^B: {Jordan type of V/F_i: number of partial flags} in a
+    dict, one springercount._transitions lookup per state and jump (zero
+    jumps included) and one call of a ways closure per edge, which
+    evaluates each q-binomial once."""
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     nu = as_partition(nu)
@@ -546,7 +555,7 @@ _SMALL_NU = [nu for total in range(8) for nu in partitions(total)]
 _LARGE_PRIMES = [10**9 + 7, 2**61 - 1, 10**18 + 3]
 
 
-def test_compiled_count_matches_dict_pass_on_every_small_nu():
+def test_count_matches_the_pass_at_the_prime_on_every_small_nu():
     for nu in _SMALL_NU:
         total = sum(nu)
         for mu in {(1,) * total, conjugate(nu), (total,), (0, total, 0)}:
@@ -577,16 +586,48 @@ def skeleton_cases(draw):
     (10**18 + 3, (4, 2, 1), (0, 3, 0, 2, 2, 0), 8),
     (5, (3, 3, 1), (1,) * 7, None),
 ])
-def test_compiled_count_matches_dict_pass(case):
+def test_count_matches_the_pass_at_the_prime(case):
     q, nu, mu, n = case
     assert count_fiber_points(q, nu, mu, n) == reference_skeleton_count(q, nu, mu, n)
 
 
-def test_flag_program_cache_is_bounded():
-    # one bounded cache, on the polynomials; the compiled programs are
-    # not kept behind it
+def test_count_polynomial_cache_is_bounded():
+    # one bounded cache, on the polynomials; the passes behind it keep
+    # nothing
     assert springercount._count_polynomial.cache_info().maxsize is not None
-    assert not hasattr(springercount._flag_program, "cache_info")
+    assert not hasattr(springercount._flag_count, "cache_info")
+
+
+def test_one_polynomial_is_two_passes(monkeypatch):
+    # (2,2,1,1) at 1^6 meets the same q-binomial on several edges of a
+    # pass; each distinct one is evaluated once, and never at q = 1
+    honest_count, honest_transitions = springercount._flag_count, springercount._transitions
+    passes, evaluated, on_edges = [], [], []
+
+    def flag_count(nu, steps, q):
+        passes.append(q)
+        on_edges.clear()
+        return honest_count(nu, steps, q)
+
+    def transitions(shape, k):
+        found = honest_transitions(shape, k)
+        on_edges.extend(args for _, binomial_args, _ in found for args in binomial_args)
+        return found
+
+    def binomial(a, b, q):
+        evaluated.append((a, b, q))
+        return gaussian_binomial(a, b, q)
+
+    monkeypatch.setattr(springercount, "_flag_count", flag_count)
+    monkeypatch.setattr(springercount, "_transitions", transitions)
+    monkeypatch.setattr(springercount, "gaussian_binomial", binomial)
+    coeffs = springercount._count_polynomial.__wrapped__((2, 2, 1, 1), (1,) * 6)
+    assert coeffs[-1] == kostka((4, 2), (1,) * 6)
+    assert len(passes) == 2 and passes[0] == 1
+    base = passes[1]
+    assert base > 1 and base & (base - 1) == 0
+    assert sorted(evaluated) == sorted((a, b, base) for a, b in set(on_edges))
+    assert len(on_edges) > len(set(on_edges))
 
 
 def test_count_polynomial_matches_the_fit_of_the_dict_pass():
@@ -759,11 +800,11 @@ def test_gaussian_binomial_divisibility_check_fires():
 def test_springer_cli_reports_a_failed_q_binomial(monkeypatch, capsys):
     # the pass at q = 2^B evaluates [2 choose 1]_q with a skewed square;
     # the uncached polynomial keeps the skewed run out of the cache
-    honest = springercount._run_program
+    honest = springercount._flag_count
     monkeypatch.setattr(
         springercount,
-        "_run_program",
-        lambda program, q: honest(program, SkewedSquare(q) if q > 1 else q),
+        "_flag_count",
+        lambda nu, steps, q: honest(nu, steps, SkewedSquare(q) if q > 1 else q),
     )
     monkeypatch.setattr(
         springercount, "_count_polynomial", springercount._count_polynomial.__wrapped__
