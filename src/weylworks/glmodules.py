@@ -10,10 +10,13 @@ rationals, not just numerically.
 One builder, _generators, makes generator matrices from what a generator
 does to one basis label: monomials (sym_power), wedge subsets (ext_power
 and the skew Howe wedge, through wedge_generators) and matrix units
-(adjoint_module, bracketed on labels).  tensor lifts its factors'
-matrices instead: on a labelled basis it ran twice as slow.  It builds
-whole products for decompose; irrep_plucker's ambient is never built,
-and its generators act as a Kronecker sum of two tensor-built blocks.
+(adjoint_module, bracketed on labels).  A wedge subset is one int
+bitmask, bit p for factor p; wedge_replace, the one place wedge signs
+are computed, flips two bits and takes the sign from the popcount of the
+bits between them.  tensor lifts its factors' matrices instead: on a
+labelled basis it ran twice as slow.  It builds whole products for
+decompose; irrep_plucker's ambient is never built, and its generators
+act as a Kronecker sum of two tensor-built blocks.
 
 submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
@@ -31,7 +34,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -134,59 +136,69 @@ def sym_power(k: int, n: int) -> ExplicitModule:
     return ExplicitModule(n, len(basis), tuple(basis), E, F)
 
 
-def wedge_replace(
-    subset: tuple[int, ...], old: int, new: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """Replace one factor of a sorted wedge subset, tracking the parity sign.
-
-    Returns (sign, sorted subset), or None when the substitution collides
-    with an existing factor.  The sign is the parity of the number of
-    factors strictly between old and new; new is slotted in by bisection,
-    so the factors between are the ones it passes.
-    """
-    if new in subset:
-        return None
-    i = subset.index(old)
-    j = bisect_left(subset, new)
-    if new > old:
-        crossings = j - i - 1
-        image = subset[:i] + subset[i + 1 : j] + (new,) + subset[j:]
-    else:
-        crossings = i - j
-        image = subset[:j] + (new,) + subset[j:i] + subset[i + 1 :]
-    return (-1 if crossings % 2 else 1), image
-
-
 # Wedge factors are pairs (i, a) numbered i*m + a; with m = 1 they are
-# just the indices i.  A subset is a sorted tuple of factors.
-Subset = tuple[int, ...]
+# just the indices i.  A subset is a bitmask: bit p is set when factor p
+# is in it, so factor i*m + a is bit a of the subset's m-bit row i.
+Subset = int
+
+
+def _mask(factors) -> Subset:
+    """The subset holding the given distinct factors."""
+    return sum(1 << p for p in factors)
+
+
+def _bits(subset: Subset) -> list[int]:
+    """The factors of a subset, ascending."""
+    factors = []
+    while subset:
+        low = subset & -subset
+        factors.append(low.bit_length() - 1)
+        subset ^= low
+    return factors
+
+
+def wedge_replace(subset: Subset, old: int, new: int) -> tuple[int, Subset] | None:
+    """Replace factor old of a wedge subset by new, tracking the parity sign.
+
+    Returns (sign, image subset), or None when new is already a factor.
+    The sign is the parity of the number of factors strictly between old
+    and new, the ones new passes on its way to its sorted place: the
+    popcount of the subset under a mask of the bits between them.
+    """
+    if subset >> new & 1:
+        return None
+    lo, hi = (old, new) if old < new else (new, old)
+    crossings = (subset & ((1 << hi) - (2 << lo))).bit_count()
+    return (-1 if crossings & 1 else 1), subset ^ (1 << old) ^ (1 << new)
 
 
 def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]:
     """(sign, image subset) terms of one generator applied to one wedge
     basis vector: one term per factor in the source row or column that
-    does not collide."""
+    does not collide.  The row's m bits, or the column's bits m apart,
+    are visited in ascending order."""
     along_rows, frm, to = move
     if along_rows:
         shift = (to - frm) * m
-        sources = [p for p in subset if p // m == frm]
+        sources = range(frm * m, frm * m + m)
     else:
         shift = to - frm
-        sources = [p for p in subset if p % m == frm]
+        sources = range(frm, subset.bit_length(), m)
     out = []
     for p in sources:
-        hit = wedge_replace(subset, p, p + shift)
-        if hit is not None:
-            out.append(hit)
+        if subset >> p & 1:
+            hit = wedge_replace(subset, p, p + shift)
+            if hit is not None:
+                out.append(hit)
     return out
 
 
 def _rank(subset: Subset, size: int) -> int:
-    """Lexicographic rank of a sorted subset among all subsets of
-    range(size) with as many elements."""
-    k = len(subset)
+    """Lexicographic rank of a subset, its factors read in ascending
+    order, among all subsets of range(size) with as many elements."""
+    k = subset.bit_count()
     rank = comb(size, k) - 1
-    for j, c in enumerate(subset):
+    for j, c in enumerate(_bits(subset)):
         rank -= comb(size - 1 - c, k - j)
     return rank
 
@@ -196,9 +208,9 @@ def wedge_generators(
 ) -> tuple[RatMat, ...]:
     """Matrices of the given generators on a wedge basis.
 
-    basis must list every sorted k-subset of range(size) in lexicographic
-    order (itertools.combinations), so that an image subset's row is its
-    lexicographic rank.
+    basis must list every k-subset of range(size) in lexicographic order
+    (itertools.combinations, as bitmasks), so that an image subset's row
+    is its lexicographic rank.
     """
     return _generators(
         basis, lambda s: _rank(s, size), lambda s, move: _move_images(s, m, move), moves
@@ -206,15 +218,13 @@ def wedge_generators(
 
 
 def ext_power(k: int, n: int) -> ExplicitModule:
-    """Lambda^k(C^n) on sorted k-subsets of {0, ..., n-1}."""
+    """Lambda^k(C^n) on the k-subsets of {0, ..., n-1}, as bitmasks."""
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(n, k))
-    basis = list(itertools.combinations(range(n), k))
-    weights = tuple(
-        tuple(1 if j in s else 0 for j in range(n)) for s in basis
-    )
+    basis = [_mask(c) for c in itertools.combinations(range(n), k)]
+    weights = tuple(tuple(s >> j & 1 for j in range(n)) for s in basis)
     E = wedge_generators(basis, n, 1, _moves(n, True, True))
     F = wedge_generators(basis, n, 1, _moves(n, True, False))
     return ExplicitModule(n, len(basis), weights, E, F)
@@ -372,6 +382,8 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     bases are canonical, so the output is deterministic.
     """
     shape = as_partition(lam)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if len(shape) > n:
         raise ValueError(f"partition {shape} has more than n={n} parts")
     check_dimension(max(shape, default=0))  # one factor per column

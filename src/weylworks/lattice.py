@@ -149,6 +149,8 @@ def fixed_point(mu, n: int) -> LatticeSubspace:
     shift closure of its top monomials z^(mu_i - 1) e_i.
     """
     mu = tuple(int(x) for x in mu)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if len(mu) != n:
         raise ValueError(f"mu must have length n={n}, got {mu}")
     if any(x < 0 for x in mu):
@@ -224,6 +226,8 @@ def mv_cycle_count(lam, mu, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUA
     cycle geometry is constructed here.
     """
     lam = as_partition(lam)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than n={n} parts")
     return character(pad(lam, n), mu, size_guard=size_guard)

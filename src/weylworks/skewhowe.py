@@ -1,17 +1,21 @@
 """Commuting gl(n) x gl(m) actions on Lambda^N(C^n (x) C^m).
 
-The wedge basis is indexed by sorted N-subsets of the nm pairs (i, a),
-pair (i, a) numbered i*m + a, and a subset's ambient index is its rank in
-lexicographic order.  Both generator families act by derivations through
-the wedge action shared with glmodules.ext_power (glmodules.wedge_generators).
+The wedge basis is indexed by N-subsets of the nm pairs (i, a), each an
+int bitmask with bit i*m + a for pair (i, a), so row i of its 0/1 n x m
+matrix is the mask's m-bit field i; a subset's ambient index is its rank
+in lexicographic order.  Both generator families act by derivations
+through the wedge action shared with glmodules.ext_power
+(glmodules.wedge_generators).
 
 A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
 n x m matrices with row sums mu and column sums lam (Howe, "Remarks on
 classical invariant theory", Trans. AMS 1989).  Hom spaces, joint
 highest-weight lines and the induced gl(n) module are computed from their
-slices alone: the slice is enumerated directly, generators are applied to
-subsets on the fly, and the whole wedge is never built.  The dimension
-guard (WEYLWORKS_MAX_DIM) applies to each slice there.
+slices alone: the slice is enumerated directly, row by row over the
+column capacities each row can leave, and counted before it is built;
+generators are applied to subsets on the fly, and the whole wedge is
+never built.  The dimension guard (WEYLWORKS_MAX_DIM) applies to each
+slice's count, before the slice is built.
 
 The induced module seeds glmodules.submodule, the same pass that ends
 irrep_plucker, with every hom space in reduced echelon form as its
@@ -41,11 +45,12 @@ from functools import cached_property
 from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
-from .errors import InvariantViolation, check_dimension, max_dimension
+from .errors import InvariantViolation, check_dimension
 from .glmodules import (
     ExplicitModule,
     Move,
     Subset,
+    _mask,
     _move_images,
     _moves,
     _rank,
@@ -65,51 +70,84 @@ from .weights import (
 )
 
 def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
-    """Sorted subsets with gl(n) weight wn and gl(m) weight wm, in
-    lexicographic order.
+    """Subsets with gl(n) weight wn and gl(m) weight wm, in lexicographic
+    order.
 
-    Rows are filled in turn, choosing wn[i] columns that still have
-    capacity; a column needing more ones than rows remain is pruned.
-    Partial fillings wait on a work list, children pushed in reverse so
-    that they come off in lexicographic order (no recursion, so n may
-    pass the recursion limit).  Refused as soon as the count passes the
-    dimension guard.
+    A state is the tuple of column capacities left after some rows; row
+    i may take wn[i] columns with capacity, and a state where a column
+    needs more ones than rows remain is pruned.  A forward pass records
+    the states each row reaches and the row choices between them, a
+    backward pass counts each state's completions and drops the dead
+    ones, and the count is checked against the dimension guard before
+    anything is built.  Completions are then built backward, one row's
+    states at a time, by OR-ing each row choice, shifted to its row, onto
+    the completions of the state it leads to; choices are tried in
+    itertools.combinations order, so the subsets come out in
+    lexicographic order.  A row with wn[i] == 0 only drops the states
+    with an overfull column; the backward passes skip it.  No recursion,
+    so n may pass the recursion limit.
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
-    cap = max_dimension()
-    found: list[Subset] = []
-    work = [(0, (), tuple(wm))]
-    while work:
-        i, prefix, remaining = work.pop()
-        if i == n:
-            found.append(prefix)
-            if len(found) > cap:
-                check_dimension(len(found))
-            continue
+    start = tuple(wm)
+    # per row: {state: [(row choice as a column mask, next state), ...]}
+    rows: list[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
+    states = [start]
+    for i in range(n):
         rows_after = n - 1 - i
-        open_cols = [a for a in range(m) if remaining[a]]
-        children = []
-        for cols in itertools.combinations(open_cols, wn[i]):
-            left = list(remaining)
-            for a in cols:
-                left[a] -= 1
-            if max(left, default=0) <= rows_after:
-                pairs = tuple(i * m + a for a in cols)
-                children.append((i + 1, prefix + pairs, tuple(left)))
-        work.extend(reversed(children))
-    return tuple(found)
+        choices = {}
+        if not wn[i]:  # a state goes on as it is unless a column is overfull
+            states = [left for left in states if max(left) <= rows_after]
+            rows.append(choices)
+            continue
+        reached = {}
+        for left in states:
+            out = []
+            for cols in itertools.combinations([a for a in range(m) if left[a]], wn[i]):
+                after = list(left)
+                choice = 0
+                for a in cols:
+                    after[a] -= 1
+                    choice |= 1 << a
+                if max(after) <= rows_after:
+                    after = tuple(after)
+                    out.append((choice, after))
+                    reached[after] = None
+            choices[left] = out
+        rows.append(choices)
+        states = list(reached)
+    count = dict.fromkeys(states, 1)  # only the all-zero state is reached
+    for i in reversed(range(n)):
+        if wn[i]:
+            for out in rows[i].values():
+                out[:] = [(c, after) for c, after in out if after in count]
+            count = {
+                left: sum(count[after] for _, after in out)
+                for left, out in rows[i].items()
+                if out
+            }
+    check_dimension(count.get(start, 0))
+    built: dict[tuple[int, ...], list[Subset]] = dict.fromkeys(states, [0])
+    for i in reversed(range(n)):
+        if wn[i]:
+            shift = i * m
+            built = {
+                left: [c << shift | rest for c, after in out for rest in built[after]]
+                for left, out in rows[i].items()
+                if out
+            }
+    return tuple(built.get(start, ()))
 
 
 @dataclass(frozen=True)
 class BiModule:
     """Lambda^N(C^n (x) C^m); everything, its size too, is built on demand.
 
-    basis holds the sorted N-subsets of pair indices in lexicographic
-    order; the weights and the four generator families follow it.  The
-    first access checks dim against WEYLWORKS_MAX_DIM.  dim is the
-    binomial C(nm, N), which takes seconds for huge ranks, so only the
-    whole-wedge views compute it; slices never need it.
+    basis holds the N-subsets of pair indices, as bitmasks, in
+    lexicographic order; the weights and the four generator families
+    follow it.  The first access checks dim against WEYLWORKS_MAX_DIM.
+    dim is the binomial C(nm, N), which takes seconds for huge ranks, so
+    only the whole-wedge views compute it; slices never need it.
     """
 
     n: int
@@ -123,19 +161,23 @@ class BiModule:
     @cached_property
     def basis(self) -> tuple[Subset, ...]:
         check_dimension(self.dim)
-        return tuple(itertools.combinations(range(self.n * self.m), self.N))
+        return tuple(
+            map(_mask, itertools.combinations(range(self.n * self.m), self.N))
+        )
 
     @cached_property
     def gln_weights(self) -> tuple[WeightVec, ...]:
+        n, m = self.n, self.m
+        row = (1 << m) - 1
         return tuple(
-            tuple(sum(1 for p in s if p // self.m == i) for i in range(self.n))
-            for s in self.basis
+            tuple((s >> i * m & row).bit_count() for i in range(n)) for s in self.basis
         )
 
     @cached_property
     def glm_weights(self) -> tuple[WeightVec, ...]:
+        column = _mask(range(0, self.n * self.m, self.m))
         return tuple(
-            tuple(sum(1 for p in s if p % self.m == a) for a in range(self.m))
+            tuple((s >> a & column).bit_count() for a in range(self.m))
             for s in self.basis
         )
 
@@ -172,7 +214,8 @@ class HomSpace:
     vectors are a kernel basis, as sparse dicts in the ambient wedge
     basis; only their span is meaningful.  slice_indices are the ambient
     indices of the slice, ascending, and subsets the wedge basis vectors
-    they name, so a gl(n) generator can act on a vector subset by subset.
+    they name, as bitmasks, so a gl(n) generator can act on a vector
+    subset by subset.
     """
 
     lam: tuple[int, ...]
@@ -363,18 +406,21 @@ def _certify_carried(m: int, rep, rep_subsets, rep_rows, mu, subsets, rows) -> N
     (equal parts keep their order).  Raises InvariantViolation on any
     mismatch.
 
-    carried moves each pair (i, a) to (sigma(i), a) and re-sorts; it is
+    carried moves each m-bit row i of a subset to row sigma(i); it is
     injective, so equal slice sizes and no missing carried subset make
     position a bijection, and the dict comparison checks every row key
     and entry.  The wedge sign of sigma depends only on the block sizes
     rep[i], so it is the same on every column and row and cancels.
     """
     sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
-    # a lookup per pair: cheaper than the arithmetic on every subset
-    relabel = [sigma[p // m] * m + p % m for p in range(len(rep) * m)].__getitem__
+    full = (1 << m) - 1
+    blocks = [(i * m, to * m) for i, to in enumerate(sigma)]
 
     def carried(s: Subset) -> Subset:
-        return tuple(sorted(map(relabel, s)))
+        out = 0
+        for frm, to in blocks:
+            out |= (s >> frm & full) << to
+        return out
 
     where = {s: t for t, s in enumerate(subsets)}
     position = [where.get(carried(s)) for s in rep_subsets]

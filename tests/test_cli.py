@@ -206,6 +206,18 @@ def test_springer_refuses_a_negative_n():
     )
 
 
+NEGATIVE_RANK_ARGV = [
+    ["irrep", "--lambda=", "-n", "-1"],
+    ["lattice", "mv-cycles", "--lambda=", "--mu=", "-n", "-1"],
+    ["lattice", "jordan", "--mu=", "-n", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_RANK_ARGV, ids=" ".join)
+def test_negative_rank_is_named_by_its_sign(argv):
+    one_error_line(argv, "error: n must be nonnegative, got -1\n")
+
+
 def test_springer_refuses_primes_too_few_for_the_degree():
     # the count 1 + 2q needs three primes
     one_error_line(
@@ -545,11 +557,12 @@ def test_memory_error_is_one_error_line(monkeypatch):
 
 
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
-# count, the flag count, the weight enumerators and the slice enumeration
-# skewhowe._slice are loops, and the skewhowe pairs check enumerates each
-# slice only over the rows that hold pairs, so these are answers (the
-# payload subset each must show). The deep decompose above covers the
-# RecursionError mapping.
+# count, the flag count and the weight enumerators are loops, and so is
+# skewhowe._slice: a forward pass over the rows, then a backward count
+# and a backward build, each skipping the rows that hold no pairs. The
+# skewhowe pairs check enumerates each slice only over the rows up to the
+# last one with pairs, so these are answers (the payload subset each must
+# show). The deep decompose above covers the RecursionError mapping.
 DEEP_ARGV = {
     "character --lambda 1500 -n 1 --size-guard 5000": {
         "dim": 1,

@@ -11,7 +11,11 @@ from weylworks.characters import character, character_table, dim_irrep
 from weylworks.errors import InvariantViolation
 from weylworks.glmodules import (
     ExplicitModule,
+    _bits,
     _kronecker_generators,
+    _mask,
+    _move_images,
+    _rank,
     adjoint_module,
     decompose,
     ext_power,
@@ -411,14 +415,52 @@ def reference_wedge_replace(subset, old, new):
     return (-1 if crossings % 2 else 1), tuple(sorted(others + [new]))
 
 
+def as_mask(hit):
+    """A reference (sign, sorted tuple) result with its subset as a mask."""
+    return None if hit is None else (hit[0], _mask(hit[1]))
+
+
 def test_wedge_replace_matches_the_resorting_reference():
     for size in range(1, 7):
         for k in range(1, size + 1):
             for subset in itertools.combinations(range(size), k):
                 for old in subset:
                     for new in range(size + 1):
-                        expected = reference_wedge_replace(subset, old, new)
-                        assert wedge_replace(subset, old, new) == expected
+                        expected = as_mask(reference_wedge_replace(subset, old, new))
+                        assert wedge_replace(_mask(subset), old, new) == expected
+
+
+def test_move_images_match_the_resorting_reference():
+    """Every subset of every n x m grid up to 3 x 3, every row move and
+    every column move, against reference_wedge_replace on sorted tuples."""
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        moves = [(True, frm, to) for frm in range(n) for to in range(n) if frm != to]
+        moves += [(False, frm, to) for frm in range(m) for to in range(m) if frm != to]
+        for k in range(n * m + 1):
+            for subset in itertools.combinations(range(n * m), k):
+                for move in moves:
+                    along_rows, frm, to = move
+                    shift = (to - frm) * m if along_rows else to - frm
+                    expected = [
+                        as_mask(reference_wedge_replace(subset, p, p + shift))
+                        for p in subset
+                        if (p // m if along_rows else p % m) == frm
+                    ]
+                    expected = [hit for hit in expected if hit is not None]
+                    assert _move_images(_mask(subset), m, move) == expected, (
+                        n, m, subset, move
+                    )
+
+
+def test_masks_bits_and_ranks_round_trip():
+    for size in range(8):
+        for s in range(1 << size):
+            assert _mask(_bits(s)) == s
+        for k in range(size + 1):
+            combos = itertools.combinations(range(size), k)
+            for rank, subset in enumerate(combos):
+                assert _bits(_mask(subset)) == list(subset)
+                assert _rank(_mask(subset), size) == rank
 
 
 def reference_sym_power(k, n):

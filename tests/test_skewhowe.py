@@ -9,7 +9,9 @@ from weylworks import skewhowe
 from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
-from weylworks.glmodules import _rank, decompose, ext_power, verify_chevalley_relations
+from weylworks.glmodules import (
+    _bits, _rank, decompose, ext_power, verify_chevalley_relations
+)
 from weylworks.linalg import RatMat
 from weylworks.skewhowe import (
     _slice,
@@ -47,7 +49,7 @@ def test_ext_power_is_the_one_column_bimodule():
 def test_bimodule_weights_count_pairs():
     bim = build_bimodule(2, 3, 2)
     for subset, wn, wm in zip(bim.basis, bim.gln_weights, bim.glm_weights):
-        pairs = [divmod(p, bim.m) for p in subset]
+        pairs = [divmod(p, bim.m) for p in _bits(subset)]
         for i in range(bim.n):
             assert wn[i] == sum(1 for r, _ in pairs if r == i)
         for a in range(bim.m):
@@ -291,6 +293,13 @@ def test_slice_guard_refuses_large_slices(monkeypatch):
     assert hom_space(bim, (1, 1, 1, 1, 1), (5, 0, 0, 0, 0)).dim == 1
 
 
+def test_slice_is_counted_before_it_is_built(monkeypatch):
+    # the refusal names the whole slice, not the first element past the guard
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "100")
+    with pytest.raises(ResourceLimitError, match=r"dimension 120, above the guard 100"):
+        _slice(5, 5, (1,) * 5, (1,) * 5)
+
+
 @st.composite
 def bimodule_shapes(draw):
     """(n, m, lam) with n, m <= 4 and lam a partition fitting in n x m."""
@@ -312,7 +321,7 @@ def test_hom_dims_are_the_hom_space_dims(case):
 
 
 def gln_weight(subset, n, m):
-    return tuple(sum(1 for p in subset if p // m == i) for i in range(n))
+    return tuple(sum(1 for p in _bits(subset) if p // m == i) for i in range(n))
 
 
 def flip_sign(rows):
