@@ -188,6 +188,8 @@ def character_table(
 ) -> CharacterTable:
     """All weights of the irreducible with highest weight lam, with
     multiplicity; more than WEYLWORKS_MAX_DIM weights are refused."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     lam = pad(lam, n) if len(lam) < n else tuple(int(x) for x in lam)
     if len(lam) != n:
         raise ValueError(f"highest weight {lam} does not fit rank {n}")

@@ -10,13 +10,13 @@ rationals, not just numerically.
 One builder, _generators, makes generator matrices from what a generator
 does to one basis label: monomials (sym_power), wedge subsets (ext_power
 and the skew Howe wedge, through wedge_generators) and matrix units
-(adjoint_module, bracketed on labels).  A wedge subset is one int
-bitmask, bit p for factor p; wedge_replace, the one place wedge signs
-are computed, flips two bits and takes the sign from the popcount of the
-bits between them.  tensor lifts its factors' matrices instead: on a
-labelled basis it ran twice as slow.  It builds whole products for
-decompose; irrep_plucker's ambient is never built, and its generators
-act as a Kronecker sum of two tensor-built blocks.
+(adjoint_module, bracketed on labels).  A wedge basis vector's only
+name is its subset's int bitmask, bit p for factor p; wedge_replace, the
+one place wedge signs are computed, flips two bits and takes the sign
+from the popcount of the bits between them.  tensor lifts its factors'
+matrices instead: on a labelled basis it ran twice as slow.  It builds
+whole products for decompose; irrep_plucker's ambient is never built,
+and its generators act as a Kronecker sum of two tensor-built blocks.
 
 submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
@@ -147,16 +147,6 @@ def _mask(factors) -> Subset:
     return sum(1 << p for p in factors)
 
 
-def _bits(subset: Subset) -> list[int]:
-    """The factors of a subset, ascending."""
-    factors = []
-    while subset:
-        low = subset & -subset
-        factors.append(low.bit_length() - 1)
-        subset ^= low
-    return factors
-
-
 def wedge_replace(subset: Subset, old: int, new: int) -> tuple[int, Subset] | None:
     """Replace factor old of a wedge subset by new, tracking the parity sign.
 
@@ -193,27 +183,14 @@ def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]
     return out
 
 
-def _rank(subset: Subset, size: int) -> int:
-    """Lexicographic rank of a subset, its factors read in ascending
-    order, among all subsets of range(size) with as many elements."""
-    k = subset.bit_count()
-    rank = comb(size, k) - 1
-    for j, c in enumerate(_bits(subset)):
-        rank -= comb(size - 1 - c, k - j)
-    return rank
-
-
 def wedge_generators(
-    basis: list[Subset] | tuple[Subset, ...], size: int, m: int, moves: list[Move]
+    basis: list[Subset] | tuple[Subset, ...], m: int, moves: list[Move]
 ) -> tuple[RatMat, ...]:
-    """Matrices of the given generators on a wedge basis.
-
-    basis must list every k-subset of range(size) in lexicographic order
-    (itertools.combinations, as bitmasks), so that an image subset's row
-    is its lexicographic rank.
-    """
+    """Matrices of the given generators on a wedge basis of bitmasks,
+    closed under them: an image subset's row is its position in basis."""
+    index = {s: t for t, s in enumerate(basis)}
     return _generators(
-        basis, lambda s: _rank(s, size), lambda s, move: _move_images(s, m, move), moves
+        basis, index.__getitem__, lambda s, move: _move_images(s, m, move), moves
     )
 
 
@@ -225,8 +202,8 @@ def ext_power(k: int, n: int) -> ExplicitModule:
     check_dimension(comb(n, k))
     basis = [_mask(c) for c in itertools.combinations(range(n), k)]
     weights = tuple(tuple(s >> j & 1 for j in range(n)) for s in basis)
-    E = wedge_generators(basis, n, 1, _moves(n, True, True))
-    F = wedge_generators(basis, n, 1, _moves(n, True, False))
+    E = wedge_generators(basis, 1, _moves(n, True, True))
+    F = wedge_generators(basis, 1, _moves(n, True, False))
     return ExplicitModule(n, len(basis), weights, E, F)
 
 
@@ -384,6 +361,8 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     shape = as_partition(lam)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        raise ValueError("rank must be at least 1")
     if len(shape) > n:
         raise ValueError(f"partition {shape} has more than n={n} parts")
     check_dimension(max(shape, default=0))  # one factor per column

@@ -2,9 +2,10 @@
 
 The wedge basis is indexed by N-subsets of the nm pairs (i, a), each an
 int bitmask with bit i*m + a for pair (i, a), so row i of its 0/1 n x m
-matrix is the mask's m-bit field i; a subset's ambient index is its rank
-in lexicographic order.  Both generator families act by derivations
-through the wedge action shared with glmodules.ext_power
+matrix is the mask's m-bit field i.  The mask is the only name of a
+wedge basis vector: hom-space vectors are sparse dicts keyed by mask,
+and a generator acts on each key directly.  Both generator families act
+by derivations through the wedge action shared with glmodules.ext_power
 (glmodules.wedge_generators).
 
 A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
@@ -53,7 +54,6 @@ from .glmodules import (
     _mask,
     _move_images,
     _moves,
-    _rank,
     submodule,
     wedge_generators,
 )
@@ -182,7 +182,7 @@ class BiModule:
         )
 
     def _family(self, moves: list[Move]) -> tuple[RatMat, ...]:
-        return wedge_generators(self.basis, self.n * self.m, self.m, moves)
+        return wedge_generators(self.basis, self.m, moves)
 
     @cached_property
     def En(self) -> tuple[RatMat, ...]:
@@ -211,19 +211,17 @@ class BiModule:
 class HomSpace:
     """Joint kernel of the gl(m) raising operators in one bi-weight slice.
 
-    vectors are a kernel basis, as sparse dicts in the ambient wedge
-    basis; only their span is meaningful.  slice_indices are the ambient
-    indices of the slice, ascending, and subsets the wedge basis vectors
-    they name, as bitmasks, so a gl(n) generator can act on a vector
-    subset by subset.
+    slice_indices are the slice's wedge basis vectors, as bitmasks, in
+    lexicographic order.  vectors are a kernel basis, as sparse dicts
+    keyed by those bitmasks, so a gl(n) generator can act on a vector
+    subset by subset; only their span is meaningful.
     """
 
     lam: tuple[int, ...]
     mu: WeightVec
     dim: int
-    vectors: tuple[dict[int, Scalar], ...]
-    slice_indices: tuple[int, ...]
-    subsets: tuple[Subset, ...]
+    vectors: tuple[dict[Subset, Scalar], ...]
+    slice_indices: tuple[Subset, ...]
 
 
 def build_bimodule(n: int, m: int, N: int) -> BiModule:
@@ -358,16 +356,10 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
-    slice_idx = tuple(_rank(s, bim.n * bim.m) for s in subsets)
     basis = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
-    vectors = tuple({slice_idx[t]: v for t, v in vec.items()} for vec in basis)
+    vectors = tuple({subsets[t]: v for t, v in vec.items()} for vec in basis)
     return HomSpace(
-        lam=shape,
-        mu=mu,
-        dim=len(vectors),
-        vectors=vectors,
-        slice_indices=slice_idx,
-        subsets=subsets,
+        lam=shape, mu=mu, dim=len(vectors), vectors=vectors, slice_indices=subsets
     )
 
 
@@ -391,11 +383,11 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
         hs = hom_space(bim, shape, rep)
         dims[rep] = hs.dim
         others = [mu for mu in members if mu != rep]
-        rep_rows = _stacked_rows(bim.m, hs.subsets, moves) if others else {}
+        rep_rows = _stacked_rows(bim.m, hs.slice_indices, moves) if others else {}
         for mu in others:
             subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
             rows = _stacked_rows(bim.m, subsets, moves)
-            _certify_carried(bim.m, rep, hs.subsets, rep_rows, mu, subsets, rows)
+            _certify_carried(bim.m, rep, hs.slice_indices, rep_rows, mu, subsets, rows)
             dims[mu] = hs.dim
     return dims
 
@@ -451,22 +443,18 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
         raise ValueError(f"|lam| must equal N={bim.N}, got {sum(shape)}")
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
-    size = bim.n * bim.m
     spaces: dict[WeightVec, EchelonBasis] = {}
-    subset_at: dict[int, Subset] = {}
     for mu in compositions(bim.N, bim.n):
-        hs = hom_space(bim, shape, mu)
         spaces[mu] = EchelonBasis()
-        for vec in hs.vectors:
+        for vec in hom_space(bim, shape, mu).vectors:
             spaces[mu].insert(vec)
-        subset_at.update(zip(hs.slice_indices, hs.subsets))
 
     def action(move: Move):
         def apply(vec: SparseVec) -> SparseVec:
             image: SparseVec = {}
-            for idx, coeff in vec.items():
-                for sign, new in _move_images(subset_at[idx], bim.m, move):
-                    vec_add_scaled(image, {_rank(new, size): sign}, coeff)
+            for subset, coeff in vec.items():
+                for sign, new in _move_images(subset, bim.m, move):
+                    vec_add_scaled(image, {new: sign}, coeff)
             return image
 
         return apply

@@ -181,6 +181,16 @@ def test_skewhowe_induced_module_cli():
     assert weights[(1, 1, 1)] == 2
 
 
+def test_skewhowe_induced_module_matches_irrep_at_rank_five():
+    # conjugate((2, 2, 1, 1)) = (4, 2), past test_routes' n, m <= 4, |lam| <= 5
+    induced = payload_of(
+        ["skewhowe", "-n", "5", "-m", "5", "-N", "6", "--lambda", "2,2,1,1"]
+    )
+    plucker = payload_of(["irrep", "--lambda", "4,2,0,0,0", "-n", "5"])
+    assert induced["dim"] == plucker["dim"] == 420
+    assert induced["weights"] == plucker["weights"]
+
+
 def test_springer_cli_matches_documented_shape():
     payload = payload_of(
         ["springer", "--nu", "2,1", "--mu", "1,1,1", "-n", "3", "--primes", "2,3,5"]
@@ -208,6 +218,7 @@ def test_springer_refuses_a_negative_n():
 
 NEGATIVE_RANK_ARGV = [
     ["irrep", "--lambda=", "-n", "-1"],
+    ["character", "--lambda=", "-n", "-1"],
     ["lattice", "mv-cycles", "--lambda=", "--mu=", "-n", "-1"],
     ["lattice", "jordan", "--mu=", "-n", "-1"],
 ]
@@ -216,6 +227,14 @@ NEGATIVE_RANK_ARGV = [
 @pytest.mark.parametrize("argv", NEGATIVE_RANK_ARGV, ids=" ".join)
 def test_negative_rank_is_named_by_its_sign(argv):
     one_error_line(argv, "error: n must be nonnegative, got -1\n")
+
+
+def test_zero_rank_irrep_is_refused_as_decompose_refuses_it():
+    for argv in (
+        ["irrep", "--lambda=", "-n", "0"],
+        ["decompose", "--module", "std", "-n", "0"],
+    ):
+        one_error_line(argv, "error: rank must be at least 1\n")
 
 
 def test_springer_refuses_primes_too_few_for_the_degree():

@@ -9,9 +9,7 @@ from weylworks import skewhowe
 from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
-from weylworks.glmodules import (
-    _bits, _rank, decompose, ext_power, verify_chevalley_relations
-)
+from weylworks.glmodules import decompose, ext_power, verify_chevalley_relations
 from weylworks.linalg import RatMat
 from weylworks.skewhowe import (
     _slice,
@@ -24,6 +22,11 @@ from weylworks.skewhowe import (
     verify_commuting_actions,
 )
 from weylworks.weights import compositions, conjugate, pad, partitions
+
+
+def bits(subset):
+    """The factors of a wedge subset bitmask, ascending."""
+    return [p for p in range(subset.bit_length()) if subset >> p & 1]
 
 
 def test_build_bimodule_dimensions():
@@ -49,7 +52,7 @@ def test_ext_power_is_the_one_column_bimodule():
 def test_bimodule_weights_count_pairs():
     bim = build_bimodule(2, 3, 2)
     for subset, wn, wm in zip(bim.basis, bim.gln_weights, bim.glm_weights):
-        pairs = [divmod(p, bim.m) for p in _bits(subset)]
+        pairs = [divmod(p, bim.m) for p in bits(subset)]
         for i in range(bim.n):
             assert wn[i] == sum(1 for r, _ in pairs if r == i)
         for a in range(bim.m):
@@ -251,14 +254,13 @@ SLICE_CASES = [(3, 3, 3), (3, 4, 5), (4, 3, 5), (4, 4, 6), (2, 5, 4)]
 @pytest.mark.parametrize("n,m,N", SLICE_CASES)
 def test_slices_are_the_filtered_combinations(n, m, N):
     expected = {}
-    for idx, s in enumerate(itertools.combinations(range(n * m), N)):
+    for s in itertools.combinations(range(n * m), N):
         wn = tuple(sum(1 for p in s if p // m == i) for i in range(n))
         wm = tuple(sum(1 for p in s if p % m == a) for a in range(m))
-        expected.setdefault((wn, wm), []).append(idx)
+        expected.setdefault((wn, wm), []).append(sum(1 << p for p in s))
     for wn in compositions(N, n):
         for wm in compositions(N, m):
-            subsets = _slice(n, m, wn, wm)
-            assert [_rank(s, n * m) for s in subsets] == expected.get((wn, wm), [])
+            assert list(_slice(n, m, wn, wm)) == expected.get((wn, wm), [])
 
 
 @pytest.mark.parametrize("n,m,N", SLICE_CASES)
@@ -269,7 +271,30 @@ def test_slice_hom_dims_are_kostka(n, m, N):
         for mu in compositions(N, n):
             hs = hom_space(bim, lam, mu)
             assert hs.dim == kostka(lv, mu), (lam, mu)
-            assert list(hs.slice_indices) == [_rank(s, n * m) for s in hs.subsets]
+            assert hs.slice_indices == _slice(n, m, mu, pad(lam, m))
+
+
+def test_hom_space_vectors_are_highest_in_the_whole_wedge():
+    """hom_space reads slices alone; its vectors, looked up by mask in the
+    whole wedge, have bi-weight (mu, lam) and are killed by every Em."""
+    count = 0
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        for N in range(min(n * m, 4) + 1):
+            bim = build_bimodule(n, m, N)
+            at = {s: t for t, s in enumerate(bim.basis)}
+            for lam in partitions(N, max_parts=m, max_part=n):
+                for mu in compositions(N, n):
+                    hs = hom_space(bim, lam, mu)
+                    for vec in hs.vectors:
+                        count += 1
+                        assert vec.keys() <= set(hs.slice_indices) & at.keys()
+                        for s in vec:
+                            assert bim.gln_weights[at[s]] == mu
+                            assert bim.glm_weights[at[s]] == pad(lam, m)
+                        column = {at[s]: v for s, v in vec.items()}
+                        for e in bim.Em:
+                            assert e.apply(column) == {}, (n, m, lam, mu)
+    assert count == 135
 
 
 def test_wedge_is_never_built_for_hom_spaces(monkeypatch):
@@ -321,7 +346,7 @@ def test_hom_dims_are_the_hom_space_dims(case):
 
 
 def gln_weight(subset, n, m):
-    return tuple(sum(1 for p in _bits(subset) if p // m == i) for i in range(n))
+    return tuple(sum(1 for p in bits(subset) if p // m == i) for i in range(n))
 
 
 def flip_sign(rows):
