@@ -190,6 +190,8 @@ def character_table(
     multiplicity; more than WEYLWORKS_MAX_DIM weights are refused."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     lam = pad(lam, n) if len(lam) < n else tuple(int(x) for x in lam)
     if len(lam) != n:
         raise ValueError(f"highest weight {lam} does not fit rank {n}")

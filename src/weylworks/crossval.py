@@ -93,6 +93,8 @@ def cross_validate(
     InvariantViolation is raised.  The answer's size and the tableau
     guard are checked before anything is built.
     """
+    if n < 1 or m < 1:
+        raise ValueError("both ranks must be at least 1")
     shape = as_partition(lam)
     if shape and shape[0] > n:
         raise ValueError(f"largest part of {shape} exceeds n={n}")

@@ -8,15 +8,16 @@ products, so the defining commutation relations hold exactly over the
 rationals, not just numerically.
 
 One builder, _generators, makes generator matrices from what a generator
-does to one basis label: monomials (sym_power), wedge subsets (ext_power
-and the skew Howe wedge, through wedge_generators) and matrix units
-(adjoint_module, bracketed on labels).  A wedge basis vector's only
-name is its subset's int bitmask, bit p for factor p; wedge_replace, the
-one place wedge signs are computed, flips two bits and takes the sign
-from the popcount of the bits between them.  tensor lifts its factors'
-matrices instead: on a labelled basis it ran twice as slow.  It builds
-whole products for decompose; irrep_plucker's ambient is never built,
-and its generators act as a Kronecker sum of two tensor-built blocks.
+does to one basis label: monomials (sym_power), wedge subsets (ext_power,
+through wedge_generators) and matrix units (adjoint_module, bracketed on
+labels); the skew Howe wedge applies _move_images to subsets directly.
+A wedge basis vector's only name is its subset's int bitmask, bit p for
+factor p; wedge_replace, the one place wedge signs are computed, flips
+two bits and takes the sign from the popcount of the bits between them.
+tensor lifts its factors' matrices instead: on a labelled basis it ran
+twice as slow.  It builds whole products for decompose; irrep_plucker's
+ambient is never built, and its generators act as a Kronecker sum of two
+tensor-built blocks.
 
 submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
@@ -111,14 +112,14 @@ def _generators(basis, index, images, moves: list[Move]) -> tuple[RatMat, ...]:
 
 def standard_module(n: int) -> ExplicitModule:
     """The vector representation on C^n."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
     return ext_power(1, n)
 
 
 def sym_power(k: int, n: int) -> ExplicitModule:
     """Sym^k(C^n) on the monomial basis, generators acting as derivations."""
-    if k < 0 or n < 1:
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    if k < 0:
         raise ValueError(f"bad symmetric power parameters k={k}, n={n}")
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(k + n - 1, n - 1))
@@ -196,6 +197,8 @@ def wedge_generators(
 
 def ext_power(k: int, n: int) -> ExplicitModule:
     """Lambda^k(C^n) on the k-subsets of {0, ..., n-1}, as bitmasks."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
     check_dimension(n)  # before the binomial, which grows with n

@@ -228,6 +228,8 @@ def mv_cycle_count(lam, mu, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUA
     lam = as_partition(lam)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than n={n} parts")
     return character(pad(lam, n), mu, size_guard=size_guard)

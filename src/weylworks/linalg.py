@@ -7,9 +7,9 @@ denominator is 1 and a Fraction only otherwise, so integral work
 (nearly all of it: the generator matrices have small integer entries)
 never builds a Fraction.  RatMat is a sparse column store used only by
 application to sparse vectors; the one operator product is
-bracket_column, a column of the commutator xy - yx, which checks every
-relation.  kronecker_sum applies x (x) 1 + 1 (x) y without building
-it.  EchelonBasis keeps a growing subspace in reduced row echelon
+bracket_column, a column of the commutator xy - yx, which checks the
+Chevalley relations.  kronecker_sum applies x (x) 1 + 1 (x) y without
+building it.  EchelonBasis keeps a growing subspace in reduced row echelon
 form, one row per pivot column; that form is the canonical basis of the
 subspace, so results never depend on insertion order.  It is the
 package's one Gauss-Jordan elimination.  No floating point anywhere.

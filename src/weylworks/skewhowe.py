@@ -6,7 +6,7 @@ matrix is the mask's m-bit field i.  The mask is the only name of a
 wedge basis vector: hom-space vectors are sparse dicts keyed by mask,
 and a generator acts on each key directly.  Both generator families act
 by derivations through the wedge action shared with glmodules.ext_power
-(glmodules.wedge_generators).
+(glmodules._move_images).
 
 A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
 n x m matrices with row sums mu and column sums lam (Howe, "Remarks on
@@ -32,34 +32,24 @@ its own slice and raising rows, and one dict comparison checks them
 against the sorted mu's rows carried over by sigma: the dimension is
 proved by that check, not assumed from Weyl symmetry.
 
-build_bimodule is cheap: BiModule's size C(nm, N), basis, weights and
-generator matrices are computed on first access, and only then is the
-size checked against the guard.  verify_commuting_actions, gln_module
-and glm_module need them.
+BiModule is only (n, m, N): no command reads more of the wedge than its
+slices.  verify_commuting_actions, a check no command runs, walks all
+C(nm, N) subsets one at a time and builds no matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
 from .errors import InvariantViolation, check_dimension
 from .glmodules import (
-    ExplicitModule,
-    Move,
-    Subset,
-    _mask,
-    _move_images,
-    _moves,
-    submodule,
-    wedge_generators,
+    ExplicitModule, Move, Subset, _mask, _move_images, _moves, submodule
 )
-from .linalg import (
-    EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel, vec_add_scaled
-)
+from .linalg import EchelonBasis, Scalar, SparseVec, kernel, vec_add_scaled
 from .weights import (
     WeightVec,
     as_partition,
@@ -141,13 +131,11 @@ def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
 
 @dataclass(frozen=True)
 class BiModule:
-    """Lambda^N(C^n (x) C^m); everything, its size too, is built on demand.
+    """Lambda^N(C^n (x) C^m), given by its ranks and degree alone.
 
-    basis holds the N-subsets of pair indices, as bitmasks, in
-    lexicographic order; the weights and the four generator families
-    follow it.  The first access checks dim against WEYLWORKS_MAX_DIM.
-    dim is the binomial C(nm, N), which takes seconds for huge ranks, so
-    only the whole-wedge views compute it; slices never need it.
+    Every computation reads bi-weight slices, so no basis or generator
+    matrix is kept.  dim is the binomial C(nm, N), which takes seconds for
+    huge ranks, so it is computed on first access only.
     """
 
     n: int
@@ -157,54 +145,6 @@ class BiModule:
     @cached_property
     def dim(self) -> int:
         return comb(self.n * self.m, self.N)
-
-    @cached_property
-    def basis(self) -> tuple[Subset, ...]:
-        check_dimension(self.dim)
-        return tuple(
-            map(_mask, itertools.combinations(range(self.n * self.m), self.N))
-        )
-
-    @cached_property
-    def gln_weights(self) -> tuple[WeightVec, ...]:
-        n, m = self.n, self.m
-        row = (1 << m) - 1
-        return tuple(
-            tuple((s >> i * m & row).bit_count() for i in range(n)) for s in self.basis
-        )
-
-    @cached_property
-    def glm_weights(self) -> tuple[WeightVec, ...]:
-        column = _mask(range(0, self.n * self.m, self.m))
-        return tuple(
-            tuple((s >> a & column).bit_count() for a in range(self.m))
-            for s in self.basis
-        )
-
-    def _family(self, moves: list[Move]) -> tuple[RatMat, ...]:
-        return wedge_generators(self.basis, self.m, moves)
-
-    @cached_property
-    def En(self) -> tuple[RatMat, ...]:
-        return self._family(_moves(self.n, True, True))
-
-    @cached_property
-    def Fn(self) -> tuple[RatMat, ...]:
-        return self._family(_moves(self.n, True, False))
-
-    @cached_property
-    def Em(self) -> tuple[RatMat, ...]:
-        return self._family(_moves(self.m, False, True))
-
-    @cached_property
-    def Fm(self) -> tuple[RatMat, ...]:
-        return self._family(_moves(self.m, False, False))
-
-    def gln_module(self) -> ExplicitModule:
-        return ExplicitModule(self.n, self.dim, self.gln_weights, self.En, self.Fn)
-
-    def glm_module(self) -> ExplicitModule:
-        return ExplicitModule(self.m, self.dim, self.glm_weights, self.Em, self.Fm)
 
 
 @dataclass(frozen=True)
@@ -225,11 +165,12 @@ class HomSpace:
 
 
 def build_bimodule(n: int, m: int, N: int) -> BiModule:
-    """Lambda^N(C^n (x) C^m); basis and generators are built on first use.
+    """Lambda^N(C^n (x) C^m), checked and returned without building
+    anything.
 
     WEYLWORKS_MAX_DIM guards what is actually built: the ranks at once
-    (every weight has n or m entries), C(nm, N) when the basis or
-    generator matrices are first touched, each slice's size in hom_space.
+    (every weight has n or m entries), each slice's size in hom_space,
+    and C(nm, N) in verify_commuting_actions.
     """
     if n < 1 or m < 1:
         raise ValueError("both ranks must be at least 1")
@@ -239,21 +180,43 @@ def build_bimodule(n: int, m: int, N: int) -> BiModule:
     return BiModule(n=n, m=m, N=N)
 
 
+def _act(m: int, move: Move, vec: SparseVec) -> SparseVec:
+    """One generator applied to a sparse vector keyed by wedge subsets."""
+    image: SparseVec = {}
+    for subset, coeff in vec.items():
+        for sign, new in _move_images(subset, m, move):
+            vec_add_scaled(image, {new: sign}, coeff)
+    return image
+
+
 def verify_commuting_actions(bim: BiModule) -> None:
     """Check that every gl(n) generator commutes with every gl(m) generator
-    on every basis vector, exactly.  Raises InvariantViolation naming the
-    pair and the first basis vector where they fail."""
+    on every wedge basis vector, exactly.
 
-    def named(**families) -> list[tuple[str, RatMat]]:
-        return [(f"{k}_{i}", g) for k, gs in families.items() for i, g in enumerate(gs)]
+    The C(nm, N) subsets are checked against WEYLWORKS_MAX_DIM, then
+    walked one at a time; each pair acts on the subset in both orders
+    through _act, the action the induced module uses, and no matrix is
+    built.  Raises InvariantViolation naming the pair and the first
+    subset, as a bitmask, where they fail.
+    """
 
-    for label_x, x in named(En=bim.En, Fn=bim.Fn):
-        for label_y, y in named(Em=bim.Em, Fm=bim.Fm):
-            for c in range(bim.dim):
-                if bracket_column(x, y, c):
+    def named(count: int, along_rows: bool, side: str) -> list[tuple[str, Move]]:
+        return [
+            (f"{k}{side}_{i}", move)
+            for k, raising in (("E", True), ("F", False))
+            for i, move in enumerate(_moves(count, along_rows, raising))
+        ]
+
+    check_dimension(bim.dim)
+    gln, glm = named(bim.n, True, "n"), named(bim.m, False, "m")
+    for s in map(_mask, itertools.combinations(range(bim.n * bim.m), bim.N)):
+        once = {move: _act(bim.m, move, {s: 1}) for _, move in gln + glm}
+        for label_x, x in gln:
+            for label_y, y in glm:
+                if _act(bim.m, x, once[y]) != _act(bim.m, y, once[x]):
                     raise InvariantViolation(
-                        f"{label_x} and {label_y} fail to commute on basis vector "
-                        f"{c} of the wedge module"
+                        f"{label_x} and {label_y} fail to commute on subset {s:#b} "
+                        "of the wedge module"
                     )
 
 
@@ -294,9 +257,7 @@ def decompose_howe(
     line in each pair's bi-weight slice (a slice that holds a single 0/1
     matrix, so the check is cheap).
     """
-    if n < 1 or m < 1 or not 0 <= N <= n * m:
-        raise ValueError(f"bad decomposition parameters n={n}, m={m}, N={N}")
-    check_dimension(max(n, m))  # before conjugate(lam) takes n steps
+    bim = build_bimodule(n, m, N)  # before conjugate(lam) takes n steps
     pairs = [
         (pad(conjugate(lam), n), pad(lam, m))
         for lam in partitions(N, max_parts=m, max_part=n)
@@ -308,7 +269,6 @@ def decompose_howe(
         raise InvariantViolation(
             f"summand dimensions add to {total}, wedge has {comb(n * m, N)}"
         )
-    bim = build_bimodule(n, m, N)
     for wn, wm in pairs:
         found = joint_highest_weight_dim(bim, wn, wm)
         if found != 1:
@@ -448,23 +408,12 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
         spaces[mu] = EchelonBasis()
         for vec in hom_space(bim, shape, mu).vectors:
             spaces[mu].insert(vec)
-
-    def action(move: Move):
-        def apply(vec: SparseVec) -> SparseVec:
-            image: SparseVec = {}
-            for subset, coeff in vec.items():
-                for sign, new in _move_images(subset, bim.m, move):
-                    vec_add_scaled(image, {new: sign}, coeff)
-            return image
-
-        return apply
-
     hom_total = sum(len(space.rows) for space in spaces.values())
     mod = submodule(
         bim.n,
         spaces,
-        [action(move) for move in _moves(bim.n, True, True)],
-        [action(move) for move in _moves(bim.n, True, False)],
+        [partial(_act, bim.m, move) for move in _moves(bim.n, True, True)],
+        [partial(_act, bim.m, move) for move in _moves(bim.n, True, False)],
     )
     if mod.dim != hom_total:
         raise InvariantViolation(

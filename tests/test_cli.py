@@ -229,12 +229,26 @@ def test_negative_rank_is_named_by_its_sign(argv):
     one_error_line(argv, "error: n must be nonnegative, got -1\n")
 
 
-def test_zero_rank_irrep_is_refused_as_decompose_refuses_it():
-    for argv in (
-        ["irrep", "--lambda=", "-n", "0"],
-        ["decompose", "--module", "std", "-n", "0"],
-    ):
-        one_error_line(argv, "error: rank must be at least 1\n")
+# one message per kind of rank: a gl(n) rank, or the pair (n, m)
+ZERO_RANK_ARGV = [
+    (["irrep", "--lambda=", "-n", "0"], "rank"),
+    (["decompose", "--module", "std", "-n", "0"], "rank"),
+    (["decompose", "--module", "sym(1)", "-n", "0"], "rank"),
+    (["decompose", "--module", "ext(1)", "-n", "0"], "rank"),
+    (["character", "--lambda=", "-n", "0"], "rank"),
+    (["lattice", "mv-cycles", "--lambda=", "--mu=", "-n", "0"], "rank"),
+    (["lattice", "mv-cycles", "--lambda=1", "--mu=1", "-n", "0"], "rank"),
+    (["skewhowe", "-n", "0", "-m", "1", "-N", "0"], "both ranks"),
+    (["skewhowe", "-n", "1", "-m", "0", "-N", "0"], "both ranks"),
+    (["crossval", "--lambda=1", "-n", "1", "-m", "0"], "both ranks"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,rank", ZERO_RANK_ARGV, ids=[" ".join(argv) for argv, _ in ZERO_RANK_ARGV]
+)
+def test_zero_rank_is_refused_as_decompose_refuses_it(argv, rank):
+    one_error_line(argv, f"error: {rank} must be at least 1\n")
 
 
 def test_springer_refuses_primes_too_few_for_the_degree():

@@ -9,8 +9,14 @@ from weylworks import skewhowe
 from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
-from weylworks.glmodules import decompose, ext_power, verify_chevalley_relations
-from weylworks.linalg import RatMat
+from weylworks.glmodules import (
+    ExplicitModule,
+    _moves,
+    decompose,
+    ext_power,
+    verify_chevalley_relations,
+    wedge_generators,
+)
 from weylworks.skewhowe import (
     _slice,
     build_bimodule,
@@ -29,6 +35,25 @@ def bits(subset):
     return [p for p in range(subset.bit_length()) if subset >> p & 1]
 
 
+def whole_wedge(n, m, N, along_rows):
+    """Referee: the whole wedge Lambda^N(C^n (x) C^m) as a gl(n) module
+    (along_rows) or a gl(m) module.  Returns its N-subsets, as bitmasks in
+    lexicographic order, and the module on them: weights counted pair by
+    pair, generators built with glmodules.wedge_generators."""
+    basis = [sum(1 << p for p in c) for c in itertools.combinations(range(n * m), N)]
+    rank = n if along_rows else m
+
+    def weight(subset):
+        sides = [divmod(p, m)[0 if along_rows else 1] for p in bits(subset)]
+        return tuple(sides.count(i) for i in range(rank))
+
+    E, F = (
+        wedge_generators(basis, m, _moves(rank, along_rows, raising))
+        for raising in (True, False)
+    )
+    return basis, ExplicitModule(rank, len(basis), tuple(map(weight, basis)), E, F)
+
+
 def test_build_bimodule_dimensions():
     bim = build_bimodule(2, 3, 3)
     assert bim.dim == math.comb(6, 3) == 20
@@ -40,7 +65,7 @@ def test_ext_power_is_the_one_column_bimodule():
     for n in range(1, 6):
         for k in range(n + 1):
             ext = ext_power(k, n)
-            wedge = build_bimodule(n, 1, k).gln_module()
+            _, wedge = whole_wedge(n, 1, k, along_rows=True)
             assert (ext.n, ext.dim, ext.basis_weights) == (
                 wedge.n, wedge.dim, wedge.basis_weights
             )
@@ -50,19 +75,24 @@ def test_ext_power_is_the_one_column_bimodule():
 
 
 def test_bimodule_weights_count_pairs():
-    bim = build_bimodule(2, 3, 2)
-    for subset, wn, wm in zip(bim.basis, bim.gln_weights, bim.glm_weights):
-        pairs = [divmod(p, bim.m) for p in bits(subset)]
-        for i in range(bim.n):
-            assert wn[i] == sum(1 for r, _ in pairs if r == i)
-        for a in range(bim.m):
-            assert wm[a] == sum(1 for _, c in pairs if c == a)
+    """The bi-weight slices count each subset's pairs by row and by
+    column, and together they are the C(nm, N) subsets."""
+    for n, m, N in [(2, 3, 2), (3, 3, 4)]:
+        seen = []
+        for wn in compositions(N, n):
+            for wm in compositions(N, m):
+                for subset in _slice(n, m, wn, wm):
+                    pairs = [divmod(p, m) for p in bits(subset)]
+                    assert wn == tuple(sum(1 for r, _ in pairs if r == i) for i in range(n))
+                    assert wm == tuple(sum(1 for _, c in pairs if c == a) for a in range(m))
+                    seen.append(subset)
+        wedge, _ = whole_wedge(n, m, N, along_rows=True)
+        assert sorted(seen) == sorted(wedge) and len(wedge) == math.comb(n * m, N)
 
 
 def test_rank_one_bimodule_is_exterior_power():
-    bim = build_bimodule(1, 4, 2)
-    dec = decompose(bim.glm_module())
-    assert dec.multiplicities == {(1, 1, 0, 0): 1}
+    _, glm = whole_wedge(1, 4, 2, along_rows=False)
+    assert decompose(glm).multiplicities == {(1, 1, 0, 0): 1}
 
 
 def test_commuting_actions_small():
@@ -72,25 +102,43 @@ def test_commuting_actions_small():
                 verify_commuting_actions(build_bimodule(n, m, N))
 
 
-def test_commuting_actions_check_names_the_failing_pair():
-    bim = build_bimodule(2, 2, 2)
-    em = bim.Em[0]
-    (r, c, v), *rest = em.entries()
-    doctored = RatMat.from_entries(em.nrows, em.ncols, [(r, c, -v), *rest])
-    # Em is a cached_property: replace the cached family with one whose
-    # first generator has one entry negated
-    bim.__dict__["Em"] = (doctored, *bim.Em[1:])
-    with pytest.raises(
-        InvariantViolation,
-        match=r"^En_0 and Em_0 fail to commute on basis vector \d+ of the wedge",
-    ):
-        verify_commuting_actions(bim)
+def test_commuting_actions_check_names_the_failing_pair(monkeypatch):
+    """One term of one generator on one subset changes sign, and the check
+    names the pair and that subset.
+
+    A flipped gl(m) term on a subset also shows on any subset that a
+    gl(n) generator carries onto it, and the last subset the walk visits,
+    the largest mask, always has such a neighbour earlier in the walk.
+    The last subset of Lambda^3(C^3 (x) C^3) is one full row, which no
+    gl(m) generator reaches from another subset, so a gl(n) term flipped
+    there shows on it alone: the check fails only if the walk gets there.
+    """
+    honest = skewhowe._move_images
+    cases = [
+        # Em_0 moves pair (1, 1) of 0b1010 to (1, 0)
+        ((2, 2, 2), (False, 1, 0), 0b1010, 0b0110, "En_0 and Em_0"),
+        # En_1 moves pair (2, 0) of the last subset to (1, 0)
+        ((3, 3, 3), (True, 2, 1), 0b111000000, 0b110001000, "En_1 and Em_0"),
+    ]
+    for (n, m, N), move, source, image, pair in cases:
+
+        def doctored(subset, width, mv, move=move, source=source, image=image):
+            terms = honest(subset, width, mv)
+            if (mv, subset) != (move, source):
+                return terms
+            return [(-sign if new == image else sign, new) for sign, new in terms]
+
+        monkeypatch.setattr(skewhowe, "_move_images", doctored)
+        with pytest.raises(
+            InvariantViolation,
+            match=f"^{pair} fail to commute on subset {source:#b} of the wedge module$",
+        ):
+            verify_commuting_actions(build_bimodule(n, m, N))
 
 
 def test_bimodule_generators_satisfy_bracket():
-    bim = build_bimodule(2, 3, 3)
-    verify_chevalley_relations(bim.gln_module())
-    verify_chevalley_relations(bim.glm_module())
+    for along_rows in (True, False):
+        verify_chevalley_relations(whole_wedge(2, 3, 3, along_rows)[1])
 
 
 def test_decompose_howe_pinned():
@@ -276,12 +324,15 @@ def test_slice_hom_dims_are_kostka(n, m, N):
 
 def test_hom_space_vectors_are_highest_in_the_whole_wedge():
     """hom_space reads slices alone; its vectors, looked up by mask in the
-    whole wedge, have bi-weight (mu, lam) and are killed by every Em."""
+    referee's whole wedge, have bi-weight (mu, lam) and are killed by every
+    Em."""
     count = 0
     for n, m in itertools.product(range(1, 4), repeat=2):
         for N in range(min(n * m, 4) + 1):
             bim = build_bimodule(n, m, N)
-            at = {s: t for t, s in enumerate(bim.basis)}
+            wedge, gln = whole_wedge(n, m, N, along_rows=True)
+            _, glm = whole_wedge(n, m, N, along_rows=False)
+            at = {s: t for t, s in enumerate(wedge)}
             for lam in partitions(N, max_parts=m, max_part=n):
                 for mu in compositions(N, n):
                     hs = hom_space(bim, lam, mu)
@@ -289,10 +340,10 @@ def test_hom_space_vectors_are_highest_in_the_whole_wedge():
                         count += 1
                         assert vec.keys() <= set(hs.slice_indices) & at.keys()
                         for s in vec:
-                            assert bim.gln_weights[at[s]] == mu
-                            assert bim.glm_weights[at[s]] == pad(lam, m)
+                            assert gln.basis_weights[at[s]] == mu
+                            assert glm.basis_weights[at[s]] == pad(lam, m)
                         column = {at[s]: v for s, v in vec.items()}
-                        for e in bim.Em:
+                        for e in glm.E:
                             assert e.apply(column) == {}, (n, m, lam, mu)
     assert count == 135
 
@@ -305,8 +356,9 @@ def test_wedge_is_never_built_for_hom_spaces(monkeypatch):
     report = cross_validate((2, 2, 1, 1), 5, 5)
     assert report.match
     assert len(report.rows) == math.comb(10, 4)
+    # the one whole-wedge walk left, the commuting check, is refused at once
     with pytest.raises(ResourceLimitError):
-        build_bimodule(5, 5, 6).basis
+        verify_commuting_actions(build_bimodule(5, 5, 6))
 
 
 def test_slice_guard_refuses_large_slices(monkeypatch):
