@@ -5,8 +5,9 @@ lambda is a Kostka number: the number of semistandard tableaux (rows
 weakly increase, columns strictly increase) of shape lambda and content
 mu.  The tableaux are counted, not listed: the cells holding one entry
 form a horizontal strip, so one forward pass over the entries, keeping
-{sub-shape: number of ways}, gives the count (_count_tableaux).  kostka
-is that count; character_table counts each dominant content mu below
+{sub-shape: number of ways}, gives the count (_count_tableaux), run
+once per shape and sorted content behind a bounded cache.  kostka is
+that count; character_table counts each dominant content mu below
 lambda once and copies the value to every rearrangement of mu, since
 the multiplicity is invariant under the Weyl group (the contents are
 the partitions from weights.partitions that lambda dominates);
@@ -18,6 +19,7 @@ not change the multiplicity, so everything reduces to partition shapes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError, max_dimension
@@ -92,17 +94,29 @@ def _horizontal_strips(nu, shape, size, floor):
 def _count_tableaux(shape, content) -> int:
     """Number of semistandard tableaux of a partition shape and content.
 
-    The cells holding entry v form a horizontal strip of content[v-1]
-    cells, so a tableau is a chain of sub-shapes () = nu_0 <= nu_1 <= ...
-    <= nu_k = shape, each a horizontal strip over the last.  One forward
-    pass over the entries carries {sub-shape: number of chains}.  The
-    count does not depend on the order of the content, so the parts are
-    taken largest first.  With r entries still to place, the rest of
-    shape / nu is r horizontal strips, so its columns have at most r
-    cells: row i of nu must reach shape[i + r], which prunes every
-    sub-shape that cannot be completed.
+    The count does not depend on the order of the content, so it is
+    taken over the nonzero parts largest first, and every rearrangement
+    of a content shares one count: _count_chains memoizes it on (shape,
+    sorted parts), keeping the counts of the last 4,096 such pairs.  The
+    callers' guards run before this, on every call.
     """
     parts = sorted((x for x in content if x), reverse=True)
+    return _count_chains(tuple(shape), tuple(parts))
+
+
+@functools.lru_cache(maxsize=4096)
+def _count_chains(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """Number of semistandard tableaux of shape whose entries 1, 2, ...
+    occur parts[0], parts[1], ... times.
+
+    The cells holding entry v form a horizontal strip of parts[v-1]
+    cells, so a tableau is a chain of sub-shapes () = nu_0 <= nu_1 <= ...
+    <= nu_k = shape, each a horizontal strip over the last.  One forward
+    pass over the entries carries {sub-shape: number of chains}.  With r
+    entries still to place, the rest of shape / nu is r horizontal
+    strips, so its columns have at most r cells: row i of nu must reach
+    shape[i + r], which prunes every sub-shape that cannot be completed.
+    """
     rows = len(shape)
     states = {(0,) * rows: 1}
     for done, size in enumerate(parts):
@@ -113,7 +127,7 @@ def _count_tableaux(shape, content) -> int:
             for new in _horizontal_strips(nu, shape, size, floor):
                 grown[new] = grown.get(new, 0) + ways
         states = grown
-    return states.get(tuple(shape), 0)
+    return states.get(shape, 0)
 
 
 def _distinct_permutations(values):

@@ -24,13 +24,23 @@ weight space mu.  The pass checks closure under the raising generators;
 the module it generates must be no larger than the hom spaces, which is
 closure under the lowering ones.
 
+A gl(m) move acts inside one row of the 0/1 matrix: it replaces (i, a)
+by (i, b), and every factor between them is in row i too.  So its terms
+on a subset depend on one m-bit row field at a time (_field_terms),
+and a raising move E_a, which swaps the adjacent bits a + 1 and a of a
+field, always has sign +1.  _stacked_rows builds the
+raising rows of a slice field by field, and _joint_kernel inserts them
+last row first, which spares nearly every back-substitution pass.
+
 hom_dims, which crossval reads, needs only the dimensions.  A row
 permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
 slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
 orbit, at the sorted mu, through hom_space.  Every other mu still gets
 its own slice and raising rows, and one dict comparison checks them
 against the sorted mu's rows carried over by sigma: the dimension is
-proved by that check, not assumed from Weyl symmetry.
+proved by that check, not assumed from Weyl symmetry.  Since the moves
+are row-local, the check carries each of the sorted mu's subsets once
+and builds its rows already carried.
 
 BiModule is only (n, m, N): no command reads more of the wedge than its
 slices.  verify_commuting_actions, a check no command runs, walks all
@@ -39,6 +49,7 @@ C(nm, N) subsets one at a time and builds no matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -49,7 +60,7 @@ from .errors import InvariantViolation, check_dimension
 from .glmodules import (
     ExplicitModule, Move, Subset, _mask, _move_images, _moves, submodule
 )
-from .linalg import EchelonBasis, Scalar, SparseVec, kernel, vec_add_scaled
+from .linalg import EchelonBasis, Scalar, SparseVec, _demote, kernel
 from .weights import (
     WeightVec,
     as_partition,
@@ -185,7 +196,11 @@ def _act(m: int, move: Move, vec: SparseVec) -> SparseVec:
     image: SparseVec = {}
     for subset, coeff in vec.items():
         for sign, new in _move_images(subset, m, move):
-            vec_add_scaled(image, {new: sign}, coeff)
+            nv = image.get(new, 0) + sign * coeff
+            if nv:
+                image[new] = nv if nv.__class__ is int else _demote(nv)
+            else:
+                image.pop(new, None)
     return image
 
 
@@ -220,25 +235,99 @@ def verify_commuting_actions(bim: BiModule) -> None:
                     )
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _field_terms(
+    m: int, moves: tuple[Move, ...], field: Subset
+) -> tuple[tuple[int, int, Subset], ...]:
+    """(move number, sign, flip mask) terms of gl(m) moves on one m-bit
+    row field, as _move_images (and so wedge_replace) gives them on the
+    field taken as a one-row subset.  On a subset whose row i is the
+    field, each term flips the mask shifted by i*m.  A raising move's
+    signs are all +1.  Cached per (m, moves, field) with a bound, so the
+    2^m fields of a large m are never tabulated.
+    """
+    if any(along_rows for along_rows, _, _ in moves):
+        raise ValueError(f"gl(n) moves in {moves} do not act inside one row field")
+    return tuple(
+        (k, sign, field ^ image)
+        for k, move in enumerate(moves)
+        for sign, image in _move_images(field, m, move)
+    )
+
+
+def _placed_rows(
+    m: int, moves: list[Move], entries, blocks
+) -> dict[tuple[int, Subset], SparseVec]:
+    """Stacked gl(m) moves on the subsets of entries, with every image
+    moved as its subset was.
+
+    entries are (column, subset, placed) triples: placed is subset with
+    its row field at bit frm moved to bit to, for each (frm, to) in
+    blocks (the rows that hold a factor).  A term of move k on the field
+    at frm, flip mask f, sends subset to subset ^ f << frm, placed as
+    placed ^ f << to; it is entry column of row (k, placed ^ f << to).
+    Each distinct field's terms are looked up once per call.
+    """
+    moves = tuple(moves)
+    full = (1 << m) - 1
+    terms: dict[Subset, tuple[tuple[int, int, Subset], ...]] = {}
+    rows: dict[tuple[int, Subset], SparseVec] = {}
+    for col, s, placed in entries:
+        for frm, to in blocks:
+            field = s >> frm & full
+            found = terms.get(field)
+            if found is None:
+                found = terms[field] = _field_terms(m, moves, field)
+            for k, sign, flip in found:
+                key = (k, placed ^ flip << to)
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: sign}
+                else:
+                    row[col] = sign
+    return rows
+
+
 def _stacked_rows(
     m: int, subsets: tuple[Subset, ...], moves: list[Move]
 ) -> dict[tuple[int, Subset], SparseVec]:
-    """The stacked generators on the span of subsets (one slice), one row
-    per (generator number, image subset), keyed by position in subsets."""
-    rows: dict[tuple[int, Subset], SparseVec] = {}
-    for pos, s in enumerate(subsets):
-        for move_no, move in enumerate(moves):
-            for sign, image in _move_images(s, m, move):
-                rows.setdefault((move_no, image), {})[pos] = sign
-    return rows
+    """The stacked gl(m) moves on the span of subsets (one slice), one
+    row per (move number, image subset), keyed by position in subsets.
+
+    Every subset of a slice has the same row sums, so the rows holding a
+    factor are read off the first; each of those row fields goes through
+    _field_terms, and the image is the subset with the term's flip mask
+    at that row's shift.  The subsets are read in order, so a row is
+    made when its first (lowest) column is reached: the rows come in
+    ascending order of their leading column.
+    """
+    if not subsets:
+        return {}
+    full = (1 << m) - 1
+    first = subsets[0]
+    blocks = [(f, f) for f in range(0, first.bit_length(), m) if first >> f & full]
+    return _placed_rows(m, moves, zip(itertools.count(), subsets, subsets), blocks)
 
 
 def _joint_kernel(
     m: int, subsets: tuple[Subset, ...], moves: list[Move]
 ) -> list[SparseVec]:
-    """Kernel basis of the stacked generators on the span of subsets (one
-    slice), keyed by position in subsets."""
-    return kernel(list(_stacked_rows(m, subsets, moves).values()), len(subsets))[0]
+    """Kernel basis of the stacked gl(m) moves on the span of subsets
+    (one slice), keyed by position in subsets.
+
+    The rows are inserted last first, in descending order of their
+    leading column (_stacked_rows makes them in ascending order).
+    EchelonBasis.insert keeps reduced form, and a new pivot in a column
+    that a stored row has held costs a pass over every stored row.  In
+    ascending order most new pivots lie among the trailing columns of
+    the rows before them, so the passes grow with the rank squared.
+    Last first, every column a stored row has held lies at or after that
+    row's leading column, which is at or after the new row's; a pass
+    comes only after a tie of leading columns.  The kernel is the same
+    either way: RREF is canonical.
+    """
+    rows = _stacked_rows(m, subsets, moves).values()
+    return kernel(list(reversed(rows)), len(subsets))[0]
 
 
 def decompose_howe(
@@ -287,13 +376,19 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     operator has an image from them; the slice and the gl(n) moves are
     taken over the rows up to that entry only, which keeps the slice and
     the moves small when wn has few nonzero rows, however large n is.
+    The gl(m) rows come from _stacked_rows; a gl(n) move carries a factor
+    across rows, so its rows are stacked through _act, after them.
     """
     if len(wn) != bim.n:
         return 0
     rows = max((i + 1 for i, x in enumerate(wn) if x), default=1)
-    moves = _moves(rows, True, True) + _moves(bim.m, False, True)
     subsets = _slice(rows, bim.m, tuple(wn)[:rows], wm)
-    return len(_joint_kernel(bim.m, subsets, moves))
+    stacked = _stacked_rows(bim.m, subsets, _moves(bim.m, False, True))
+    for k, move in enumerate(_moves(rows, True, True), start=bim.m - 1):
+        for pos, s in enumerate(subsets):
+            for image, sign in _act(bim.m, move, {s: 1}).items():
+                stacked.setdefault((k, image), {})[pos] = sign
+    return len(kernel(list(stacked.values()), len(subsets))[0])
 
 
 def hom_space(bim: BiModule, lam, mu) -> HomSpace:
@@ -342,45 +437,46 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
     for rep, members in orbits.items():
         hs = hom_space(bim, shape, rep)
         dims[rep] = hs.dim
-        others = [mu for mu in members if mu != rep]
-        rep_rows = _stacked_rows(bim.m, hs.slice_indices, moves) if others else {}
-        for mu in others:
-            subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
-            rows = _stacked_rows(bim.m, subsets, moves)
-            _certify_carried(bim.m, rep, hs.slice_indices, rep_rows, mu, subsets, rows)
-            dims[mu] = hs.dim
+        for mu in members:
+            if mu != rep:
+                subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
+                rows = _stacked_rows(bim.m, subsets, moves)
+                _certify_carried(bim.m, moves, rep, hs.slice_indices, mu, subsets, rows)
+                dims[mu] = hs.dim
     return dims
 
 
-def _certify_carried(m: int, rep, rep_subsets, rep_rows, mu, subsets, rows) -> None:
-    """Check that mu's slice (subsets) and _stacked_rows are rep's,
-    carried over by the row permutation sigma with mu[sigma(i)] = rep[i]
-    (equal parts keep their order).  Raises InvariantViolation on any
-    mismatch.
+def _certify_carried(m: int, moves, rep, rep_subsets, mu, subsets, rows) -> None:
+    """Check that mu's slice (subsets) and its _stacked_rows (rows) are
+    rep's, carried over by the row permutation sigma with mu[sigma(i)] =
+    rep[i] (equal parts keep their order).  Raises InvariantViolation on
+    any mismatch.
 
-    carried moves each m-bit row i of a subset to row sigma(i); it is
-    injective, so equal slice sizes and no missing carried subset make
-    position a bijection, and the dict comparison checks every row key
-    and entry.  The wedge sign of sigma depends only on the block sizes
-    rep[i], so it is the same on every column and row and cancels.
+    Each of rep's subsets s is carried once: its m-bit row i moves to
+    row sigma(i), giving carried(s).  A gl(m) move acts inside one row
+    field, so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m for a
+    term's flip mask f, and _placed_rows builds rep's rows already
+    carried, keyed by the position of carried(s) in mu's slice.  carried
+    is injective, so equal slice sizes and no missing carried subset make
+    that position a bijection, and the dict comparison checks every row
+    key and entry.  The wedge sign of sigma depends only on the block
+    sizes rep[i], so it is the same on every column and row and cancels.
     """
     sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
     full = (1 << m) - 1
-    blocks = [(i * m, to * m) for i, to in enumerate(sigma)]
-
-    def carried(s: Subset) -> Subset:
+    blocks = [(i * m, to * m) for i, to in enumerate(sigma) if rep[i]]
+    where = {s: t for t, s in enumerate(subsets)}
+    entries = []
+    for s in rep_subsets:
         out = 0
         for frm, to in blocks:
             out |= (s >> frm & full) << to
-        return out
-
-    where = {s: t for t, s in enumerate(subsets)}
-    position = [where.get(carried(s)) for s in rep_subsets]
-    moved = {
-        (k, carried(image)): {position[t]: v for t, v in row.items()}
-        for (k, image), row in rep_rows.items()
-    }
-    if len(subsets) != len(rep_subsets) or None in position or moved != rows:
+        entries.append((where.get(out), s, out))
+    if (
+        len(subsets) != len(rep_subsets)
+        or any(t is None for t, _, _ in entries)
+        or _placed_rows(m, moves, entries, blocks) != rows
+    ):
         raise InvariantViolation(
             f"hom space at mu={mu} is not the one at its sorted representative "
             f"{rep} carried over by a row permutation"

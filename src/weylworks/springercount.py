@@ -163,8 +163,8 @@ def _transitions(nu: Partition, k: int) -> tuple[tuple[Partition, tuple, int], .
 
 
 def _checked_steps(mu, n: int | None) -> tuple[int, ...]:
-    steps = tuple(int(x) for x in mu)
-    if any(x < 0 for x in steps):
+    steps = tuple(map(int, mu))
+    if steps and min(steps) < 0:
         raise ValueError(f"dimension jumps must be nonnegative, got {steps}")
     if n is not None:
         if n < 0:

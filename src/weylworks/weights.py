@@ -9,6 +9,7 @@ explicitly and pads.  Permutations use one-line notation and are
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import check_dimension
@@ -23,8 +24,8 @@ def as_partition(entries: Iterable[int]) -> Partition:
     >>> as_partition([3, 1, 0, 0])
     (3, 1)
     """
-    p = tuple(int(x) for x in entries)
-    if any(x < 0 for x in p):
+    p = tuple(map(int, entries))
+    if p and min(p) < 0:
         raise ValueError(f"partition entries must be nonnegative, got {p}")
     if not is_dominant(p):
         raise ValueError(f"partition entries must be weakly decreasing, got {p}")
@@ -35,7 +36,7 @@ def as_partition(entries: Iterable[int]) -> Partition:
 
 def is_dominant(mu: Sequence[int]) -> bool:
     """True iff the entries are weakly decreasing (negative entries allowed)."""
-    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
+    return all(map(operator.ge, mu, mu[1:]))
 
 
 def pad(mu: Sequence[int], n: int) -> WeightVec:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from weylworks.characters import (
     DEFAULT_SIZE_GUARD,
+    _count_chains,
     character,
     character_table,
     dim_irrep,
@@ -287,6 +288,31 @@ def shuffled_contents(draw):
 def test_kostka_of_any_content_order_matches_the_enumeration(case):
     lam, mu = case
     assert kostka(lam, mu) == reference_content_counts(lam, mu).get(mu, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_contents())
+def test_memoized_count_matches_the_uncached_pass(case):
+    """Every rearrangement of a content shares one memoized count; the
+    uncached pass takes the nonzero parts in their shuffled order."""
+    lam, mu = case
+    uncached = _count_chains.__wrapped__(lam, tuple(x for x in mu if x))
+    assert kostka(lam, mu) == uncached
+    assert kostka(lam, tuple(reversed(mu))) == uncached
+
+
+def test_memo_is_bounded_and_keeps_the_guards():
+    assert _count_chains.cache_info().maxsize is not None
+    shape, content = (3, 2, 1), (2, 2, 2)
+    assert kostka(shape, content, size_guard=None) == 2
+    assert kostka(shape, (2, 0, 2, 2), size_guard=None) == 2
+    hits = _count_chains.cache_info().hits
+    assert kostka(shape, content, size_guard=6) == 2
+    assert _count_chains.cache_info().hits == hits + 1
+    with pytest.raises(ResourceLimitError):
+        kostka(shape, content, size_guard=5)
+    with pytest.raises(ResourceLimitError):
+        character(shape, content, size_guard=5)
 
 
 @pytest.mark.parametrize("lam", [(10, 8, 6, 4, 2, 0), (8, 6, 4, 2, 0, 0)])

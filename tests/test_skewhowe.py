@@ -11,14 +11,19 @@ from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.glmodules import (
     ExplicitModule,
+    _move_images,
     _moves,
     decompose,
     ext_power,
     verify_chevalley_relations,
     wedge_generators,
 )
+from weylworks.linalg import kernel
 from weylworks.skewhowe import (
+    _field_terms,
+    _joint_kernel,
     _slice,
+    _stacked_rows,
     build_bimodule,
     decompose_howe,
     hom_dims,
@@ -436,5 +441,99 @@ def test_hom_dims_certificate_catches_a_corrupted_row(monkeypatch, damage):
     bim = build_bimodule(n, m, sum(lam))
     assert hom_dims(bim, lam)[target] == kostka(conjugate(lam), target) == 2
     monkeypatch.setattr(skewhowe, "_stacked_rows", stacked_rows)
+    with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
+        hom_dims(bim, lam)
+
+
+def test_field_terms_are_the_wedge_moves_with_sign_one():
+    """A gl(m) raising move swaps two adjacent bits of one row field, so
+    no factor lies between them: every term is _move_images' and every
+    sign is +1."""
+    for m in range(1, 8):
+        raising = tuple(_moves(m, False, True))
+        for field in range(1 << m):
+            terms = _field_terms(m, raising, field)
+            assert terms == tuple(
+                (k, sign, field ^ image)
+                for k, move in enumerate(raising)
+                for sign, image in _move_images(field, m, move)
+            )
+            assert all(sign == 1 for _, sign, _ in terms), (m, field)
+    with pytest.raises(ValueError, match="row field"):
+        _field_terms(3, tuple(_moves(2, True, True)), 0b111)
+
+
+def stacked_rows_referee(m, subsets, moves):
+    """_stacked_rows as a loop over every subset, move and term."""
+    rows = {}
+    for pos, s in enumerate(subsets):
+        for move_no, move in enumerate(moves):
+            for sign, image in _move_images(s, m, move):
+                rows.setdefault((move_no, image), {})[pos] = sign
+    return rows
+
+
+def nonempty_slices(n, m):
+    """Every non-empty bi-weight slice of Lambda(C^n (x) C^m), each once."""
+    weights = set()
+    for subset in range(1 << (n * m)):
+        pairs = [divmod(p, m) for p in bits(subset)]
+        weights.add((
+            tuple(sum(1 for r, _ in pairs if r == i) for i in range(n)),
+            tuple(sum(1 for _, c in pairs if c == a) for a in range(m)),
+        ))
+    for wn, wm in sorted(weights):
+        yield wn, wm, _slice(n, m, wn, wm)
+
+
+def test_stacked_rows_and_last_first_kernel_match_the_referees():
+    """On every non-empty slice with n, m <= 4: the row-local rows equal
+    the per-move loop's, for the raising and the lowering moves, and the
+    kernel of the rows inserted last first is the kernel of the rows in
+    their own order, basis vector for basis vector (RREF is canonical),
+    so it spans the same space."""
+    count = 0
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        raising, lowering = _moves(m, False, True), _moves(m, False, False)
+        for wn, wm, subsets in nonempty_slices(n, m):
+            count += 1
+            for moves in (raising, lowering):
+                assert _stacked_rows(m, subsets, moves) == stacked_rows_referee(
+                    m, subsets, moves
+                ), (n, m, wn, wm)
+            rows = list(stacked_rows_referee(m, subsets, raising).values())
+            forward = kernel(rows, len(subsets))[0]
+            last_first = _joint_kernel(m, subsets, raising)
+            assert last_first == forward, (n, m, wn, wm)
+    assert count == 20744
+
+
+def lose_one(subsets, foreign):
+    return subsets[1:]
+
+
+def gain_foreign(subsets, foreign):
+    return subsets + (foreign,)
+
+
+def swap_one(subsets, foreign):
+    return subsets[1:] + (foreign,)
+
+
+@pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
+def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
+    """An unsorted mu's slice loses a subset, gains one of another
+    weight, or both (so its size is right); its rows are built honestly
+    from the wrong slice, and only the certificate sees it."""
+    n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
+    honest = skewhowe._slice
+    foreign = honest(n, m, (2, 1, 1), pad(lam, m))[0]
+
+    def wrong_slice(n_, m_, wn, wm):
+        subsets = honest(n_, m_, wn, wm)
+        return damage(subsets, foreign) if tuple(wn) == target else subsets
+
+    bim = build_bimodule(n, m, sum(lam))
+    monkeypatch.setattr(skewhowe, "_slice", wrong_slice)
     with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
         hom_dims(bim, lam)
