@@ -20,7 +20,9 @@ not change the multiplicity, so everything reduces to partition shapes.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ResourceLimitError, max_dimension
 from .weights import (
@@ -197,11 +199,21 @@ class CharacterTable:
         return sorted(self.entries.items(), key=lambda kv: kv[0], reverse=True)
 
 
+def _weight_count(part, n: int) -> int:
+    """Distinct rearrangements of part padded with zeros to length n."""
+    count, left = 1, n
+    for k in Counter(part).values():
+        count *= comb(left, k)
+        left -= k
+    return count
+
+
 def character_table(
     lam, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUARD
 ) -> CharacterTable:
     """All weights of the irreducible with highest weight lam, with
-    multiplicity; more than WEYLWORKS_MAX_DIM weights are refused."""
+    multiplicity.  More than WEYLWORKS_MAX_DIM weights are refused before
+    any is built: the count of each dominated content is summed first."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n < 1:
@@ -212,17 +224,20 @@ def character_table(
     shape, c = _twist(lam)
     check_size(shape, size_guard)
     cap = max_dimension()
-    top = pad(shape, n)
-    entries = {}
+    contents, total = [], 0
     for part in partitions(sum(shape), max_parts=n, max_part=max(shape, default=0)):
-        content = pad(part, n)
-        if dominance_leq(content, top):
-            count = _count_tableaux(shape, content)
-            for weight in _distinct_permutations(content):
-                entries[tuple(x - c for x in weight)] = count
-                if len(entries) > cap:
-                    raise ResourceLimitError(
-                        f"the character table has more than {cap} weights, "
-                        "the WEYLWORKS_MAX_DIM guard; raise it if intended"
-                    )
+        width = max(len(part), len(shape))  # not n: a rank may be 10^6
+        if dominance_leq(pad(part, width), pad(shape, width)):
+            contents.append(part)
+            total += _weight_count(part, n)
+            if total > cap:
+                raise ResourceLimitError(
+                    f"the character table has more than {cap} weights, "
+                    "the WEYLWORKS_MAX_DIM guard; raise it if intended"
+                )
+    entries = {}
+    for part in contents:
+        count = _count_tableaux(shape, part)
+        for weight in _distinct_permutations(pad(part, n)):
+            entries[tuple(x - c for x in weight)] = count
     return CharacterTable(lam=lam, n=n, entries=entries)

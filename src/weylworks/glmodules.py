@@ -292,7 +292,7 @@ def highest_weight_vectors(
             for i, mat in enumerate(mod.E):
                 for r, v in mat.column(idx).items():
                     rows_by_key.setdefault((i, r), {})[pos] = v
-        basis, _ = kernel(list(rows_by_key.values()), len(idxs))
+        basis = kernel(list(rows_by_key.values()), len(idxs))
         if basis:
             vectors = [{idxs[t]: val for t, val in vec.items()} for vec in basis]
             result.append((w, vectors))

@@ -12,7 +12,8 @@ Chevalley relations.  kronecker_sum applies x (x) 1 + 1 (x) y without
 building it.  EchelonBasis keeps a growing subspace in reduced row echelon
 form, one row per pivot column; that form is the canonical basis of the
 subspace, so results never depend on insertion order.  It is the
-package's one Gauss-Jordan elimination.  No floating point anywhere.
+package's one Gauss-Jordan elimination, and kernel picks its row order
+for every caller.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -215,21 +216,26 @@ def power_ranks(vectors, apply) -> list[int]:
         vectors = [apply(row) for row in vectors]
 
 
-def kernel(rows: list[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:
+def kernel(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
     """Kernel basis of the linear map given by sparse ``rows`` (col -> value).
 
-    Returns (basis, free_cols).  Basis vector i has a 1 in column
-    free_cols[i] and 0 in every other free column, so the coordinates of
-    any kernel element are simply its values at the free columns.  The
-    vectors are sparse, keys ascending; since RREF is canonical the basis
-    depends only on the row space.  Entries are ints unless fractional.
+    One vector per free (non-pivot) column, ascending, with a 1 there and
+    0 in every other free column; keys ascending, entries ints unless
+    fractional.  RREF is canonical, so the basis depends only on the row
+    space; the cost depends on the order.  A new pivot in a column that a
+    stored row has held costs a pass over every stored row, and rows
+    built column by column come in ascending order of leading (smallest)
+    column, where most new pivots are held.  So the rows go in last
+    first, by a stable sort on leading column (an empty row adds
+    nothing): every held column then lies at or after the leading column
+    of a row inserted before, so a pass comes only after a tie.
     """
     eb = EchelonBasis()
-    for row in rows:
+    for row in sorted(rows, key=lambda row: min(row, default=-1), reverse=True):
         eb.insert(row)
     basis: dict[int, SparseVec] = {f: {f: 1} for f in range(ncols) if f not in eb.rows}
     for p, row in eb.rows.items():
         for c, v in row.items():
             if c != p:
                 basis[c][p] = -v
-    return [dict(sorted(vec.items())) for vec in basis.values()], list(basis)
+    return [dict(sorted(vec.items())) for vec in basis.values()]

@@ -28,9 +28,9 @@ A gl(m) move acts inside one row of the 0/1 matrix: it replaces (i, a)
 by (i, b), and every factor between them is in row i too.  So its terms
 on a subset depend on one m-bit row field at a time (_field_terms),
 and a raising move E_a, which swaps the adjacent bits a + 1 and a of a
-field, always has sign +1.  _stacked_rows builds the
-raising rows of a slice field by field, and _joint_kernel inserts them
-last row first, which spares nearly every back-substitution pass.
+field, always has sign +1.  _stacked_rows builds the raising rows of a
+slice field by field, and hom_space takes their kernel with
+linalg.kernel, which picks the row order for every caller.
 
 hom_dims, which crossval reads, needs only the dimensions.  A row
 permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
@@ -297,9 +297,7 @@ def _stacked_rows(
     Every subset of a slice has the same row sums, so the rows holding a
     factor are read off the first; each of those row fields goes through
     _field_terms, and the image is the subset with the term's flip mask
-    at that row's shift.  The subsets are read in order, so a row is
-    made when its first (lowest) column is reached: the rows come in
-    ascending order of their leading column.
+    at that row's shift.
     """
     if not subsets:
         return {}
@@ -307,27 +305,6 @@ def _stacked_rows(
     first = subsets[0]
     blocks = [(f, f) for f in range(0, first.bit_length(), m) if first >> f & full]
     return _placed_rows(m, moves, zip(itertools.count(), subsets, subsets), blocks)
-
-
-def _joint_kernel(
-    m: int, subsets: tuple[Subset, ...], moves: list[Move]
-) -> list[SparseVec]:
-    """Kernel basis of the stacked gl(m) moves on the span of subsets
-    (one slice), keyed by position in subsets.
-
-    The rows are inserted last first, in descending order of their
-    leading column (_stacked_rows makes them in ascending order).
-    EchelonBasis.insert keeps reduced form, and a new pivot in a column
-    that a stored row has held costs a pass over every stored row.  In
-    ascending order most new pivots lie among the trailing columns of
-    the rows before them, so the passes grow with the rank squared.
-    Last first, every column a stored row has held lies at or after that
-    row's leading column, which is at or after the new row's; a pass
-    comes only after a tie of leading columns.  The kernel is the same
-    either way: RREF is canonical.
-    """
-    rows = _stacked_rows(m, subsets, moves).values()
-    return kernel(list(reversed(rows)), len(subsets))[0]
 
 
 def decompose_howe(
@@ -388,7 +365,7 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
         for pos, s in enumerate(subsets):
             for image, sign in _act(bim.m, move, {s: 1}).items():
                 stacked.setdefault((k, image), {})[pos] = sign
-    return len(kernel(list(stacked.values()), len(subsets))[0])
+    return len(kernel(list(stacked.values()), len(subsets)))
 
 
 def hom_space(bim: BiModule, lam, mu) -> HomSpace:
@@ -411,7 +388,8 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
-    basis = _joint_kernel(bim.m, subsets, _moves(bim.m, False, True))
+    rows = _stacked_rows(bim.m, subsets, _moves(bim.m, False, True))
+    basis = kernel(list(rows.values()), len(subsets))
     vectors = tuple({subsets[t]: v for t, v in vec.items()} for vec in basis)
     return HomSpace(
         lam=shape, mu=mu, dim=len(vectors), vectors=vectors, slice_indices=subsets

@@ -29,9 +29,8 @@ def as_partition(entries: Iterable[int]) -> Partition:
         raise ValueError(f"partition entries must be nonnegative, got {p}")
     if not is_dominant(p):
         raise ValueError(f"partition entries must be weakly decreasing, got {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    zeros = next((i for i, x in enumerate(reversed(p)) if x), len(p))
+    return p[:len(p) - zeros]
 
 
 def is_dominant(mu: Sequence[int]) -> bool:

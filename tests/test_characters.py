@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylworks import characters
 from weylworks.characters import (
     DEFAULT_SIZE_GUARD,
     _count_chains,
@@ -319,3 +320,34 @@ def test_memo_is_bounded_and_keeps_the_guards():
 def test_dim_irrep_of_large_shapes(lam):
     # 14,348,907 and 1,791,153 tableaux: counted by strips, not listed
     assert dim_irrep(lam, 6, size_guard=None) == oracle_weyl_dim(lam, 6)
+
+
+@pytest.mark.parametrize(
+    "lam, n, weights",
+    [((2,), 13, 13 + 78), ((1, 1), 15, 105), ((2, 1, 0, 0, -1), 5, 95), ((12,), 40, None)],
+)
+def test_character_table_is_counted_before_any_weight_is_built(
+    monkeypatch, lam, n, weights
+):
+    """Each dominated content adds its number of rearrangements, a
+    multinomial, before any weight is built: a table past the guard is
+    refused without listing one rearrangement, and a table of exactly
+    the guard's size is built.  (12,) at n = 40 has 40 + 40 * 39 + ...
+    weights, past any guard of 1,000 after its second content."""
+    built = weights or 1000
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", str(built - 1))
+
+    def refuse_to_list(values):
+        raise AssertionError("a weight was built before the count refused")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(characters, "_distinct_permutations", refuse_to_list)
+        with pytest.raises(
+            ResourceLimitError,
+            match=rf"^the character table has more than {built - 1} weights, "
+            "the WEYLWORKS_MAX_DIM guard; raise it if intended$",
+        ):
+            character_table(lam, n)
+    if weights is not None:
+        monkeypatch.setenv("WEYLWORKS_MAX_DIM", str(weights))
+        assert len(character_table(lam, n).entries) == weights

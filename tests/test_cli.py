@@ -776,6 +776,23 @@ def test_character_refuses_a_table_past_the_weight_guard():
     )
 
 
+def test_character_of_a_huge_rank_is_refused_before_a_weight_is_built():
+    # (12) padded to rank 10**6: the weight count passes the guard at the
+    # second content, (11, 1), before any weight of 10**6 entries is
+    # built.  Stripping the 999,999 trailing zeros one slice at a time
+    # outlasted the timeout on its own.
+    proc = run_entry_point(
+        ["character", "--lambda", "12", "-n", "1000000"], timeout=15,
+        preexec_fn=limit_address_space, extra_env={"WEYLWORKS_MAX_DIM": "1000000"},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the character table has more than 1000000 weights, the "
+        "WEYLWORKS_MAX_DIM guard; raise it if intended\n"
+    )
+
+
 def test_springer_with_unequal_sizes_skips_the_huge_part():
     # |nu| != |mu|: every count and the Kostka number are 0 by size, so
     # neither may walk the 10**9 boxes.  The timeout turns a hang into a

@@ -18,10 +18,9 @@ from weylworks.glmodules import (
     verify_chevalley_relations,
     wedge_generators,
 )
-from weylworks.linalg import kernel
+from weylworks.linalg import EchelonBasis, kernel
 from weylworks.skewhowe import (
     _field_terms,
-    _joint_kernel,
     _slice,
     _stacked_rows,
     build_bimodule,
@@ -486,12 +485,27 @@ def nonempty_slices(n, m):
         yield wn, wm, _slice(n, m, wn, wm)
 
 
+def kernel_in_row_order(rows, ncols):
+    """Kernel basis of rows inserted in their own order into a plain
+    EchelonBasis, with the free-column normalisation of linalg.kernel."""
+    eb = EchelonBasis()
+    for row in rows:
+        eb.insert(row)
+    basis = {f: {f: 1} for f in range(ncols) if f not in eb.rows}
+    for p, row in eb.rows.items():
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = -v
+    return [dict(sorted(vec.items())) for vec in basis.values()]
+
+
 def test_stacked_rows_and_last_first_kernel_match_the_referees():
     """On every non-empty slice with n, m <= 4: the row-local rows equal
     the per-move loop's, for the raising and the lowering moves, and the
-    kernel of the rows inserted last first is the kernel of the rows in
-    their own order, basis vector for basis vector (RREF is canonical),
-    so it spans the same space."""
+    kernel that linalg.kernel takes last first (through hom_space when
+    the gl(m) weight is a partition) is the kernel of the rows inserted
+    in their own order, basis vector for basis vector (RREF is
+    canonical), so it spans the same space."""
     count = 0
     for n, m in itertools.product(range(1, 5), repeat=2):
         raising, lowering = _moves(m, False, True), _moves(m, False, False)
@@ -502,9 +516,15 @@ def test_stacked_rows_and_last_first_kernel_match_the_referees():
                     m, subsets, moves
                 ), (n, m, wn, wm)
             rows = list(stacked_rows_referee(m, subsets, raising).values())
-            forward = kernel(rows, len(subsets))[0]
-            last_first = _joint_kernel(m, subsets, raising)
-            assert last_first == forward, (n, m, wn, wm)
+            in_order = kernel_in_row_order(rows, len(subsets))
+            if list(wm) == sorted(wm, reverse=True):
+                hs = hom_space(build_bimodule(n, m, sum(wn)), wm, wn)
+                assert hs.slice_indices == subsets, (n, m, wn, wm)
+                assert list(hs.vectors) == [
+                    {subsets[t]: v for t, v in vec.items()} for vec in in_order
+                ], (n, m, wn, wm)
+            else:
+                assert kernel(rows, len(subsets)) == in_order, (n, m, wn, wm)
     assert count == 20744
 
 
