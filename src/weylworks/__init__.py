@@ -61,6 +61,7 @@ from .springercount import (
     PointCountTable,
     component_count,
     count_fiber_points,
+    count_polynomial,
     gaussian_binomial,
     interpolate,
     point_count_table,
@@ -102,6 +103,7 @@ __all__ = [
     "compositions",
     "conjugate",
     "count_fiber_points",
+    "count_polynomial",
     "cross_validate",
     "decompose",
     "decompose_howe",

@@ -1,12 +1,15 @@
-"""The cross-validation driver: four routes to the same multiplicities.
+"""The cross-validation driver: four columns of the same multiplicities.
 
 For every composition mu of |lam| into n parts, the weight multiplicity
 of conjugate(lam) at mu is computed as a Kostka number, as a hom space
-dimension in the exterior-power bimodule, as the leading coefficient of
-a finite-field point-count polynomial and as a lattice-model cycle
-count.  The layers are reached through their module attributes
-(characters.kostka, skewhowe.hom_dims, ...), so a wrapper installed on
-one of them sees every call.
+dimension in the exterior-power bimodule and as the leading coefficient
+of a finite-field point-count polynomial: three independent routes.  The
+fourth column, the lattice-model cycle count, is derived from character
+data and is not independent evidence.  Both the hom spaces and the point
+counts do their full work once per S_n orbit of mu, at the sorted mu,
+and certify every other mu against it.  The layers are reached through
+their module attributes (characters.kostka, skewhowe.hom_dims, ...), so
+a wrapper installed on one of them sees every call.
 """
 
 from __future__ import annotations
@@ -76,21 +79,30 @@ def _check_answer_size(total: int, n: int, m: int) -> None:
 def cross_validate(
     lam, n: int, m: int, *, size_guard: int | None = characters.DEFAULT_SIZE_GUARD
 ) -> CrossvalReport:
-    """Compare four independent computations of the same multiplicities.
+    """Compare three independent computations of the same multiplicities,
+    and a fourth column derived from character data.
 
     For every composition mu of |lam| into n parts, the Kostka number
     kostka(conjugate(lam), mu) is computed combinatorially, as the hom
-    space dimension inside the exterior-power bimodule, as the leading
-    coefficient of the finite-field point-count polynomial for Jordan
-    type lam, and as the lattice-model cycle count for conjugate(lam).
-    The four never disagree unless something is broken; the report keeps
-    all values so a disagreement is visible rather than asserted away.
+    space dimension inside the exterior-power bimodule, and as the
+    leading coefficient of the finite-field point-count polynomial for
+    Jordan type lam.  The lattice_mv column is the weight multiplicity
+    of conjugate(lam) at mu read from its character, so it is not
+    independent evidence.  The four never disagree unless something is
+    broken; the report keeps all values so a disagreement is visible
+    rather than asserted away.
 
     The hom space dimensions come from skewhowe.hom_dims: one exact
     elimination per S_n orbit of mu, every other mu certified entry by
-    entry.  The whole point-count polynomial, not only its leading
-    coefficient, must be the same at every mu of one S_n orbit, or
-    InvariantViolation is raised.  The answer's size and the tableau
+    entry.  The point counts go the same way: point_count_table (counts
+    at its primes and their fit) runs only at each orbit's sorted mu,
+    which compositions yields first, and every other mu's own
+    count_polynomial must equal that table's whole polynomial, not only
+    its leading coefficient, or InvariantViolation is raised.  No check
+    is lost: the default primes depend only on cap and the degree, both
+    symmetric in the jumps, so a rearrangement's table would repeat the
+    same counts and fit.  Each mu's springer value is its own
+    polynomial's leading coefficient.  The answer's size and the tableau
     guard are checked before anything is built.
     """
     if n < 1 or m < 1:
@@ -116,13 +128,17 @@ def cross_validate(
     for mu in compositions(total, n):
         try:
             combinatorial = characters.kostka(shape_conj, mu, size_guard=size_guard)
-            table = springercount.point_count_table(shape, mu, n)
             rep = tuple(sorted(mu, reverse=True))
-            if polys.setdefault(rep, table.coefficients) != table.coefficients:
-                raise InvariantViolation(
-                    f"point-count polynomial {table.coefficients} differs from "
-                    f"{polys[rep]} at the rearrangement {rep}"
-                )
+            if mu == rep:
+                table = springercount.point_count_table(shape, mu, n)
+                poly = polys[rep] = table.coefficients
+            else:
+                poly = springercount.count_polynomial(shape, mu, n)
+                if poly != polys[rep]:
+                    raise InvariantViolation(
+                        f"point-count polynomial {poly} differs from "
+                        f"{polys[rep]} at the rearrangement {rep}"
+                    )
             cycles = lattice.mv_cycle_count(shape_conj, mu, n, size_guard=size_guard)
         except WeylworksError as err:
             raise WeylworksError(f"cross-validation failed at mu={mu}: {err}") from err
@@ -131,7 +147,7 @@ def cross_validate(
                 mu=mu,
                 kostka=combinatorial,
                 skewhowe=hom_dims[mu],
-                springer=table.leading_coefficient,
+                springer=poly[-1],
                 lattice_mv=cycles,
             )
         )

@@ -17,11 +17,12 @@ count is a polynomial P in q with nonnegative integer coefficients,
 each at most S = P(1).  _count_polynomial reads P off two such passes,
 once per (nu, nonzero jumps) behind a bounded cache: S at q = 1,
 where each q-binomial is a binomial, and P(2^B) with B = S.bit_length(),
-whose base-2^B digits are the coefficients.  Each prime is then one
-Horner evaluation.  point_count_table prints P with its counts at a
-handful of primes, and fits those counts once at P's degree
-(interpolate), which must give P back.  The number of top-dimensional
-components of the fibre is the leading coefficient.
+whose base-2^B digits are the coefficients; count_polynomial hands P
+out for any jumps.  Each prime is then one Horner evaluation.
+point_count_table prints P with its counts at a handful of primes, and
+fits those counts once at P's degree (interpolate), which must give P
+back.  The number of top-dimensional components of the fibre is the
+leading coefficient.
 """
 
 from __future__ import annotations
@@ -232,27 +233,36 @@ def _count_polynomial(nu: Partition, steps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def count_polynomial(nu, mu, n: int | None = None) -> tuple[int, ...]:
+    """The chain count of count_fiber_points as a polynomial in q, in
+    ascending coefficients.
+
+    When n is given, mu is padded with zero jumps to n steps.  The
+    polynomial is (0,) when the jumps do not sum to |nu| or no chain
+    closes up.  Otherwise it is _count_polynomial's, read off two passes
+    and checked by its digit sum once per (nu, nonzero jumps) behind a
+    bounded cache (a zero jump is the identity and adds no layer).
+    """
+    nu = as_partition(nu)
+    steps = _checked_steps(mu, n)
+    if sum(steps) != sum(nu):
+        return (0,)
+    return _count_polynomial(nu, tuple(k for k in steps if k)) or (0,)
+
+
 def count_fiber_points(q: int, nu, mu, n: int | None = None) -> int:
     """Number of chains 0 = F_0 <= ... <= F_n = F_q^N over F_q.
 
     The chains have dim(F_i / F_{i-1}) = mu_i and X F_i <= F_{i-1} for a
     nilpotent X of Jordan type nu with N = |nu|.  When n is given, mu is
     padded with zero jumps to n steps.  If the jumps do not sum to |nu|
-    no chain can close up, and the count is 0.
-
-    The count polynomial is read off two passes of _flag_count once per
-    (nu, nonzero jumps) by _count_polynomial, whose bounded cache keeps
-    the polynomials of the last 256 such pairs (a zero jump is the
-    identity and adds no layer); the count at q is its Horner value.
+    no chain can close up, and the count is 0.  The count at q is the
+    Horner value of count_polynomial.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    nu = as_partition(nu)
-    steps = _checked_steps(mu, n)
-    if sum(steps) != sum(nu):
-        return 0
     acc = 0
-    for c in reversed(_count_polynomial(nu, tuple(k for k in steps if k))):
+    for c in reversed(count_polynomial(nu, mu, n)):
         acc = acc * q + c
     return acc
 
@@ -375,8 +385,7 @@ class PointCountTable:
 def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCountTable:
     """Count chains at several primes, with their exact count polynomial.
 
-    The polynomial is _count_polynomial's, or zero when the jumps do not
-    add up to |nu| or no chain closes up; its degree d is at most cap,
+    The polynomial is count_polynomial's; its degree d is at most cap,
     the sum of products of distinct jumps (0 when the jumps do not add
     up to |nu|).  The counts are taken at the sorted explicit primes, or
     by default at the first max(cap + 1, d + 3) primes.  An explicit list
@@ -394,11 +403,9 @@ def point_count_table(nu, mu, n: int | None = None, *, primes=None) -> PointCoun
             raise ValueError("primes must be distinct primes")
         if len(supply) < 2:
             raise ValueError("need at least two primes")
+    coeffs = count_polynomial(nu, steps)
     total = sum(steps)
-    cap, coeffs = 0, (0,)
-    if total == sum(nu):
-        cap = (total * total - sum(x * x for x in steps)) // 2
-        coeffs = _count_polynomial(nu, tuple(k for k in steps if k)) or coeffs
+    cap = (total * total - sum(x * x for x in steps)) // 2 if total == sum(nu) else 0
     degree = len(coeffs) - 1
     if primes is None:
         supply = first_primes(max(cap + 1, degree + 3))

@@ -61,6 +61,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in (
+        (springercount, "point_count_table"),
         (springercount, "count_fiber_points"),
         (springercount, "interpolate"),
         (springercount, "kostka"),
@@ -104,3 +105,16 @@ def test_crossval_eliminates_once_per_orbit(calls):
     assert len(report.rows) == 126 and report.match
     assert calls["skewhowe.hom_space"] == 7
     assert calls["skewhowe.kernel"] == 7
+
+
+def test_crossval_tabulates_point_counts_once_per_orbit(calls):
+    # only each orbit's sorted mu gets a table, with its counts at the
+    # primes and their fit; every other mu gets its polynomial alone
+    report = cross_validate((1, 1, 1, 1, 1), 5, 5)
+    assert report.match
+    counted = calls["springercount.count_fiber_points"]
+    assert calls["springercount.point_count_table"] == 7
+    assert calls["springercount.interpolate"] == 7
+    sorted_mus = {tuple(sorted(row.mu, reverse=True)) for row in report.rows}
+    tables = [springercount.point_count_table((1,) * 5, mu, 5) for mu in sorted_mus]
+    assert counted == sum(len(table.evaluations) for table in tables) == 65

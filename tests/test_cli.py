@@ -399,6 +399,32 @@ def test_crossval_checks_the_point_counts_across_each_orbit(monkeypatch):
     assert isinstance(err.value.__cause__, InvariantViolation)
 
 
+@pytest.mark.parametrize("index", [-1, 0], ids=["leading", "lower"])
+def test_crossval_checks_each_rearrangement_against_its_sorted_mu(monkeypatch, index):
+    # a rearrangement gets its polynomial alone, with no table; one
+    # coefficient moved at (1,2,1) is caught against the table of (2,1,1),
+    # whether it is the leading coefficient, crossval's springer column,
+    # or a lower one that no column shows
+    from weylworks import springercount
+
+    honest = springercount.count_polynomial
+
+    def doctored(nu, mu, n=None):
+        poly = list(honest(nu, mu, n))
+        if tuple(mu) == (1, 2, 1):
+            poly[index] += 1
+        return tuple(poly)
+
+    monkeypatch.setattr(springercount, "count_polynomial", doctored)
+    with pytest.raises(
+        WeylworksError,
+        match=r"at mu=\(1, 2, 1\): point-count polynomial .* at the rearrangement "
+        r"\(2, 1, 1\)",
+    ) as err:
+        cross_validate((2, 2), 3, 3)
+    assert isinstance(err.value.__cause__, InvariantViolation)
+
+
 def test_empty_argv_prints_usage():
     code, out, err = run_cli([])
     assert code == 2

@@ -19,6 +19,7 @@ CHECKS = {"InvariantViolation", "NonPolynomialCountError"}
 FIRING_TESTS = {
     ("crossval", "cross_validate", "point-count polynomial {} differs"): [
         "test_cli.py::test_crossval_checks_the_point_counts_across_each_orbit",
+        "test_cli.py::test_crossval_checks_each_rearrangement_against_its_sorted_mu",
     ],
     ("glmodules", "decompose", "highest-weight vector found at non-dominant"): [
         "test_glmodules.py::test_decompose_rejects_a_non_dominant_highest_weight",

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from weylworks import springercount
 from weylworks.characters import kostka
 from weylworks.cli import main
+from weylworks.crossval import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.springercount import (
     NonPolynomialCountError,
@@ -823,6 +824,35 @@ def test_component_count_checks_kostka(monkeypatch):
         InvariantViolation, match="leading coefficient 2 disagrees with the Kostka count 3"
     ):
         component_count((2, 1), (1, 1, 1), 3)
+
+
+@st.composite
+def crossval_cases(draw):
+    """A shape lam of at most 5 boxes, and ranks n, m <= 4 that hold it."""
+    lam = draw(st.sampled_from([
+        lam for total in range(6) for lam in partitions(total)
+        if len(lam) <= 4 and (not lam or lam[0] <= 4)
+    ]))
+    n = draw(st.integers(max(lam[:1] or (1,)), 4))
+    m = draw(st.integers(max(len(lam), 1), 4))
+    return lam, n, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossval_cases())
+@examples([((2, 2), 3, 3), ((), 1, 1), ((1, 1, 1, 1), 2, 4)])
+def test_count_polynomial_is_the_polynomial_of_the_table(case):
+    # crossval tabulates only each orbit's sorted mu and reads every other
+    # mu's springer value off count_polynomial: both are the table's, at
+    # every mu of at most n parts, whatever its jumps sum to
+    lam, n, m = case
+    for row in cross_validate(lam, n, m).rows:
+        assert row.springer == point_count_table(lam, row.mu, n).leading_coefficient
+    for total in range(max(sum(lam) - 1, 0), sum(lam) + 2):
+        for k in range(n + 1):
+            for mu in compositions(total, k):
+                table = point_count_table(lam, mu, n)
+                assert springercount.count_polynomial(lam, mu, n) == table.coefficients
 
 
 def test_point_count_table_empty_fiber():
