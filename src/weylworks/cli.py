@@ -2,8 +2,9 @@
 
 One executable, ``weylworks``, exposing characters, explicit modules,
 the exterior-power bimodule, lattice strata, finite-field point counts,
-and a cross-validation driver that runs the independent constructions
-on the same data and compares the numbers.
+and a cross-validation driver that compares the same multiplicities
+from three independent routes (Kostka numbers, skew Howe hom spaces and
+point counts) and a column read from character data.
 
 JSON is the stable machine contract (schema_version 1); TSV is a plain
 human-readable view of the same payload.  Integers that may not survive

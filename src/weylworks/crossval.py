@@ -7,9 +7,11 @@ of a finite-field point-count polynomial: three independent routes.  The
 fourth column, the lattice-model cycle count, is derived from character
 data and is not independent evidence.  Both the hom spaces and the point
 counts do their full work once per S_n orbit of mu, at the sorted mu,
-and certify every other mu against it.  The layers are reached through
-their module attributes (characters.kostka, skewhowe.hom_dims, ...), so
-a wrapper installed on one of them sees every call.
+and certify every other mu against it; an unsorted mu's hom space is
+only certified as a slice carry, so that column's evidence is per orbit.
+The layers are reached through their module attributes
+(characters.kostka, skewhowe.hom_dims, ...), so a wrapper installed on
+one of them sees every call.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ def cross_validate(
     rather than asserted away.
 
     The hom space dimensions come from skewhowe.hom_dims: one exact
-    elimination per S_n orbit of mu, every other mu certified entry by
-    entry.  The point counts go the same way: point_count_table (counts
+    elimination per S_n orbit of mu, at the sorted mu; every other mu
+    gets only a certified carry of that slice, so the evidence is per
+    orbit.  The point counts also work per orbit: point_count_table (counts
     at its primes and their fit) runs only at each orbit's sorted mu,
     which compositions yields first, and every other mu's own
     count_polynomial must equal that table's whole polynomial, not only

@@ -35,12 +35,10 @@ linalg.kernel, which picks the row order for every caller.
 hom_dims, which crossval reads, needs only the dimensions.  A row
 permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
 slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
-orbit, at the sorted mu, through hom_space.  Every other mu still gets
-its own slice and raising rows, and one dict comparison checks them
-against the sorted mu's rows carried over by sigma: the dimension is
-proved by that check, not assumed from Weyl symmetry.  Since the moves
-are row-local, the check carries each of the sorted mu's subsets once
-and builds its rows already carried.
+orbit, at the sorted mu, through hom_space.  Every other mu gets only
+its own slice, which _certify_carried checks against the sorted mu's
+slice carried by sigma; the moves are row-local, so its raising rows
+would be the sorted mu's carried too.  The evidence is per orbit.
 
 BiModule is only (n, m, N): no command reads more of the wedge than its
 slices.  verify_commuting_actions, a check no command runs, walks all
@@ -255,39 +253,6 @@ def _field_terms(
     )
 
 
-def _placed_rows(
-    m: int, moves: list[Move], entries, blocks
-) -> dict[tuple[int, Subset], SparseVec]:
-    """Stacked gl(m) moves on the subsets of entries, with every image
-    moved as its subset was.
-
-    entries are (column, subset, placed) triples: placed is subset with
-    its row field at bit frm moved to bit to, for each (frm, to) in
-    blocks (the rows that hold a factor).  A term of move k on the field
-    at frm, flip mask f, sends subset to subset ^ f << frm, placed as
-    placed ^ f << to; it is entry column of row (k, placed ^ f << to).
-    Each distinct field's terms are looked up once per call.
-    """
-    moves = tuple(moves)
-    full = (1 << m) - 1
-    terms: dict[Subset, tuple[tuple[int, int, Subset], ...]] = {}
-    rows: dict[tuple[int, Subset], SparseVec] = {}
-    for col, s, placed in entries:
-        for frm, to in blocks:
-            field = s >> frm & full
-            found = terms.get(field)
-            if found is None:
-                found = terms[field] = _field_terms(m, moves, field)
-            for k, sign, flip in found:
-                key = (k, placed ^ flip << to)
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = {col: sign}
-                else:
-                    row[col] = sign
-    return rows
-
-
 def _stacked_rows(
     m: int, subsets: tuple[Subset, ...], moves: list[Move]
 ) -> dict[tuple[int, Subset], SparseVec]:
@@ -295,16 +260,30 @@ def _stacked_rows(
     row per (move number, image subset), keyed by position in subsets.
 
     Every subset of a slice has the same row sums, so the rows holding a
-    factor are read off the first; each of those row fields goes through
-    _field_terms, and the image is the subset with the term's flip mask
-    at that row's shift.
+    factor are read off the first.  A term of move k with flip mask f on
+    the row field at shift sends s to row (k, s ^ f << shift); each
+    distinct field's _field_terms are looked up once per call.
     """
-    if not subsets:
-        return {}
+    moves = tuple(moves)
     full = (1 << m) - 1
-    first = subsets[0]
-    blocks = [(f, f) for f in range(0, first.bit_length(), m) if first >> f & full]
-    return _placed_rows(m, moves, zip(itertools.count(), subsets, subsets), blocks)
+    first = subsets[0] if subsets else 0
+    shifts = [f for f in range(0, first.bit_length(), m) if first >> f & full]
+    terms: dict[Subset, tuple[tuple[int, int, Subset], ...]] = {}
+    rows: dict[tuple[int, Subset], SparseVec] = {}
+    for col, s in enumerate(subsets):
+        for shift in shifts:
+            field = s >> shift & full
+            found = terms.get(field)
+            if found is None:
+                found = terms[field] = _field_terms(m, moves, field)
+            for k, sign, flip in found:
+                key = (k, s ^ flip << shift)
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: sign}
+                else:
+                    row[col] = sign
+    return rows
 
 
 def decompose_howe(
@@ -400,14 +379,12 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
     """hom_space(bim, lam, mu).dim for every composition mu of N into n
     parts, in the order of weights.compositions.
 
-    Only the sorted mu of each S_n orbit goes through hom_space.  Every
-    other mu has its own slice and raising rows built, and
-    _certify_carried compares them, as one dict, with the sorted mu's
-    rows carried over by a row permutation; matrices equal up to a
-    reordering of rows and columns have kernels of equal dimension.
+    Only the sorted mu of each S_n orbit goes through hom_space and gets
+    raising rows.  Every other mu gets its own slice, which
+    _certify_carried checks is the sorted mu's carried by a row
+    permutation, and the sorted mu's dimension: the evidence is per orbit.
     """
     shape = as_partition(lam)
-    moves = _moves(bim.m, False, True)
     dims = dict.fromkeys(compositions(bim.N, bim.n), 0)
     orbits: dict[WeightVec, list[WeightVec]] = {}
     for mu in dims:
@@ -418,43 +395,34 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
         for mu in members:
             if mu != rep:
                 subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
-                rows = _stacked_rows(bim.m, subsets, moves)
-                _certify_carried(bim.m, moves, rep, hs.slice_indices, mu, subsets, rows)
+                _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
                 dims[mu] = hs.dim
     return dims
 
 
-def _certify_carried(m: int, moves, rep, rep_subsets, mu, subsets, rows) -> None:
-    """Check that mu's slice (subsets) and its _stacked_rows (rows) are
-    rep's, carried over by the row permutation sigma with mu[sigma(i)] =
-    rep[i] (equal parts keep their order).  Raises InvariantViolation on
-    any mismatch.
+def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> None:
+    """Check that mu's slice (subsets) is rep's (rep_subsets) carried by
+    the row permutation sigma with mu[sigma(i)] = rep[i] (equal parts keep
+    their order), or raise InvariantViolation.
 
-    Each of rep's subsets s is carried once: its m-bit row i moves to
-    row sigma(i), giving carried(s).  A gl(m) move acts inside one row
-    field, so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m for a
-    term's flip mask f, and _placed_rows builds rep's rows already
-    carried, keyed by the position of carried(s) in mu's slice.  carried
-    is injective, so equal slice sizes and no missing carried subset make
-    that position a bijection, and the dict comparison checks every row
-    key and entry.  The wedge sign of sigma depends only on the block
-    sizes rep[i], so it is the same on every column and row and cancels.
+    carried(s) moves row i of s to row sigma(i); it is injective, so
+    equal sizes and no missing carried subset make the slices equal.  The
+    raising rows then agree too: a gl(m) move acts inside one row field,
+    so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m, and sigma's
+    wedge sign depends only on the block sizes rep[i], so it cancels.
+    The tests check this on every slice with n, m <= 4.
     """
     sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
     full = (1 << m) - 1
     blocks = [(i * m, to * m) for i, to in enumerate(sigma) if rep[i]]
-    where = {s: t for t, s in enumerate(subsets)}
-    entries = []
+    present = set(subsets)
+    carried = 0
     for s in rep_subsets:
         out = 0
         for frm, to in blocks:
             out |= (s >> frm & full) << to
-        entries.append((where.get(out), s, out))
-    if (
-        len(subsets) != len(rep_subsets)
-        or any(t is None for t, _, _ in entries)
-        or _placed_rows(m, moves, entries, blocks) != rows
-    ):
+        carried += out in present
+    if len(subsets) != len(rep_subsets) or carried != len(rep_subsets):
         raise InvariantViolation(
             f"hom space at mu={mu} is not the one at its sorted representative "
             f"{rep} carried over by a row permutation"

@@ -52,7 +52,7 @@ FIRING_TESTS = {
         "test_cli.py::test_skewhowe_pairs_refuse_a_second_joint_highest_weight_line",
     ],
     ("skewhowe", "_certify_carried", "hom space at mu={} is not the one"): [
-        "test_skewhowe.py::test_hom_dims_certificate_catches_a_corrupted_row",
+        "test_skewhowe.py::test_hom_dims_certificate_catches_a_wrong_slice",
     ],
     ("skewhowe", "induced_gln_module", "the hom spaces of lam={} sum to"): [
         "test_skewhowe.py::test_induced_module_rejects_hom_spaces_not_closed_under_f",

@@ -401,49 +401,6 @@ def test_hom_dims_are_the_hom_space_dims(case):
         assert dim == hom_space(bim, lam, mu).dim, (lam, mu)
 
 
-def gln_weight(subset, n, m):
-    return tuple(sum(1 for p in bits(subset) if p // m == i) for i in range(n))
-
-
-def flip_sign(rows):
-    row = next(iter(rows.values()))
-    col = next(iter(row))
-    row[col] = -row[col]
-
-
-def drop_image(rows):
-    row = next(row for row in rows.values() if len(row) > 1)
-    del row[next(iter(row))]
-
-
-def misplace(rows):
-    """Move one entry, value kept, to a column its row does not use."""
-    cols = {col for row in rows.values() for col in row}
-    row = next(row for row in rows.values() if cols - row.keys())
-    free = min(cols - row.keys())
-    row[free] = row.pop(next(iter(row)))
-
-
-@pytest.mark.parametrize("damage", [flip_sign, drop_image, misplace])
-def test_hom_dims_certificate_catches_a_corrupted_row(monkeypatch, damage):
-    """One entry of one unsorted mu's raising rows is wrong; the sorted
-    representative's rows stay honest, so only the certificate sees it."""
-    n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
-    honest = skewhowe._stacked_rows
-
-    def stacked_rows(m_, subsets, moves):
-        rows = honest(m_, subsets, moves)
-        if subsets and gln_weight(subsets[0], n, m) == target:
-            damage(rows)
-        return rows
-
-    bim = build_bimodule(n, m, sum(lam))
-    assert hom_dims(bim, lam)[target] == kostka(conjugate(lam), target) == 2
-    monkeypatch.setattr(skewhowe, "_stacked_rows", stacked_rows)
-    with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
-        hom_dims(bim, lam)
-
-
 def test_field_terms_are_the_wedge_moves_with_sign_one():
     """A gl(m) raising move swaps two adjacent bits of one row field, so
     no factor lies between them: every term is _move_images' and every
@@ -505,10 +462,15 @@ def test_stacked_rows_and_last_first_kernel_match_the_referees():
     kernel that linalg.kernel takes last first (through hom_space when
     the gl(m) weight is a partition) is the kernel of the rows inserted
     in their own order, basis vector for basis vector (RREF is
-    canonical), so it spans the same space."""
-    count = 0
+    canonical), so it spans the same space.  When the gl(m) weight is a
+    partition and mu is not sorted, mu's raising rows are the sorted
+    mu's with every image subset and every column carried by the row
+    permutation sigma of _certify_carried: the equivariance that lets
+    hom_dims build rows at each orbit's sorted mu only."""
+    count = carried = 0
     for n, m in itertools.product(range(1, 5), repeat=2):
         raising, lowering = _moves(m, False, True), _moves(m, False, False)
+        full = (1 << m) - 1
         for wn, wm, subsets in nonempty_slices(n, m):
             count += 1
             for moves in (raising, lowering):
@@ -523,9 +485,26 @@ def test_stacked_rows_and_last_first_kernel_match_the_referees():
                 assert list(hs.vectors) == [
                     {subsets[t]: v for t, v in vec.items()} for vec in in_order
                 ], (n, m, wn, wm)
+                rep = tuple(sorted(wn, reverse=True))
+                if wn != rep:
+                    carried += 1
+                    sigma = sorted(range(n), key=lambda j: -wn[j])
+                    blocks = [(i * m, to * m) for i, to in enumerate(sigma)]
+
+                    def carry(s):
+                        return sum((s >> frm & full) << to for frm, to in blocks)
+
+                    rep_subsets = _slice(n, m, rep, wm)
+                    where = {s: t for t, s in enumerate(subsets)}
+                    column = [where[carry(s)] for s in rep_subsets]
+                    rep_rows = _stacked_rows(m, rep_subsets, raising)
+                    assert _stacked_rows(m, subsets, raising) == {
+                        (k, carry(image)): {column[c]: v for c, v in row.items()}
+                        for (k, image), row in rep_rows.items()
+                    }, (n, m, wn, wm)
             else:
                 assert kernel(rows, len(subsets)) == in_order, (n, m, wn, wm)
-    assert count == 20744
+    assert (count, carried) == (20744, 2521)
 
 
 def lose_one(subsets, foreign):
