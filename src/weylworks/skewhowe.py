@@ -15,8 +15,11 @@ highest-weight lines and the induced gl(n) module are computed from their
 slices alone: the slice is enumerated directly, row by row over the
 column capacities each row can leave, and counted before it is built;
 generators are applied to subsets on the fly, and the whole wedge is
-never built.  The dimension guard (WEYLWORKS_MAX_DIM) applies to each
-slice's count, before the slice is built.
+never built.  The row choices out of a column-capacity state do not
+depend on the rest of mu, so the slices of one hom_dims call share one
+table of them, which the call owns and frees.  The dimension guard
+(WEYLWORKS_MAX_DIM) applies to each slice's count, before the slice is
+built.
 
 The induced module seeds glmodules.submodule, the same pass that ends
 irrep_plucker, with every hom space in reduced echelon form as its
@@ -37,8 +40,9 @@ permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
 slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
 orbit, at the sorted mu, through hom_space.  Every other mu gets only
 its own slice, which _certify_carried checks against the sorted mu's
-slice carried by sigma; the moves are row-local, so its raising rows
-would be the sorted mu's carried too.  The evidence is per orbit.
+slice carried by sigma, one run of rows moved by the same displacement
+at a time; the moves are row-local, so its raising rows would be the
+sorted mu's carried too.  The evidence is per orbit.
 
 BiModule is only (n, m, N): no command reads more of the wedge than its
 slices.  verify_commuting_actions, a check no command runs, walks all
@@ -68,72 +72,91 @@ from .weights import (
     partitions,
 )
 
-def _slice(n: int, m: int, wn, wm) -> tuple[Subset, ...]:
+def _slice(n: int, m: int, wn, wm, table: dict | None = None) -> tuple[Subset, ...]:
     """Subsets with gl(n) weight wn and gl(m) weight wm, in lexicographic
     order.
 
     A state is the tuple of column capacities left after some rows; row
     i may take wn[i] columns with capacity, and a state where a column
     needs more ones than rows remain is pruned.  A forward pass records
-    the states each row reaches and the row choices between them, a
-    backward pass counts each state's completions and drops the dead
+    the states each row reaches and the row choices out of each, a
+    backward pass counts each state's completions and skips the dead
     ones, and the count is checked against the dimension guard before
     anything is built.  Completions are then built backward, one row's
-    states at a time, by OR-ing each row choice, shifted to its row, onto
-    the completions of the state it leads to; choices are tried in
+    live states at a time, by OR-ing each row choice, shifted to its row,
+    onto the completions of the state it leads to; choices are tried in
     itertools.combinations order, so the subsets come out in
     lexicographic order.  A row with wn[i] == 0 only drops the states
     with an overfull column; the backward passes skip it.  No recursion,
     so n may pass the recursion limit.
+
+    The choices out of a state depend only on (state, wn[i], rows left),
+    not on wn as a whole, so table maps that triple to {next state: row
+    choice as a column mask}, in combinations order; distinct choices
+    lead to distinct states.  A caller may pass one table to many calls
+    (hom_dims shares one across every mu of a call); entries are never
+    changed once made, so a state dead for one wn stays whole for the
+    next.  Without a table the call makes its own.
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
+    if table is None:
+        table = {}
     start = tuple(wm)
-    # per row: {state: [(row choice as a column mask, next state), ...]}
-    rows: list[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
+    # per row: {state: {next state: row choice}}, the table's own entries
+    rows: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
     states = [start]
     for i in range(n):
         rows_after = n - 1 - i
-        choices = {}
+        here = {}
         if not wn[i]:  # a state goes on as it is unless a column is overfull
             states = [left for left in states if max(left) <= rows_after]
-            rows.append(choices)
+            rows.append(here)
             continue
         reached = {}
         for left in states:
-            out = []
-            for cols in itertools.combinations([a for a in range(m) if left[a]], wn[i]):
-                after = list(left)
-                choice = 0
-                for a in cols:
-                    after[a] -= 1
-                    choice |= 1 << a
-                if max(after) <= rows_after:
-                    after = tuple(after)
-                    out.append((choice, after))
-                    reached[after] = None
-            choices[left] = out
-        rows.append(choices)
+            key = (left, wn[i], rows_after)
+            out = table.get(key)
+            if out is None:
+                out = table[key] = {}
+                for cols in itertools.combinations(
+                    [a for a in range(m) if left[a]], wn[i]
+                ):
+                    after = list(left)
+                    choice = 0
+                    for a in cols:
+                        after[a] -= 1
+                        choice |= 1 << a
+                    if max(after) <= rows_after:
+                        out[tuple(after)] = choice
+            here[left] = out
+            reached.update(out)
+        rows.append(here)
         states = list(reached)
     count = dict.fromkeys(states, 1)  # only the all-zero state is reached
+    live: dict[int, dict[tuple[int, ...], int]] = {}  # per row: live state counts
+    zero = itertools.repeat(0)
     for i in reversed(range(n)):
         if wn[i]:
-            for out in rows[i].values():
-                out[:] = [(c, after) for c, after in out if after in count]
-            count = {
-                left: sum(count[after] for _, after in out)
-                for left, out in rows[i].items()
-                if out
-            }
+            counted = {}
+            for left, out in rows[i].items():
+                total = sum(map(count.get, out, zero))
+                if total:
+                    counted[left] = total
+            live[i] = count = counted
     check_dimension(count.get(start, 0))
     built: dict[tuple[int, ...], list[Subset]] = dict.fromkeys(states, [0])
     for i in reversed(range(n)):
         if wn[i]:
             shift = i * m
+            here = rows[i]
             built = {
-                left: [c << shift | rest for c, after in out for rest in built[after]]
-                for left, out in rows[i].items()
-                if out
+                left: [
+                    c << shift | rest
+                    for after, c in here[left].items()
+                    for rest in built.get(after, ())
+                ]
+                for left in live[i]
             }
     return tuple(built.get(start, ()))
 
@@ -383,18 +406,22 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
     raising rows.  Every other mu gets its own slice, which
     _certify_carried checks is the sorted mu's carried by a row
     permutation, and the sorted mu's dimension: the evidence is per orbit.
+    Those slices share one table of row choices (see _slice), owned by
+    this call and freed when it returns.
     """
     shape = as_partition(lam)
+    wm = pad(shape, bim.m)
     dims = dict.fromkeys(compositions(bim.N, bim.n), 0)
     orbits: dict[WeightVec, list[WeightVec]] = {}
     for mu in dims:
         orbits.setdefault(tuple(sorted(mu, reverse=True)), []).append(mu)
+    table: dict = {}
     for rep, members in orbits.items():
         hs = hom_space(bim, shape, rep)
         dims[rep] = hs.dim
         for mu in members:
             if mu != rep:
-                subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
+                subsets = _slice(bim.n, bim.m, mu, wm, table)
                 _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
                 dims[mu] = hs.dim
     return dims
@@ -411,18 +438,21 @@ def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> None:
     so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m, and sigma's
     wedge sign depends only on the block sizes rep[i], so it cancels.
     The tests check this on every slice with n, m <= 4.
+
+    The carry works in row runs: consecutive rows that sigma moves by the
+    same displacement go as one mask and one shift.  rep is sorted, so
+    its empty rows, which hold no bits, are all at the end and left out.
     """
     sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
-    full = (1 << m) - 1
-    blocks = [(i * m, to * m) for i, to in enumerate(sigma) if rep[i]]
-    present = set(subsets)
-    carried = 0
-    for s in rep_subsets:
-        out = 0
-        for frm, to in blocks:
-            out |= (s >> frm & full) << to
-        carried += out in present
-    if len(subsets) != len(rep_subsets) or carried != len(rep_subsets):
+    blocks = []  # (first row's shift, the run's mask, its image's shift)
+    nonempty = range(sum(1 for x in rep if x))
+    for moved, run in itertools.groupby(nonempty, key=lambda i: sigma[i] - i):
+        run = list(run)
+        blocks.append((run[0] * m, (1 << len(run) * m) - 1, (run[0] + moved) * m))
+    carried = [0] * len(rep_subsets)
+    for frm, mask, to in blocks:
+        carried = [out | (s >> frm & mask) << to for out, s in zip(carried, rep_subsets)]
+    if len(subsets) != len(rep_subsets) or not set(subsets).issuperset(carried):
         raise InvariantViolation(
             f"hom space at mu={mu} is not the one at its sorted representative "
             f"{rep} carried over by a row permutation"

@@ -617,11 +617,11 @@ def test_memory_error_is_one_error_line(monkeypatch):
 
 # Arguments with a row or n beyond Python's recursion limit. The Kostka
 # count, the flag count and the weight enumerators are loops, and so is
-# skewhowe._slice: a forward pass over the rows, then a backward count
-# and a backward build, each skipping the rows that hold no pairs. The
-# skewhowe pairs check enumerates each slice only over the rows up to the
-# last one with pairs, so these are answers (the payload subset each must
-# show). The deep decompose above covers the RecursionError mapping.
+# skewhowe._slice: a forward pass over the rows through a table of row
+# choices, then a backward count and a backward build, each skipping the
+# rows that hold no pairs and the dead states. The skewhowe pairs check
+# enumerates each slice only over the rows up to the last one with pairs,
+# so these are answers (the payload subset each must show). The deep decompose above covers the RecursionError mapping.
 DEEP_ARGV = {
     "character --lambda 1500 -n 1 --size-guard 5000": {
         "dim": 1,

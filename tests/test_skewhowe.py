@@ -20,6 +20,7 @@ from weylworks.glmodules import (
 )
 from weylworks.linalg import EchelonBasis, kernel
 from weylworks.skewhowe import (
+    _certify_carried,
     _field_terms,
     _slice,
     _stacked_rows,
@@ -381,6 +382,33 @@ def test_slice_is_counted_before_it_is_built(monkeypatch):
         _slice(5, 5, (1,) * 5, (1,) * 5)
 
 
+def test_slice_table_is_shared_without_pruning():
+    """_slice through one table shared by every call, in compositions
+    order and again in reverse, equals _slice with a fresh table, on
+    every (wn, wm) with n, m <= 4 whose parts fit (wn[i] <= m, wm[a] <=
+    n).  The table after the reverse pass equals a snapshot taken after
+    the first, so no call prunes an entry in place."""
+    calls = 0
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        pairs = [
+            (wn, wm)
+            for N in range(n * m + 1)
+            for wn in compositions(N, n)
+            if max(wn) <= m
+            for wm in compositions(N, m)
+            if max(wm) <= n
+        ]
+        calls += len(pairs)
+        fresh = [_slice(n, m, wn, wm) for wn, wm in pairs]
+        table = {}
+        assert [_slice(n, m, wn, wm, table) for wn, wm in pairs] == fresh, (n, m)
+        snapshot = {key: dict(out) for key, out in table.items()}
+        backward = [_slice(n, m, wn, wm, table) for wn, wm in reversed(pairs)]
+        assert backward == fresh[::-1], (n, m)
+        assert table == snapshot, (n, m)
+    assert calls == 47084
+
+
 @st.composite
 def bimodule_shapes(draw):
     """(n, m, lam) with n, m <= 4 and lam a partition fitting in n x m."""
@@ -522,17 +550,46 @@ def swap_one(subsets, foreign):
 @pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
 def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
     """An unsorted mu's slice loses a subset, gains one of another
-    weight, or both (so its size is right); its rows are built honestly
-    from the wrong slice, and only the certificate sees it."""
+    weight, or both (so its size is right); only the certificate sees it.
+    The fake forwards hom_dims' shared table to the honest _slice."""
     n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
     honest = skewhowe._slice
     foreign = honest(n, m, (2, 1, 1), pad(lam, m))[0]
 
-    def wrong_slice(n_, m_, wn, wm):
-        subsets = honest(n_, m_, wn, wm)
+    def wrong_slice(n_, m_, wn, wm, table=None):
+        subsets = honest(n_, m_, wn, wm, table)
         return damage(subsets, foreign) if tuple(wn) == target else subsets
 
     bim = build_bimodule(n, m, sum(lam))
     monkeypatch.setattr(skewhowe, "_slice", wrong_slice)
     with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
         hom_dims(bim, lam)
+
+
+def test_hom_dims_certificate_sees_the_interior_row_of_a_run():
+    """At lam (2,2,1), n = 5, m = 3, mu (2,0,1,1,1) is its sorted rep
+    (2,1,1,1,0) carried by sigma = [0,2,3,4,1]: row 0 stays and rows 1-3
+    move down one, so the carry is two runs.  One subset changed in row 2
+    of rep, the interior row of the moved run, or in its image, row 3 of
+    mu, keeps the slice's size and is still caught."""
+    n, m, lam, rep, mu = 5, 3, (2, 2, 1), (2, 1, 1, 1, 0), (2, 0, 1, 1, 1)
+    rep_subsets, subsets = (_slice(n, m, wn, pad(lam, m)) for wn in (rep, mu))
+    assert len(rep_subsets) == len(subsets) == 12
+    _certify_carried(m, rep, rep_subsets, mu, subsets)
+
+    def damaged(slice_, row):
+        """slice_ with its first subset's row field replaced by another
+        field of the same weight."""
+        s = slice_[0]
+        field = s >> row * m & (1 << m) - 1
+        weight = bin(field).count("1")
+        other = next(f for f in range(1 << m) if f != field and bin(f).count("1") == weight)
+        wrong = s ^ (field ^ other) << row * m
+        assert wrong not in slice_
+        return (wrong, *slice_[1:])
+
+    message = r"mu=\(2, 0, 1, 1, 1\).*\(2, 1, 1, 1, 0\)"
+    with pytest.raises(InvariantViolation, match=message):
+        _certify_carried(m, rep, damaged(rep_subsets, 2), mu, subsets)
+    with pytest.raises(InvariantViolation, match=message):
+        _certify_carried(m, rep, rep_subsets, mu, damaged(subsets, 3))
