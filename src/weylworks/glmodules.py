@@ -9,15 +9,20 @@ rationals, not just numerically.
 
 One builder, _generators, makes generator matrices from what a generator
 does to one basis label: monomials (sym_power), wedge subsets (ext_power,
-through wedge_generators) and matrix units (adjoint_module, bracketed on
-labels); the skew Howe wedge applies _move_images to subsets directly.
+through wedge_generators), multisets of wedge subsets (_sym_ext_power)
+and matrix units (adjoint_module, bracketed on labels); the skew Howe
+wedge applies _move_images to subsets directly.
 A wedge basis vector's only name is its subset's int bitmask, bit p for
 factor p; wedge_replace, the one place wedge signs are computed, flips
 two bits and takes the sign from the popcount of the bits between them.
 tensor lifts its factors' matrices instead: on a labelled basis it ran
 twice as slow.  It builds whole products for decompose; irrep_plucker's
 ambient is never built, and its generators act as a Kronecker sum of two
-tensor-built blocks.
+tensor-built blocks.  That ambient has one factor Sym^a(Lambda^k C^n) per
+distinct column height k of the shape, a the number of such columns
+(_sym_ext_power): a label is a sorted tuple of a indices into
+Lambda^k's basis, its vector the sum of the label's rearrangements, and
+its terms come from _move_images, so the signs are still wedge_replace's.
 
 submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
@@ -210,6 +215,46 @@ def ext_power(k: int, n: int) -> ExplicitModule:
     return ExplicitModule(n, len(basis), weights, E, F)
 
 
+def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
+    """Sym^a(Lambda^k C^n) on the orbit-sum basis.
+
+    A label is a sorted tuple of a indices into ext_power(k, n)'s basis,
+    and its vector is the sum of the label's distinct rearrangements in
+    the a-th tensor power of Lambda^k.  Labels are in lex order, which is
+    compositions(a, C(n, k)) order on their count vectors.  A generator
+    moves one index s to s' with Lambda^k's own sign c (_move_images),
+    and the image label gets c times the number of times s' occurs in
+    it: the target's multiplicity, where sym_power's monomials take the
+    source's.  With a = 1 this is ext_power(k, n), basis and matrices.
+    A label holds a indices, not a count per Lambda^k basis vector, so
+    a = 1 costs what Lambda^k does however large C(n, k) is.
+    """
+    subsets = [_mask(c) for c in itertools.combinations(range(n), k)]
+    position = {s: t for t, s in enumerate(subsets)}
+    basis = list(itertools.combinations_with_replacement(range(len(subsets)), a))
+    index = {label: t for t, label in enumerate(basis)}
+
+    def images(label: tuple[int, ...], move: Move) -> list[tuple[int, tuple[int, ...]]]:
+        out = []
+        for i, t in enumerate(label):
+            if i and label[i - 1] == t:
+                continue  # equal indices give equal terms, counted below
+            rest = label[:i] + label[i + 1:]
+            for sign, image in _move_images(subsets[t], 1, move):
+                u = position[image]
+                target = tuple(sorted(rest + (u,)))
+                out.append((sign * target.count(u), target))
+        return out
+
+    weights = tuple(
+        tuple(sum(subsets[t] >> j & 1 for t in label) for j in range(n))
+        for label in basis
+    )
+    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
+    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
+    return ExplicitModule(n, len(basis), weights, E, F)
+
+
 def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     """Tensor product; generators act as g (x) 1 + 1 (x) g."""
     if a.n != b.n:
@@ -348,13 +393,25 @@ def verify_chevalley_relations(mod: ExplicitModule) -> None:
 
 def irrep_plucker(lam, n: int) -> ExplicitModule:
     """The irreducible with highest weight lam (a partition), constructed
-    inside a tensor product of exterior powers.
+    inside the Borel-Weil ambient, a tensor product of symmetric powers
+    of exterior powers.
 
-    One exterior-power factor per column of the diagram of lam; the
-    highest vector is the tensor of top wedges e_1 ^ ... ^ e_h over the
-    columns.  The ambient product is an index space that is never built:
-    vectors are sparse in tensor's basis order, and the generators act
-    on them through _kronecker_generators.  submodule, seeded with the
+    lam has a_k = lam_k - lam_(k+1) columns of height k, and the ambient
+    has one factor Sym^(a_k)(Lambda^k C^n) per distinct height, tallest
+    first, on the orbit-sum basis (_sym_ext_power); a_k = 1 gives
+    Lambda^k itself.  The highest vector is the tensor of the a_k-th
+    powers of the top wedges e_1 ^ ... ^ e_k, label 0 of each factor.
+    Each label maps to the sum of its rearrangements in the tensor
+    product of one exterior power per column, and that sum's least key
+    there is the sorted label with coefficient 1, met by no other label;
+    so this map sends each reduced echelon row to a reduced echelon row
+    of that larger ambient, and the module, its basis order and its
+    matrices are the same in both.  The ambient product is an index space
+    that is never built: vectors are sparse in tensor's basis order, and
+    the generators act on them through _kronecker_generators.  The
+    guard bounds the larger ambient, the product of C(n, k) over the
+    columns, which is at least the product of C(C(n, k) + a_k - 1, a_k)
+    over the heights.  submodule, seeded with the
     highest vector alone, builds its closure under the lowering
     generators in one descending pass over the weights, one exact
     echelon basis per weight, and restricts E and F to it as it goes, so
@@ -368,18 +425,21 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
         raise ValueError("rank must be at least 1")
     if len(shape) > n:
         raise ValueError(f"partition {shape} has more than n={n} parts")
-    check_dimension(max(shape, default=0))  # one factor per column
+    check_dimension(max(shape, default=0))  # lambda_1 columns
     heights = conjugate(shape)
     if not heights:
         return sym_power(0, n)
-    # the ambient is never built, but its dimension stays under the
-    # guard: the running product is checked before any factor is built
+    # the running product over the columns is checked before any factor
+    # is built
     check_dimension(n)  # before the binomials, which grow with n
     dim = 1
     for h in heights:
         dim *= comb(n, h)
         check_dimension(dim)
-    E, F = _kronecker_generators([ext_power(h, n) for h in heights])
+    E, F = _kronecker_generators([
+        _sym_ext_power(sum(1 for _ in run), h, n)
+        for h, run in itertools.groupby(heights)
+    ])
     top = EchelonBasis()
     top.insert({0: 1})
     return submodule(n, {pad(shape, n): top}, E, F)
@@ -392,7 +452,9 @@ def _kronecker_generators(factors: list[ExplicitModule]):
     The factors split into two contiguous runs whose dimensions are as
     close as possible; each run is built with tensor, and a generator g
     acts as the Kronecker sum g (x) 1 + 1 (x) g of the runs' matrices.
-    A single factor is paired with the trivial module.
+    A single factor is paired with the trivial module.  irrep_plucker
+    passes one factor per distinct column height; the tests pass one
+    exterior power per column to rebuild its larger ambient as a referee.
     """
     dims = [f.dim for f in factors]
     split = min(

@@ -888,6 +888,31 @@ def test_one_long_row_has_its_one_weight_at_once(argv, key, expected):
     assert (payload["dim"], payload[key]) == (1, expected)
 
 
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        ("irrep --lambda 1000000 -n 1", 0,
+         ("weights", [{"mu": [10**6], "multiplicity": 1}])),
+        # the irreducible is built, then its tableau count is refused
+        ("decompose --module irrep(1000000) -n 1", 1,
+         "error: a tableau count for |shape| = 1000000 exceeds the guard 12; "
+         "raise it with --size-guard (size_guard= in the library)\n"),
+    ],
+)
+def test_one_long_row_is_one_symmetric_power(argv, code, expected):
+    # 10**6 columns of height 1 are one factor Sym^(10**6)(C^1) with one
+    # label; a tensor product of one factor per column took 3.2 s at
+    # 20,000 columns and grew quadratically.  The timeout turns a hang
+    # into a failure.
+    proc = run_entry_point(argv.split(), timeout=20, preexec_fn=limit_address_space)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", expected)
+    else:
+        payload = json.loads(proc.stdout)
+        assert (payload["dim"], payload[expected[0]]) == (1, expected[1])
+
+
 def test_module_entry_point_runs_without_warnings():
     proc = run_entry_point(["character", "--lambda", "1,0", "-n", "2"], timeout=60)
     assert proc.returncode == 0

@@ -15,6 +15,7 @@ from weylworks.glmodules import (
     _kronecker_generators,
     _mask,
     _move_images,
+    _sym_ext_power,
     adjoint_module,
     decompose,
     ext_power,
@@ -313,11 +314,57 @@ def test_irrep_plucker_never_builds_the_ambient_product(monkeypatch):
         return mod
 
     monkeypatch.setattr(glmodules, "tensor", recording_tensor)
-    # the columns have heights 4, 2, 2, 1, 1: the ambient has 5*10*10*5*5 = 12,500
-    # dimensions, and the two blocks 50 and 250
+    # the columns have heights 4, 2, 2, 1, 1, so the factors are Lambda^4,
+    # Sym^2(Lambda^2) and Sym^2(C^5): the ambient has 5*55*15 = 4,125
+    # dimensions, and the two blocks 275 and 15
     mod = irrep_plucker((5, 3, 1, 1, 0), 5)
     assert mod.dim == dim_irrep((5, 3, 1, 1, 0), 5)
-    assert built and max(built) <= 500
+    assert built and max(built) <= 275
+
+
+def test_sym_ext_power_is_the_orbit_sums_in_the_tensor_power():
+    # the vector of a label is the sum of its distinct rearrangements in
+    # the a-th tensor power of Lambda^k, whose key is mixed radix with the
+    # first factor most significant; each generator must commute with that
+    # embedding.  The labels come in compositions order of their count
+    # vectors, so the weights are pinned in order, not only as a multiset.
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            ext = ext_power(k, n)
+            for a in range(1, 4):
+                mod = _sym_ext_power(a, k, n)
+                counts = list(compositions(a, ext.dim))
+                assert mod.basis_weights == tuple(
+                    tuple(sum(c * w[j] for c, w in zip(count, ext.basis_weights))
+                          for j in range(n))
+                    for count in counts
+                ), (a, k, n)
+                verify_chevalley_relations(mod)
+                power = functools.reduce(tensor, [ext] * a)
+                embed = []
+                for count in counts:
+                    seq = [t for t, c in enumerate(count) for _ in range(c)]
+                    embed.append({
+                        sum(t * ext.dim ** (a - 1 - i) for i, t in enumerate(p)): 1
+                        for p in set(itertools.permutations(seq))
+                    })
+                for g, h in zip(mod.E + mod.F, power.E + power.F):
+                    for col, vec in enumerate(embed):
+                        image = {}
+                        for row, coeff in g.column(col).items():
+                            for key in embed[row]:
+                                image[key] = coeff  # orbit sums are disjoint
+                        assert h.apply(vec) == image, (a, k, n, col)
+                if a == 1:
+                    assert_same_module(mod, ext)
+
+
+def test_sym_ext_power_takes_the_targets_multiplicity():
+    # on Sym^2(C^2), F_0 sends x_1 x_2 to 2 x_2 x_2 in the orbit-sum basis
+    # (e_1 e_2 + e_2 e_1 goes to 2 e_2 e_2), and to x_2^2 on sym_power's
+    # monomials: label (1, 1) is column 1 and (0, 2) is row 2 in both
+    assert _sym_ext_power(2, 1, 2).F[0].column(1) == {2: 2}
+    assert sym_power(2, 2).F[0].column(1) == {2: 1}
 
 
 def _spaces(vectors_by_weight):
@@ -399,7 +446,9 @@ def reference_irrep_plucker(lam, n):
 def test_irrep_plucker_matches_the_two_pass_reference():
     cases = [(lam, n) for n in range(1, 5) for total in range(7)
              for lam in partitions(total, max_parts=n)]
-    cases.append(((4, 3, 2, 1, 0), 5))
+    # repeated columns at n = 5: (5,3,1,1,0) has two columns each of
+    # heights 2 and 1, and (3,3,0,0,0) three of height 2
+    cases += [((4, 3, 2, 1, 0), 5), ((5, 3, 1, 1, 0), 5), ((3, 3, 0, 0, 0), 5)]
     for lam, n in cases:
         assert_same_module(irrep_plucker(lam, n), reference_irrep_plucker(lam, n))
 
