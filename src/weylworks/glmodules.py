@@ -9,9 +9,9 @@ rationals, not just numerically.
 
 One builder, _generators, makes generator matrices from what a generator
 does to one basis label: monomials (sym_power), wedge subsets (ext_power,
-through wedge_generators), multisets of wedge subsets (_sym_ext_power)
-and matrix units (adjoint_module, bracketed on labels); the skew Howe
-wedge applies _move_images to subsets directly.
+through _move_images, which the skew Howe wedge applies to its subsets
+too), multisets of wedge subsets (_sym_ext_power) and matrix units
+(adjoint_module, bracketed on labels).
 A wedge basis vector's only name is its subset's int bitmask, bit p for
 factor p; wedge_replace, the one place wedge signs are computed, flips
 two bits and takes the sign from the popcount of the bits between them.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
-from .errors import InvariantViolation, check_dimension
+from .errors import InvariantViolation, check_dimension, max_dimension
 from .linalg import (
     EchelonBasis, RatMat, Scalar, SparseVec, bracket_column, kernel, kronecker_sum
 )
@@ -52,7 +52,6 @@ from .weights import (
     WeightVec,
     as_partition,
     compositions,
-    conjugate,
     is_dominant,
     pad,
     simple_root,
@@ -189,17 +188,6 @@ def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]
     return out
 
 
-def wedge_generators(
-    basis: list[Subset] | tuple[Subset, ...], m: int, moves: list[Move]
-) -> tuple[RatMat, ...]:
-    """Matrices of the given generators on a wedge basis of bitmasks,
-    closed under them: an image subset's row is its position in basis."""
-    index = {s: t for t, s in enumerate(basis)}
-    return _generators(
-        basis, index.__getitem__, lambda s, move: _move_images(s, m, move), moves
-    )
-
-
 def ext_power(k: int, n: int) -> ExplicitModule:
     """Lambda^k(C^n) on the k-subsets of {0, ..., n-1}, as bitmasks."""
     if n < 1:
@@ -209,9 +197,14 @@ def ext_power(k: int, n: int) -> ExplicitModule:
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(n, k))
     basis = [_mask(c) for c in itertools.combinations(range(n), k)]
+    index = {s: t for t, s in enumerate(basis)}
+
+    def images(s: Subset, move: Move) -> list[tuple[int, Subset]]:
+        return _move_images(s, 1, move)
+
     weights = tuple(tuple(s >> j & 1 for j in range(n)) for s in basis)
-    E = wedge_generators(basis, 1, _moves(n, True, True))
-    F = wedge_generators(basis, 1, _moves(n, True, False))
+    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
+    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
     return ExplicitModule(n, len(basis), weights, E, F)
 
 
@@ -408,10 +401,10 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     of that larger ambient, and the module, its basis order and its
     matrices are the same in both.  The ambient product is an index space
     that is never built: vectors are sparse in tensor's basis order, and
-    the generators act on them through _kronecker_generators.  The
-    guard bounds the larger ambient, the product of C(n, k) over the
-    columns, which is at least the product of C(C(n, k) + a_k - 1, a_k)
-    over the heights.  submodule, seeded with the
+    the generators act on them through _kronecker_generators.  The guard,
+    read height by height off lam, bounds the larger ambient, the product
+    of C(n, k) over the columns, which is at least the product of
+    C(C(n, k) + a_k - 1, a_k) over the heights.  submodule, seeded with the
     highest vector alone, builds its closure under the lowering
     generators in one descending pass over the weights, one exact
     echelon basis per weight, and restricts E and F to it as it goes, so
@@ -426,20 +419,23 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     if len(shape) > n:
         raise ValueError(f"partition {shape} has more than n={n} parts")
     check_dimension(max(shape, default=0))  # lambda_1 columns
-    heights = conjugate(shape)
-    if not heights:
+    if not shape:
         return sym_power(0, n)
-    # the running product over the columns is checked before any factor
-    # is built
+    # the running product over the columns, tallest first, is checked
+    # before any factor is built; a factor C(n, k) >= 2 exceeds the guard
+    # within its bit length of columns, and a factor of 1 changes nothing
     check_dimension(n)  # before the binomials, which grow with n
-    dim = 1
-    for h in heights:
-        dim *= comb(n, h)
-        check_dimension(dim)
-    E, F = _kronecker_generators([
-        _sym_ext_power(sum(1 for _ in run), h, n)
-        for h, run in itertools.groupby(heights)
-    ])
+    most = max_dimension().bit_length()
+    below = shape[1:] + (0,)
+    dim, runs = 1, []
+    for k in range(len(shape), 0, -1):
+        a = shape[k - 1] - below[k - 1]  # the columns of height k
+        for _ in range(min(a, most)):
+            dim *= comb(n, k)
+            check_dimension(dim)
+        if a:
+            runs.append((a, k))
+    E, F = _kronecker_generators([_sym_ext_power(a, k, n) for a, k in runs])
     top = EchelonBasis()
     top.insert({0: 1})
     return submodule(n, {pad(shape, n): top}, E, F)
@@ -477,9 +473,10 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
     E[i] and F[i] map a sparse ambient vector to its image under the i-th
     raising and lowering generator.  One pass visits the weights in
     descending lexicographic order.  w + alpha_i is greater than w, so
-    the spaces above w are final when w is reached.  At w the pass
-    inserts the F_i images of the rows at each w + alpha_i into w's
-    space, then reads each image's coordinates off w's final pivot
+    the spaces above w are final when w is reached.  A weight with rows
+    queues each w - alpha_i, noting i there.  At w the pass inserts the
+    F_i images of the rows at each noted w + alpha_i, in ascending i,
+    into w's space, then reads each image's coordinates off w's final pivot
     columns: a member v of an RREF span is sum_p v[p] * row_p, and the
     insert has just put v in the span.  Each E_i image of w's rows is
     expanded exactly in the space at w + alpha_i; an image outside that
@@ -496,7 +493,7 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
     roots = [simple_root(i, n) for i in range(n - 1)]
     heap = [tuple(-x for x in w) for w in spaces]  # max-heap of weights
     heapq.heapify(heap)
-    queued = set(spaces)
+    queued: dict[WeightVec, list[int]] = {w: [] for w in spaces}  # the noted i
     # the spaces still read from below, descending, with each pivot's
     # basis position
     live: dict[WeightVec, tuple[EchelonBasis, dict[int, int]]] = {}
@@ -507,11 +504,8 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
         w = tuple(-x for x in heapq.heappop(heap))
         space = spaces.pop(w, None) or EchelonBasis()
         pulled = []
-        for i, alpha in enumerate(roots):
-            above = live.get(weight_sum(w, alpha))
-            if above is None:
-                continue
-            source, source_at = above
+        for i in queued.pop(w):
+            source, source_at = live[weight_sum(w, roots[i])]
             for p, col in source_at.items():
                 image = F[i](source.rows[p])
                 if image:
@@ -539,8 +533,8 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
                     }
                 below = weight_diff(w, alpha)
                 if below not in queued:
-                    queued.add(below)
                     heapq.heappush(heap, tuple(-x for x in below))
+                queued.setdefault(below, []).append(i)
             live[w] = space, at
         # a space is read by the n - 1 weights u - alpha_i below it, the
         # least of which is u - alpha_0; once that is passed, drop it

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import sys
 from collections import deque
@@ -9,7 +10,7 @@ import pytest
 
 from weylworks import glmodules, linalg
 from weylworks.characters import character, character_table, dim_irrep
-from weylworks.errors import InvariantViolation
+from weylworks.errors import InvariantViolation, ResourceLimitError, check_dimension
 from weylworks.glmodules import (
     ExplicitModule,
     _kronecker_generators,
@@ -320,6 +321,70 @@ def test_irrep_plucker_never_builds_the_ambient_product(monkeypatch):
     mod = irrep_plucker((5, 3, 1, 1, 0), 5)
     assert mod.dim == dim_irrep((5, 3, 1, 1, 0), 5)
     assert built and max(built) <= 275
+
+
+def counting(monkeypatch, name):
+    """Count the calls glmodules makes to its global name."""
+    calls = [0]
+    honest = getattr(glmodules, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(glmodules, name, counted)
+    return calls
+
+
+def test_irrep_plucker_guards_a_long_row_in_few_calls(monkeypatch):
+    # one height with 10^6 columns of C(1, 1) = 1: the guard stops
+    # multiplying once more columns cannot change its verdict
+    calls = counting(monkeypatch, "check_dimension")
+    assert irrep_plucker((10**6,), 1).dim == 1
+    assert calls[0] <= 30
+
+
+def test_irrep_plucker_reads_only_the_roots_that_reached_a_weight(monkeypatch):
+    # C^30 has 30 weights with rows and 841 empty weights queued
+    # below them; each queued weight reads only the roots noted there,
+    # not all 29
+    calls = counting(monkeypatch, "weight_sum")
+    assert irrep_plucker((1,), 30).dim == 30
+    assert calls[0] <= 4 * 30**2
+
+
+def running_product_verdict(shape, n):
+    """irrep_plucker's guard before any module is built, checked the long
+    way: lambda_1, then n, then the running product over every column."""
+    try:
+        check_dimension(max(shape, default=0))
+        if shape:
+            check_dimension(n)
+            dim = 1
+            for h in conjugate(shape):
+                dim *= math.comb(n, h)
+                check_dimension(dim)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [7, 60, 1000, 40000])
+def test_irrep_plucker_refuses_what_the_running_product_refuses(monkeypatch, cap):
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", str(cap))
+    # the guard's verdict only; what passes it is built by other tests
+    monkeypatch.setattr(glmodules, "_kronecker_generators", lambda factors: ([], []))
+    monkeypatch.setattr(glmodules, "submodule", lambda *args: None)
+    for n in range(1, 7):
+        for size in range(9):
+            for shape in partitions(size, n):
+                expected = running_product_verdict(shape, n)
+                try:
+                    irrep_plucker(shape, n)
+                    got = None
+                except ResourceLimitError as exc:
+                    got = str(exc)
+                assert got == expected, (cap, shape, n)
 
 
 def test_sym_ext_power_is_the_orbit_sums_in_the_tensor_power():

@@ -11,12 +11,12 @@ from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.glmodules import (
     ExplicitModule,
+    _generators,
     _move_images,
     _moves,
     decompose,
     ext_power,
     verify_chevalley_relations,
-    wedge_generators,
 )
 from weylworks.linalg import EchelonBasis, kernel
 from weylworks.skewhowe import (
@@ -44,7 +44,7 @@ def whole_wedge(n, m, N, along_rows):
     """Referee: the whole wedge Lambda^N(C^n (x) C^m) as a gl(n) module
     (along_rows) or a gl(m) module.  Returns its N-subsets, as bitmasks in
     lexicographic order, and the module on them: weights counted pair by
-    pair, generators built with glmodules.wedge_generators."""
+    pair, generators built by glmodules._generators from _move_images."""
     basis = [sum(1 << p for p in c) for c in itertools.combinations(range(n * m), N)]
     rank = n if along_rows else m
 
@@ -52,8 +52,14 @@ def whole_wedge(n, m, N, along_rows):
         sides = [divmod(p, m)[0 if along_rows else 1] for p in bits(subset)]
         return tuple(sides.count(i) for i in range(rank))
 
+    index = {s: t for t, s in enumerate(basis)}
     E, F = (
-        wedge_generators(basis, m, _moves(rank, along_rows, raising))
+        _generators(
+            basis,
+            index.__getitem__,
+            lambda s, move: _move_images(s, m, move),
+            _moves(rank, along_rows, raising),
+        )
         for raising in (True, False)
     )
     return basis, ExplicitModule(rank, len(basis), tuple(map(weight, basis)), E, F)
