@@ -7,11 +7,11 @@ constructors act by derivations on symmetric, exterior, and tensor
 products, so the defining commutation relations hold exactly over the
 rationals, not just numerically.
 
-One builder, _generators, makes generator matrices from what a generator
-does to one basis label: monomials (sym_power), wedge subsets (ext_power,
-through _move_images, which the skew Howe wedge applies to its subsets
-too), multisets of wedge subsets (_sym_ext_power) and matrix units
-(adjoint_module, bracketed on labels).
+One builder, _labelled_module, makes a module from its labelled basis,
+the weights, and what a generator does to one basis label: monomials
+(sym_power), wedge subsets (ext_power, through _move_images, which the
+skew Howe wedge applies to its subsets too), multisets of wedge subsets
+(_sym_ext_power) and matrix units (adjoint_module, bracketed on labels).
 A wedge basis vector's only name is its subset's int bitmask, bit p for
 factor p; wedge_replace, the one place wedge signs are computed, flips
 two bits and takes the sign from the popcount of the bits between them.
@@ -28,8 +28,9 @@ submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
 generators to it in the same pass: it visits the weights in descending
 order, so each weight space is final before any image of it is expanded,
-and it applies each generator once per basis vector.  Every raising image
-is expanded exactly, so closure under E stays checked.  Both
+and it applies each generator at most once per basis vector, only where
+it can move a factor.  Every raising image is expanded exactly, so
+closure under E stays checked.  Both
 constructions of an irreducible end with it: irrep_plucker seeds it with
 the highest vector alone, and skewhowe.induced_gln_module with every hom
 space, then checks that nothing was added, which is closure under F.
@@ -97,21 +98,25 @@ def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
     ]
 
 
-def _generators(basis, index, images, moves: list[Move]) -> tuple[RatMat, ...]:
-    """Matrices of the given generators on a labelled basis.
-
-    images(label, move) lists the (coefficient, image label) terms of one
-    generator applied to one basis label, and index(label) gives an image
-    label's row; column t is basis[t].  Repeated terms are summed.
+def _labelled_module(n: int, basis, weights, images) -> ExplicitModule:
+    """The gl(n) module on a labelled basis: column t is basis[t], of
+    weight weights[t], and images(label, move) lists the (coefficient,
+    image label) terms of one generator applied to one basis label.
+    Repeated terms are summed.
     """
+    index = {label: t for t, label in enumerate(basis)}
     dim = len(basis)
 
     def entries(move: Move):
         for t, label in enumerate(basis):
             for coeff, image in images(label, move):
-                yield index(image), t, coeff
+                yield index[image], t, coeff
 
-    return tuple(RatMat.from_entries(dim, dim, entries(move)) for move in moves)
+    def matrices(raising: bool) -> tuple[RatMat, ...]:
+        moves = _moves(n, True, raising)
+        return tuple(RatMat.from_entries(dim, dim, entries(move)) for move in moves)
+
+    return ExplicitModule(n, dim, tuple(weights), matrices(True), matrices(False))
 
 
 def standard_module(n: int) -> ExplicitModule:
@@ -128,7 +133,6 @@ def sym_power(k: int, n: int) -> ExplicitModule:
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(k + n - 1, n - 1))
     basis = list(compositions(k, n))
-    index = {a: t for t, a in enumerate(basis)}
 
     def images(a: WeightVec, move: Move) -> list[tuple[int, WeightVec]]:
         _, frm, to = move  # a[frm] ways to turn one factor e_frm into e_to
@@ -136,9 +140,7 @@ def sym_power(k: int, n: int) -> ExplicitModule:
             return []
         return [(a[frm], tuple(x - (j == frm) + (j == to) for j, x in enumerate(a)))]
 
-    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
-    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
-    return ExplicitModule(n, len(basis), tuple(basis), E, F)
+    return _labelled_module(n, basis, basis, images)
 
 
 # Wedge factors are pairs (i, a) numbered i*m + a; with m = 1 they are
@@ -197,15 +199,8 @@ def ext_power(k: int, n: int) -> ExplicitModule:
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(n, k))
     basis = [_mask(c) for c in itertools.combinations(range(n), k)]
-    index = {s: t for t, s in enumerate(basis)}
-
-    def images(s: Subset, move: Move) -> list[tuple[int, Subset]]:
-        return _move_images(s, 1, move)
-
     weights = tuple(tuple(s >> j & 1 for j in range(n)) for s in basis)
-    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
-    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
-    return ExplicitModule(n, len(basis), weights, E, F)
+    return _labelled_module(n, basis, weights, lambda s, move: _move_images(s, 1, move))
 
 
 def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
@@ -225,7 +220,6 @@ def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
     subsets = [_mask(c) for c in itertools.combinations(range(n), k)]
     position = {s: t for t, s in enumerate(subsets)}
     basis = list(itertools.combinations_with_replacement(range(len(subsets)), a))
-    index = {label: t for t, label in enumerate(basis)}
 
     def images(label: tuple[int, ...], move: Move) -> list[tuple[int, tuple[int, ...]]]:
         out = []
@@ -243,9 +237,7 @@ def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
         tuple(sum(subsets[t] >> j & 1 for t in label) for j in range(n))
         for label in basis
     )
-    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
-    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
-    return ExplicitModule(n, len(basis), weights, E, F)
+    return _labelled_module(n, basis, weights, images)
 
 
 def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
@@ -286,7 +278,6 @@ def adjoint_module(n: int) -> ExplicitModule:
     check_dimension(n * n - 1)
     basis = [(a, b) for a in range(n) for b in range(n) if a != b]
     basis += [(i, i) for i in range(n - 1)]
-    index = {label: t for t, label in enumerate(basis)}
 
     def images(label: tuple[int, int], move: Move) -> list:
         # the move is E_{to,frm}, and
@@ -301,9 +292,7 @@ def adjoint_module(n: int) -> ExplicitModule:
         return [(1, (to, b))] * (a == frm) + [(-1, (a, frm))] * (b == to)
 
     weights = tuple(tuple((j == a) - (j == b) for j in range(n)) for a, b in basis)
-    E = _generators(basis, index.__getitem__, images, _moves(n, True, True))
-    F = _generators(basis, index.__getitem__, images, _moves(n, True, False))
-    return ExplicitModule(n, len(basis), weights, E, F)
+    return _labelled_module(n, basis, weights, images)
 
 
 def weight_decompose(mod: ExplicitModule) -> dict[WeightVec, tuple[int, ...]]:
@@ -408,8 +397,8 @@ def irrep_plucker(lam, n: int) -> ExplicitModule:
     highest vector alone, builds its closure under the lowering
     generators in one descending pass over the weights, one exact
     echelon basis per weight, and restricts E and F to it as it goes, so
-    each generator is applied once per basis vector.  The reduced echelon
-    bases are canonical, so the output is deterministic.
+    each generator is applied at most once per basis vector.  The reduced
+    echelon bases are canonical, so the output is deterministic.
     """
     shape = as_partition(lam)
     if n < 0:
@@ -471,18 +460,24 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
 
     spaces maps weights to EchelonBasis seeds in ambient coordinates;
     E[i] and F[i] map a sparse ambient vector to its image under the i-th
-    raising and lowering generator.  One pass visits the weights in
-    descending lexicographic order.  w + alpha_i is greater than w, so
-    the spaces above w are final when w is reached.  A weight with rows
-    queues each w - alpha_i, noting i there.  At w the pass inserts the
-    F_i images of the rows at each noted w + alpha_i, in ascending i,
-    into w's space, then reads each image's coordinates off w's final pivot
-    columns: a member v of an RREF span is sum_p v[p] * row_p, and the
-    insert has just put v in the span.  Each E_i image of w's rows is
-    expanded exactly in the space at w + alpha_i; an image outside that
-    span, or at a weight with no space, raises InvariantViolation, since
-    then the generated spaces are not closed under E.  Each generator is
-    applied once per basis vector.
+    raising and lowering generator.  Every ambient weight must be
+    nonnegative, each entry counting the factors at one index, as in
+    tensor products of Sym^a(Lambda^k C^n) and in the skew Howe wedge:
+    then E_i kills weight w when w[i+1] == 0 and F_i kills it when
+    w[i] == 0, so those images are zero and never computed.
+
+    One pass visits the weights in descending lexicographic order.
+    w + alpha_i is greater than w, so the spaces above w are final when
+    w is reached.  A weight with rows queues each w - alpha_i with
+    w[i] > 0, noting i there.  At w the pass inserts the F_i images of
+    the rows at each noted w + alpha_i, in ascending i, into w's space,
+    then reads each image's coordinates off w's final pivot columns: a
+    member v of an RREF span is sum_p v[p] * row_p, and the insert has
+    just put v in the span.  Each E_i image of w's rows with w[i+1] > 0
+    is expanded exactly in the space at w + alpha_i; an image outside
+    that span, or at a weight with no space, raises InvariantViolation,
+    since then the generated spaces are not closed under E.  Each
+    generator is applied at most once per basis vector.
 
     The basis is each space's rows in pivot order, weights descending.
     The pass pops each weight's seeds from spaces and drops its rows once
@@ -518,26 +513,28 @@ def submodule(n: int, spaces: dict[WeightVec, EchelonBasis], E, F) -> ExplicitMo
             for i, col, image in pulled:
                 f_cols[i][col] = {at[p]: image[p] for p in pivots if p in image}
             for i, alpha in enumerate(roots):
-                tw = weight_sum(w, alpha)
-                for p, col in at.items():
-                    image = E[i](space.rows[p])
-                    if not image:
-                        continue
-                    if tw not in live:
-                        raise InvariantViolation(
-                            f"generator image at weight {tw} leaves the submodule"
-                        )
-                    target, target_at = live[tw]
-                    e_cols[i][col] = {
-                        target_at[q]: c for q, c in target.coords(image).items()
-                    }
-                below = weight_diff(w, alpha)
-                if below not in queued:
-                    heapq.heappush(heap, tuple(-x for x in below))
-                queued.setdefault(below, []).append(i)
+                if w[i + 1]:
+                    tw = weight_sum(w, alpha)
+                    for p, col in at.items():
+                        image = E[i](space.rows[p])
+                        if not image:
+                            continue
+                        if tw not in live:
+                            raise InvariantViolation(
+                                f"generator image at weight {tw} leaves the submodule"
+                            )
+                        target, target_at = live[tw]
+                        e_cols[i][col] = {
+                            target_at[q]: c for q, c in target.coords(image).items()
+                        }
+                if w[i]:
+                    below = weight_diff(w, alpha)
+                    if below not in queued:
+                        heapq.heappush(heap, tuple(-x for x in below))
+                    queued.setdefault(below, []).append(i)
             live[w] = space, at
-        # a space is read by the n - 1 weights u - alpha_i below it, the
-        # least of which is u - alpha_0; once that is passed, drop it
+        # a space is read by at most the n - 1 weights u - alpha_i below
+        # it, the least of which is u - alpha_0; once that is passed, drop it
         for u in list(live):
             if roots and weight_diff(u, roots[0]) < w:
                 break

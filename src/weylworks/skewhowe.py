@@ -257,37 +257,32 @@ def verify_commuting_actions(bim: BiModule) -> None:
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _field_terms(
-    m: int, moves: tuple[Move, ...], field: Subset
-) -> tuple[tuple[int, int, Subset], ...]:
-    """(move number, sign, flip mask) terms of gl(m) moves on one m-bit
-    row field, as _move_images (and so wedge_replace) gives them on the
-    field taken as a one-row subset.  On a subset whose row i is the
-    field, each term flips the mask shifted by i*m.  A raising move's
-    signs are all +1.  Cached per (m, moves, field) with a bound, so the
-    2^m fields of a large m are never tabulated.
+def _field_terms(m: int, field: Subset) -> tuple[tuple[int, int, Subset], ...]:
+    """(move number, sign, flip mask) terms of the gl(m) raising moves on
+    one m-bit row field, as _move_images (and so wedge_replace) gives
+    them on the field taken as a one-row subset.  On a subset whose row i
+    is the field, each term flips the mask shifted by i*m.  The signs are
+    all +1.  Cached per (m, field) with a bound, so the 2^m fields of a
+    large m are never tabulated.
     """
-    if any(along_rows for along_rows, _, _ in moves):
-        raise ValueError(f"gl(n) moves in {moves} do not act inside one row field")
     return tuple(
         (k, sign, field ^ image)
-        for k, move in enumerate(moves)
+        for k, move in enumerate(_moves(m, False, True))
         for sign, image in _move_images(field, m, move)
     )
 
 
 def _stacked_rows(
-    m: int, subsets: tuple[Subset, ...], moves: list[Move]
+    m: int, subsets: tuple[Subset, ...]
 ) -> dict[tuple[int, Subset], SparseVec]:
-    """The stacked gl(m) moves on the span of subsets (one slice), one
-    row per (move number, image subset), keyed by position in subsets.
+    """The stacked gl(m) raising moves on the span of subsets (one slice),
+    one row per (move number, image subset), keyed by position in subsets.
 
     Every subset of a slice has the same row sums, so the rows holding a
     factor are read off the first.  A term of move k with flip mask f on
     the row field at shift sends s to row (k, s ^ f << shift); each
     distinct field's _field_terms are looked up once per call.
     """
-    moves = tuple(moves)
     full = (1 << m) - 1
     first = subsets[0] if subsets else 0
     shifts = [f for f in range(0, first.bit_length(), m) if first >> f & full]
@@ -298,7 +293,7 @@ def _stacked_rows(
             field = s >> shift & full
             found = terms.get(field)
             if found is None:
-                found = terms[field] = _field_terms(m, moves, field)
+                found = terms[field] = _field_terms(m, field)
             for k, sign, flip in found:
                 key = (k, s ^ flip << shift)
                 row = rows.get(key)
@@ -356,16 +351,17 @@ def joint_highest_weight_dim(bim: BiModule, wn, wm) -> int:
     taken over the rows up to that entry only, which keeps the slice and
     the moves small when wn has few nonzero rows, however large n is.
     The gl(m) rows come from _stacked_rows; a gl(n) move carries a factor
-    across rows, so its rows are stacked through _act, after them.
+    across rows, so its rows are stacked after them, read off
+    _move_images, whose images of one subset are distinct.
     """
     if len(wn) != bim.n:
         return 0
     rows = max((i + 1 for i, x in enumerate(wn) if x), default=1)
     subsets = _slice(rows, bim.m, tuple(wn)[:rows], wm)
-    stacked = _stacked_rows(bim.m, subsets, _moves(bim.m, False, True))
+    stacked = _stacked_rows(bim.m, subsets)
     for k, move in enumerate(_moves(rows, True, True), start=bim.m - 1):
         for pos, s in enumerate(subsets):
-            for image, sign in _act(bim.m, move, {s: 1}).items():
+            for sign, image in _move_images(s, bim.m, move):
                 stacked.setdefault((k, image), {})[pos] = sign
     return len(kernel(list(stacked.values()), len(subsets)))
 
@@ -390,7 +386,7 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     subsets = _slice(bim.n, bim.m, mu, pad(shape, bim.m))
-    rows = _stacked_rows(bim.m, subsets, _moves(bim.m, False, True))
+    rows = _stacked_rows(bim.m, subsets)
     basis = kernel(list(rows.values()), len(subsets))
     vectors = tuple({subsets[t]: v for t, v in vec.items()} for vec in basis)
     return HomSpace(

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -345,12 +346,15 @@ def test_irrep_plucker_guards_a_long_row_in_few_calls(monkeypatch):
 
 
 def test_irrep_plucker_reads_only_the_roots_that_reached_a_weight(monkeypatch):
-    # C^30 has 30 weights with rows and 841 empty weights queued
-    # below them; each queued weight reads only the roots noted there,
-    # not all 29
-    calls = counting(monkeypatch, "weight_sum")
+    # each queued weight of C^30 reads only the roots noted there, not
+    # all 29; and e_j has one factor, at j, which only E_(j-1) and F_j
+    # can move, so each weight reads at most one weight above it and
+    # queues at most one below it (queueing every w - alpha_i took 1,740
+    # weight_sum and 1,770 weight_diff calls)
+    sums = counting(monkeypatch, "weight_sum")
+    diffs = counting(monkeypatch, "weight_diff")
     assert irrep_plucker((1,), 30).dim == 30
-    assert calls[0] <= 4 * 30**2
+    assert sums[0] <= 90 and diffs[0] <= 90
 
 
 def running_product_verdict(shape, n):
@@ -536,7 +540,12 @@ def test_irrep_plucker_applies_each_generator_once_per_basis_vector(monkeypatch,
     monkeypatch.setattr(glmodules, "_kronecker_generators", counting_generators)
     mod = irrep_plucker(lam, 5)
     assert mod.dim == dim_irrep(lam, 5)
-    assert calls == {"E": mod.dim * 4, "F": mod.dim * 4}
+    # E_i needs a factor at i + 1 to move, and F_i one at i
+    pairs = [(w[i], w[i + 1]) for w in mod.basis_weights for i in range(4)]
+    assert calls == {
+        "E": sum(1 for _, below in pairs if below),
+        "F": sum(1 for at, _ in pairs if at),
+    }
 
 
 def reference_wedge_replace(subset, old, new):
@@ -726,3 +735,22 @@ def test_labelled_constructors_match_the_references():
             assert_same_module(sym_power(k, n), reference_sym_power(k, n))
         for k in range(n + 1):
             assert_same_module(ext_power(k, n), reference_ext_power(k, n))
+
+
+def test_labelled_builders_keep_their_pinned_digest():
+    """The weights and E/F entries of 99 small labelled modules, pinned by
+    one sha256 taken before the four builders shared _labelled_module."""
+    digest = hashlib.sha256()
+    mods = []
+    for n in range(1, 6):
+        mods += [sym_power(k, n) for k in range(6)]
+        mods += [ext_power(k, n) for k in range(n + 1)]
+        mods += [_sym_ext_power(a, k, n) for a in range(1, 4) for k in range(1, n + 1)]
+    mods += [adjoint_module(n) for n in range(2, 6)]
+    for mod in mods:
+        entries = [m.entries() for m in mod.E], [m.entries() for m in mod.F]
+        digest.update(repr((mod.basis_weights, *entries)).encode())
+    assert len(mods) == 99
+    assert digest.hexdigest() == (
+        "41152daecd066eb354ecf401909a2d84c6fc3ea784b9bd4c68da87183296f1bd"
+    )

@@ -10,8 +10,7 @@ from weylworks.characters import character_table, dim_irrep, kostka
 from weylworks.cli import cross_validate
 from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.glmodules import (
-    ExplicitModule,
-    _generators,
+    _labelled_module,
     _move_images,
     _moves,
     decompose,
@@ -44,7 +43,8 @@ def whole_wedge(n, m, N, along_rows):
     """Referee: the whole wedge Lambda^N(C^n (x) C^m) as a gl(n) module
     (along_rows) or a gl(m) module.  Returns its N-subsets, as bitmasks in
     lexicographic order, and the module on them: weights counted pair by
-    pair, generators built by glmodules._generators from _move_images."""
+    pair, generators built by glmodules._labelled_module from
+    _move_images, each move read as a column move for gl(m)."""
     basis = [sum(1 << p for p in c) for c in itertools.combinations(range(n * m), N)]
     rank = n if along_rows else m
 
@@ -52,17 +52,11 @@ def whole_wedge(n, m, N, along_rows):
         sides = [divmod(p, m)[0 if along_rows else 1] for p in bits(subset)]
         return tuple(sides.count(i) for i in range(rank))
 
-    index = {s: t for t, s in enumerate(basis)}
-    E, F = (
-        _generators(
-            basis,
-            index.__getitem__,
-            lambda s, move: _move_images(s, m, move),
-            _moves(rank, along_rows, raising),
-        )
-        for raising in (True, False)
-    )
-    return basis, ExplicitModule(rank, len(basis), tuple(map(weight, basis)), E, F)
+    def images(s, move):
+        _, frm, to = move
+        return _move_images(s, m, (along_rows, frm, to))
+
+    return basis, _labelled_module(rank, basis, map(weight, basis), images)
 
 
 def test_build_bimodule_dimensions():
@@ -440,24 +434,22 @@ def test_field_terms_are_the_wedge_moves_with_sign_one():
     no factor lies between them: every term is _move_images' and every
     sign is +1."""
     for m in range(1, 8):
-        raising = tuple(_moves(m, False, True))
+        raising = _moves(m, False, True)
         for field in range(1 << m):
-            terms = _field_terms(m, raising, field)
+            terms = _field_terms(m, field)
             assert terms == tuple(
                 (k, sign, field ^ image)
                 for k, move in enumerate(raising)
                 for sign, image in _move_images(field, m, move)
             )
             assert all(sign == 1 for _, sign, _ in terms), (m, field)
-    with pytest.raises(ValueError, match="row field"):
-        _field_terms(3, tuple(_moves(2, True, True)), 0b111)
 
 
-def stacked_rows_referee(m, subsets, moves):
-    """_stacked_rows as a loop over every subset, move and term."""
+def stacked_rows_referee(m, subsets):
+    """_stacked_rows as a loop over every subset, raising move and term."""
     rows = {}
     for pos, s in enumerate(subsets):
-        for move_no, move in enumerate(moves):
+        for move_no, move in enumerate(_moves(m, False, True)):
             for sign, image in _move_images(s, m, move):
                 rows.setdefault((move_no, image), {})[pos] = sign
     return rows
@@ -491,27 +483,24 @@ def kernel_in_row_order(rows, ncols):
 
 
 def test_stacked_rows_and_last_first_kernel_match_the_referees():
-    """On every non-empty slice with n, m <= 4: the row-local rows equal
-    the per-move loop's, for the raising and the lowering moves, and the
-    kernel that linalg.kernel takes last first (through hom_space when
-    the gl(m) weight is a partition) is the kernel of the rows inserted
-    in their own order, basis vector for basis vector (RREF is
-    canonical), so it spans the same space.  When the gl(m) weight is a
-    partition and mu is not sorted, mu's raising rows are the sorted
-    mu's with every image subset and every column carried by the row
-    permutation sigma of _certify_carried: the equivariance that lets
-    hom_dims build rows at each orbit's sorted mu only."""
+    """On every non-empty slice with n, m <= 4: the row-local raising
+    rows equal the per-move loop's, and the kernel that linalg.kernel
+    takes last first (through hom_space when the gl(m) weight is a
+    partition) is the kernel of the rows inserted in their own order,
+    basis vector for basis vector (RREF is canonical), so it spans the
+    same space.  When the gl(m) weight is a partition and mu is not
+    sorted, mu's raising rows are the sorted mu's with every image
+    subset and every column carried by the row permutation sigma of
+    _certify_carried: the equivariance that lets hom_dims build rows at
+    each orbit's sorted mu only."""
     count = carried = 0
     for n, m in itertools.product(range(1, 5), repeat=2):
-        raising, lowering = _moves(m, False, True), _moves(m, False, False)
         full = (1 << m) - 1
         for wn, wm, subsets in nonempty_slices(n, m):
             count += 1
-            for moves in (raising, lowering):
-                assert _stacked_rows(m, subsets, moves) == stacked_rows_referee(
-                    m, subsets, moves
-                ), (n, m, wn, wm)
-            rows = list(stacked_rows_referee(m, subsets, raising).values())
+            referee = stacked_rows_referee(m, subsets)
+            assert _stacked_rows(m, subsets) == referee, (n, m, wn, wm)
+            rows = list(referee.values())
             in_order = kernel_in_row_order(rows, len(subsets))
             if list(wm) == sorted(wm, reverse=True):
                 hs = hom_space(build_bimodule(n, m, sum(wn)), wm, wn)
@@ -531,8 +520,8 @@ def test_stacked_rows_and_last_first_kernel_match_the_referees():
                     rep_subsets = _slice(n, m, rep, wm)
                     where = {s: t for t, s in enumerate(subsets)}
                     column = [where[carry(s)] for s in rep_subsets]
-                    rep_rows = _stacked_rows(m, rep_subsets, raising)
-                    assert _stacked_rows(m, subsets, raising) == {
+                    rep_rows = _stacked_rows(m, rep_subsets)
+                    assert _stacked_rows(m, subsets) == {
                         (k, carry(image)): {column[c]: v for c, v in row.items()}
                         for (k, image), row in rep_rows.items()
                     }, (n, m, wn, wm)
