@@ -5,13 +5,13 @@ lambda is a Kostka number: the number of semistandard tableaux (rows
 weakly increase, columns strictly increase) of shape lambda and content
 mu.  The tableaux are counted, not listed: the cells holding one entry
 form a horizontal strip, so one forward pass over the entries, keeping
-{sub-shape: number of ways}, gives the count (_count_tableaux), run
-once per shape and sorted content behind a bounded cache.  kostka is
-that count; character_table counts each dominant content mu below
-lambda once and copies the value to every rearrangement of mu, since
-the multiplicity is invariant under the Weyl group (the contents are
-the partitions from weights.partitions that lambda dominates);
-dim_irrep is the table's total.
+{sub-shape: number of ways}, gives the count (_count_tableaux).  kostka
+is that count.  It does not depend on the order of the content, so
+crossval asks for it once per S_n orbit, and character_table counts
+each dominant content mu below lambda once and copies the value to
+every rearrangement of mu (the contents are the partitions from
+weights.partitions that lambda dominates); dim_irrep is the table's
+total.
 Highest weights with negative entries are handled by the determinant
 twist: shifting every entry of lambda and mu by the same constant does
 not change the multiplicity, so everything reduces to partition shapes.
@@ -19,7 +19,6 @@ not change the multiplicity, so everything reduces to partition shapes.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -97,16 +96,13 @@ def _count_tableaux(shape, content) -> int:
     """Number of semistandard tableaux of a partition shape and content.
 
     The count does not depend on the order of the content, so it is
-    taken over the nonzero parts largest first, and every rearrangement
-    of a content shares one count: _count_chains memoizes it on (shape,
-    sorted parts), keeping the counts of the last 4,096 such pairs.  The
-    callers' guards run before this, on every call.
+    taken over the nonzero parts largest first; nothing is cached, and
+    the callers' guards run before this, on every call.
     """
     parts = sorted((x for x in content if x), reverse=True)
     return _count_chains(tuple(shape), tuple(parts))
 
 
-@functools.lru_cache(maxsize=4096)
 def _count_chains(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
     """Number of semistandard tableaux of shape whose entries 1, 2, ...
     occur parts[0], parts[1], ... times.

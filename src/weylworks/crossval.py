@@ -5,13 +5,12 @@ of conjugate(lam) at mu is computed as a Kostka number, as a hom space
 dimension in the exterior-power bimodule and as the leading coefficient
 of a finite-field point-count polynomial: three independent routes.  The
 fourth column, the lattice-model cycle count, is derived from character
-data and is not independent evidence.  Both the hom spaces and the point
-counts do their full work once per S_n orbit of mu, at the sorted mu,
-and certify every other mu against it; an unsorted mu's hom space is
-only certified as a slice carry, so that column's evidence is per orbit.
-The layers are reached through their module attributes
-(characters.kostka, skewhowe.hom_dims, ...), so a wrapper installed on
-one of them sees every call.
+data and is not independent evidence.  Every route works once per S_n
+orbit of mu (weights.orbits), at the sorted mu; the hom spaces and the
+point counts certify every other mu against it, and the symmetric
+Kostka and lattice counts are copied to it.  The layers are reached
+through their module attributes (characters.kostka, skewhowe.hom_dims,
+...), so a wrapper installed on one of them sees every call.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import (
     WeylworksError,
     max_dimension,
 )
-from .weights import as_partition, compositions, conjugate
+from .weights import as_partition, conjugate, orbits
 
 
 @dataclass(frozen=True)
@@ -94,19 +93,19 @@ def cross_validate(
     broken; the report keeps all values so a disagreement is visible
     rather than asserted away.
 
-    The hom space dimensions come from skewhowe.hom_dims: one exact
-    elimination per S_n orbit of mu, at the sorted mu; every other mu
-    gets only a certified carry of that slice, so the evidence is per
-    orbit.  The point counts also work per orbit: point_count_table (counts
-    at its primes and their fit) runs only at each orbit's sorted mu,
-    which compositions yields first, and every other mu's own
-    count_polynomial must equal that table's whole polynomial, not only
-    its leading coefficient, or InvariantViolation is raised.  No check
-    is lost: the default primes depend only on cap and the degree, both
-    symmetric in the jumps, so a rearrangement's table would repeat the
-    same counts and fit.  Each mu's springer value is its own
-    polynomial's leading coefficient.  The answer's size and the tableau
-    guard are checked before anything is built.
+    The hom space dimensions come first, from one skewhowe.hom_dims
+    call: one exact elimination per S_n orbit of mu (weights.orbits), at
+    the sorted mu, and a certified slice carry for every other mu.  The
+    other routes then walk the same orbits: kostka, point_count_table
+    (counts at its primes and their fit) and mv_cycle_count run once at
+    each sorted mu, and every other mu's own count_polynomial must equal
+    the table's whole polynomial or InvariantViolation is raised.  No
+    check is lost: the default primes depend only on cap and the degree,
+    both symmetric in the jumps, and Kostka numbers do not depend on the
+    order of mu.  Each row takes its orbit's kostka and lattice_mv and
+    its own polynomial's leading coefficient.  A route's error is
+    re-raised as its own class.  The answer's size and the tableau guard
+    are checked before anything is built.
     """
     if n < 1 or m < 1:
         raise ValueError("both ranks must be at least 1")
@@ -123,35 +122,30 @@ def cross_validate(
     try:
         hom_dims = skewhowe.hom_dims(bim, shape)
     except WeylworksError as err:
-        raise WeylworksError(
+        raise type(err)(
             f"cross-validation failed in the skew Howe route: {err}"
         ) from err
-    polys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows = []
-    for mu in compositions(total, n):
+    rows = dict.fromkeys(hom_dims)
+    for rep, members in orbits(total, n).items():
+        mu = rep
         try:
-            combinatorial = characters.kostka(shape_conj, mu, size_guard=size_guard)
-            rep = tuple(sorted(mu, reverse=True))
-            if mu == rep:
-                table = springercount.point_count_table(shape, mu, n)
-                poly = polys[rep] = table.coefficients
-            else:
-                poly = springercount.count_polynomial(shape, mu, n)
-                if poly != polys[rep]:
+            combinatorial = characters.kostka(shape_conj, rep, size_guard=size_guard)
+            table = springercount.point_count_table(shape, rep, n).coefficients
+            cycles = lattice.mv_cycle_count(shape_conj, rep, n, size_guard=size_guard)
+            for mu in members:
+                poly = table if mu == rep else springercount.count_polynomial(shape, mu, n)
+                if poly != table:
                     raise InvariantViolation(
                         f"point-count polynomial {poly} differs from "
-                        f"{polys[rep]} at the rearrangement {rep}"
+                        f"{table} at the rearrangement {rep}"
                     )
-            cycles = lattice.mv_cycle_count(shape_conj, mu, n, size_guard=size_guard)
+                rows[mu] = CrossvalRow(
+                    mu=mu,
+                    kostka=combinatorial,
+                    skewhowe=hom_dims[mu],
+                    springer=poly[-1],
+                    lattice_mv=cycles,
+                )
         except WeylworksError as err:
-            raise WeylworksError(f"cross-validation failed at mu={mu}: {err}") from err
-        rows.append(
-            CrossvalRow(
-                mu=mu,
-                kostka=combinatorial,
-                skewhowe=hom_dims[mu],
-                springer=poly[-1],
-                lattice_mv=cycles,
-            )
-        )
-    return CrossvalReport(lam=shape, n=n, m=m, rows=tuple(rows))
+            raise type(err)(f"cross-validation failed at mu={mu}: {err}") from err
+    return CrossvalReport(lam=shape, n=n, m=m, rows=tuple(rows.values()))

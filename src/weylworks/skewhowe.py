@@ -68,6 +68,7 @@ from .weights import (
     as_partition,
     compositions,
     conjugate,
+    orbits,
     pad,
     partitions,
 )
@@ -398,28 +399,26 @@ def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
     """hom_space(bim, lam, mu).dim for every composition mu of N into n
     parts, in the order of weights.compositions.
 
-    Only the sorted mu of each S_n orbit goes through hom_space and gets
-    raising rows.  Every other mu gets its own slice, which
-    _certify_carried checks is the sorted mu's carried by a row
+    Only the sorted mu of each S_n orbit (weights.orbits) goes through
+    hom_space and gets raising rows.  Every other mu gets its own slice,
+    which _certify_carried checks is the sorted mu's carried by a row
     permutation, and the sorted mu's dimension: the evidence is per orbit.
     Those slices share one table of row choices (see _slice), owned by
     this call and freed when it returns.
     """
     shape = as_partition(lam)
     wm = pad(shape, bim.m)
-    dims = dict.fromkeys(compositions(bim.N, bim.n), 0)
-    orbits: dict[WeightVec, list[WeightVec]] = {}
-    for mu in dims:
-        orbits.setdefault(tuple(sorted(mu, reverse=True)), []).append(mu)
+    groups = orbits(bim.N, bim.n)
+    # compositions order, on the orbits' own tuples: each is held once
+    dims = dict.fromkeys(sorted(itertools.chain(*groups.values()), reverse=True))
     table: dict = {}
-    for rep, members in orbits.items():
+    for rep, members in groups.items():
         hs = hom_space(bim, shape, rep)
-        dims[rep] = hs.dim
         for mu in members:
             if mu != rep:
                 subsets = _slice(bim.n, bim.m, mu, wm, table)
                 _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
-                dims[mu] = hs.dim
+            dims[mu] = hs.dim
     return dims
 
 

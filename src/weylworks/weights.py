@@ -203,3 +203,17 @@ def compositions(total: int, parts: int) -> Iterator[WeightVec]:
         comp[-1] = 0
         comp[i] -= 1
         comp[i + 1] = tail
+
+
+def orbits(total: int, parts: int) -> dict[WeightVec, list[WeightVec]]:
+    """The S_parts orbits of compositions(total, parts): each sorted rep,
+    in order of first appearance, maps to its members in compositions
+    order, the rep (the largest) first.
+
+    >>> orbits(2, 2)
+    {(2, 0): [(2, 0), (0, 2)], (1, 1): [(1, 1)]}
+    """
+    found: dict[WeightVec, list[WeightVec]] = {}
+    for mu in compositions(total, parts):
+        found.setdefault(tuple(sorted(mu, reverse=True)), []).append(mu)
+    return found

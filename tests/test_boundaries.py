@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from weylworks import glmodules, skewhowe, springercount
+from weylworks import characters, glmodules, lattice, skewhowe, springercount
 from weylworks.cli import cross_validate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,7 +64,10 @@ def calls(monkeypatch):
         (springercount, "point_count_table"),
         (springercount, "count_fiber_points"),
         (springercount, "interpolate"),
+        (springercount, "count_polynomial"),
         (springercount, "kostka"),
+        (characters, "kostka"),
+        (lattice, "mv_cycle_count"),
         (glmodules, "dim_irrep"),
         (skewhowe, "dim_irrep"),
         (skewhowe, "hom_space"),
@@ -118,3 +121,17 @@ def test_crossval_tabulates_point_counts_once_per_orbit(calls):
     sorted_mus = {tuple(sorted(row.mu, reverse=True)) for row in report.rows}
     tables = [springercount.point_count_table((1,) * 5, mu, 5) for mu in sorted_mus]
     assert counted == sum(len(table.evaluations) for table in tables) == 65
+
+
+def test_crossval_asks_kostka_and_the_lattice_once_per_orbit(calls):
+    # Kostka and the lattice count are symmetric in mu, so only each
+    # orbit's sorted mu asks for them; the lattice count reads its own
+    # Kostka number through characters.character
+    report = cross_validate((1, 1, 1, 1, 1), 5, 5)
+    assert report.match
+    assert calls["lattice.mv_cycle_count"] == 7
+    assert calls["characters.kostka"] == 7 + 7
+    # every other mu, 126 - 7 of them, gets its own polynomial; each of
+    # the 7 tables also asks for one, and so does each of its 65 counts
+    assert calls["springercount.count_fiber_points"] == 65
+    assert calls["springercount.count_polynomial"] == 119 + 7 + 65

@@ -16,7 +16,7 @@ from weylworks.cli import (
     main,
     parse_module_expr,
 )
-from weylworks.errors import InvariantViolation, ResourceLimitError, WeylworksError
+from weylworks.errors import InvariantViolation, ResourceLimitError
 from weylworks.linalg import RatMat
 
 
@@ -394,7 +394,7 @@ def test_crossval_checks_the_point_counts_across_each_orbit(monkeypatch):
     monkeypatch.setattr(
         springercount, "_count_polynomial", springercount._count_polynomial.__wrapped__
     )
-    with pytest.raises(WeylworksError, match="point-count polynomial") as err:
+    with pytest.raises(InvariantViolation, match="point-count polynomial") as err:
         cross_validate((2, 2), 3, 3)
     assert isinstance(err.value.__cause__, InvariantViolation)
 
@@ -417,7 +417,7 @@ def test_crossval_checks_each_rearrangement_against_its_sorted_mu(monkeypatch, i
 
     monkeypatch.setattr(springercount, "count_polynomial", doctored)
     with pytest.raises(
-        WeylworksError,
+        InvariantViolation,
         match=r"at mu=\(1, 2, 1\): point-count polynomial .* at the rearrangement "
         r"\(2, 1, 1\)",
     ) as err:
@@ -563,6 +563,15 @@ def test_crossval_answer_guard_counts_rows_times_ranks(monkeypatch):
         cross_validate((2, 2, 1, 1), 5, 5)
     monkeypatch.setenv("WEYLWORKS_MAX_DIM", "2100")
     assert len(cross_validate((2, 2, 1, 1), 5, 5).rows) == 210
+
+
+def test_crossval_keeps_the_class_of_a_routes_refusal(monkeypatch):
+    # the 24 x 24 answer passes the guard of 1,000 cells; a route's
+    # refusal then reaches the caller as a refusal, not as a bare error
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", "1000")
+    with pytest.raises(ResourceLimitError, match="cross-validation failed") as err:
+        cross_validate((1,) * 24, 2, 24, size_guard=30)
+    assert isinstance(err.value.__cause__, ResourceLimitError)
 
 
 def test_crossval_beyond_the_old_wedge_guard():

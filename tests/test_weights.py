@@ -10,6 +10,7 @@ from weylworks.weights import (
     dominance_leq,
     height,
     is_dominant,
+    orbits,
     pad,
     partitions,
     weyl_permute,
@@ -159,6 +160,25 @@ def test_compositions_match_the_recursive_reference():
             assert list(compositions(total, parts)) == list(
                 reference_compositions(total, parts)
             ), (total, parts)
+
+
+def test_orbits_partition_the_compositions_in_their_order():
+    for total in range(7):
+        for parts in range(6):
+            order = list(compositions(total, parts))
+            position = {mu: i for i, mu in enumerate(order)}
+            found = orbits(total, parts)
+            members = [mu for group in found.values() for mu in group]
+            assert sorted(members, key=position.get) == order, (total, parts)
+            assert [group[0] for group in found.values()] == sorted(
+                found, key=position.get
+            )
+            for rep, group in found.items():
+                assert rep == group[0] and is_dominant(rep)
+                assert [position[mu] for mu in group] == sorted(
+                    position[mu] for mu in group
+                )
+                assert all(tuple(sorted(mu, reverse=True)) == rep for mu in group)
 
 
 def test_enumerators_do_not_recurse_per_part():
