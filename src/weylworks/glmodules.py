@@ -9,9 +9,10 @@ rationals, not just numerically.
 
 One builder, _labelled_module, makes a module from its labelled basis,
 the weights, and what a generator does to one basis label: monomials
-(sym_power), wedge subsets (ext_power, through _move_images, which the
-skew Howe wedge applies to its subsets too), multisets of wedge subsets
-(_sym_ext_power) and matrix units (adjoint_module, bracketed on labels).
+(sym_power), multisets of wedge subsets (_sym_ext_power, through
+_move_images, which the skew Howe wedge applies to its subsets too;
+ext_power is its one-subset case) and matrix units (adjoint_module,
+bracketed on labels).
 A wedge basis vector's only name is its subset's int bitmask, bit p for
 factor p; wedge_replace, the one place wedge signs are computed, flips
 two bits and takes the sign from the popcount of the bits between them.
@@ -191,16 +192,15 @@ def _move_images(subset: Subset, m: int, move: Move) -> list[tuple[int, Subset]]
 
 
 def ext_power(k: int, n: int) -> ExplicitModule:
-    """Lambda^k(C^n) on the k-subsets of {0, ..., n-1}, as bitmasks."""
+    """Lambda^k(C^n), one basis vector per k-subset of {0, ..., n-1} in
+    lex order: Sym^1(Lambda^k C^n), as _sym_ext_power builds it."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     if not 0 <= k <= n:
         raise ValueError(f"bad exterior power parameters k={k}, n={n}")
     check_dimension(n)  # before the binomial, which grows with n
     check_dimension(comb(n, k))
-    basis = [_mask(c) for c in itertools.combinations(range(n), k)]
-    weights = tuple(tuple(s >> j & 1 for j in range(n)) for s in basis)
-    return _labelled_module(n, basis, weights, lambda s, move: _move_images(s, 1, move))
+    return _sym_ext_power(1, k, n)
 
 
 def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
@@ -213,7 +213,7 @@ def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
     moves one index s to s' with Lambda^k's own sign c (_move_images),
     and the image label gets c times the number of times s' occurs in
     it: the target's multiplicity, where sym_power's monomials take the
-    source's.  With a = 1 this is ext_power(k, n), basis and matrices.
+    source's.  ext_power(k, n) is the case a = 1.
     A label holds a indices, not a count per Lambda^k basis vector, so
     a = 1 costs what Lambda^k does however large C(n, k) is.
     """

@@ -100,17 +100,18 @@ def kronecker_sum(x: RatMat, y: RatMat):
 
     Returns a function applying it to a sparse vector whose key
     i * y.ncols + j is e_i (x) e_j, the basis order of
-    glmodules.tensor.  Each column of x and y is read once into (key
-    delta, value) pairs, so one key costs one divmod and two lookups.
-    The result equals the built matrix's apply, with ints unless
-    fractional.
+    glmodules.tensor.  Each nonzero column of x and y is read once into
+    (key delta, value) pairs, so one key costs one divmod and two
+    lookups, and a zero column costs nothing.  The result equals the
+    built matrix's apply, with ints unless fractional.
     """
     step = y.ncols
-    cols_x = [
-        tuple(((r - c) * step, v) for r, v in x.column(c).items())
-        for c in range(x.ncols)
-    ]
-    cols_y = [tuple((r - c, v) for r, v in y.column(c).items()) for c in range(step)]
+    cols_x = [()] * x.ncols
+    for c, col in x._cols.items():
+        cols_x[c] = tuple(((r - c) * step, v) for r, v in col.items())
+    cols_y = [()] * step
+    for c, col in y._cols.items():
+        cols_y[c] = tuple((r - c, v) for r, v in col.items())
 
     def apply(vec: SparseVec) -> SparseVec:
         out: SparseVec = {}
@@ -170,7 +171,9 @@ class EchelonBasis:
     def insert(self, vec: SparseVec) -> SparseVec | None:
         """Add vec to the span.
 
-        Returns a copy of the new normalized row if the span grew, else None.
+        Returns the new normalized row if the span grew, else None.  The
+        basis stores a compact copy of it, not the returned dict, whose
+        table elimination may have left over-allocated.
         """
         v = self._eliminate(vec, None)
         if not v:
@@ -181,12 +184,13 @@ class EchelonBasis:
             inv = Fraction(1) / lead
             v = {c: _demote(val * inv) for c, val in v.items()}
         if pivot in self._held:
-            for row in self.rows.values():
+            for p, row in self.rows.items():
                 if pivot in row:
                     vec_add_scaled(row, v, -row[pivot])
+                    self.rows[p] = dict(row)  # compact: the add may grow its table
         self._held.update(v)
-        self.rows[pivot] = v
-        return dict(v)
+        self.rows[pivot] = dict(v)
+        return v
 
     def coords(self, vec: SparseVec) -> dict[int, Scalar]:
         """Coordinates of vec in the stored rows, keyed by pivot column.

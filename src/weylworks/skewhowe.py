@@ -16,16 +16,17 @@ slices alone: the slice is enumerated directly, row by row over the
 column capacities each row can leave, and counted before it is built;
 generators are applied to subsets on the fly, and the whole wedge is
 never built.  The row choices out of a column-capacity state do not
-depend on the rest of mu, so the slices of one hom_dims call share one
-table of them, which the call owns and frees.  The dimension guard
+depend on the rest of mu, so the slices of one orbit walk share one
+table of them, which the walk owns and frees.  The dimension guard
 (WEYLWORKS_MAX_DIM) applies to each slice's count, before the slice is
 built.
 
 The induced module seeds glmodules.submodule, the same pass that ends
 irrep_plucker, with every hom space in reduced echelon form as its
-weight space mu.  The pass checks closure under the raising generators;
-the module it generates must be no larger than the hom spaces, which is
-closure under the lowering ones.
+weight space mu: each one its sorted mu's vectors carried over by a row
+permutation (below).  The pass checks closure under the raising
+generators; the module it generates must be no larger than the hom
+spaces, which is closure under the lowering ones.
 
 A gl(m) move acts inside one row of the 0/1 matrix: it replaces (i, a)
 by (i, b), and every factor between them is in row i too.  So its terms
@@ -35,14 +36,16 @@ field, always has sign +1.  _stacked_rows builds the raising rows of a
 slice field by field, and hom_space takes their kernel with
 linalg.kernel, which picks the row order for every caller.
 
-hom_dims, which crossval reads, needs only the dimensions.  A row
-permutation sigma of C^n commutes with gl(m) and carries the (mu, lam)
-slice onto the (sigma mu, lam) slice, so it eliminates once per S_n
-orbit, at the sorted mu, through hom_space.  Every other mu gets only
-its own slice, which _certify_carried checks against the sorted mu's
-slice carried by sigma, one run of rows moved by the same displacement
-at a time; the moves are row-local, so its raising rows would be the
-sorted mu's carried too.  The evidence is per orbit.
+A row permutation sigma of C^n commutes with gl(m) and carries the
+(mu, lam) slice onto the (sigma mu, lam) slice, so one walk over the S_n
+orbits (_orbit_hom_spaces) eliminates once per orbit, at the sorted mu,
+through hom_space.  Every other mu gets only its own slice, which
+_certify_carried checks against the sorted mu's slice carried by sigma,
+one run of rows moved by the same displacement at a time; the moves are
+row-local, so its raising rows would be the sorted mu's carried too, and
+the sorted mu's hom-space vectors, renamed through the carried slice,
+span mu's.  The evidence is per orbit.  hom_dims, which crossval reads,
+and induced_gln_module both read that walk.
 
 BiModule is only (n, m, N): no command reads more of the wedge than its
 slices.  verify_commuting_actions, a check no command runs, walks all
@@ -66,7 +69,6 @@ from .linalg import EchelonBasis, Scalar, SparseVec, _demote, kernel
 from .weights import (
     WeightVec,
     as_partition,
-    compositions,
     conjugate,
     orbits,
     pad,
@@ -95,9 +97,9 @@ def _slice(n: int, m: int, wn, wm, table: dict | None = None) -> tuple[Subset, .
     not on wn as a whole, so table maps that triple to {next state: row
     choice as a column mask}, in combinations order; distinct choices
     lead to distinct states.  A caller may pass one table to many calls
-    (hom_dims shares one across every mu of a call); entries are never
-    changed once made, so a state dead for one wn stays whole for the
-    next.  Without a table the call makes its own.
+    (_orbit_hom_spaces shares one across every mu of its walk); entries
+    are never changed once made, so a state dead for one wn stays whole
+    for the next.  Without a table the call makes its own.
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
@@ -395,44 +397,56 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
     )
 
 
-def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
-    """hom_space(bim, lam, mu).dim for every composition mu of N into n
-    parts, in the order of weights.compositions.
+def _orbit_hom_spaces(bim: BiModule, shape, groups):
+    """(mu, its sorted rep's HomSpace, mu's slice in the rep's slice
+    order) for every mu of groups (weights.orbits).
 
-    Only the sorted mu of each S_n orbit (weights.orbits) goes through
-    hom_space and gets raising rows.  Every other mu gets its own slice,
-    which _certify_carried checks is the sorted mu's carried by a row
-    permutation, and the sorted mu's dimension: the evidence is per orbit.
-    Those slices share one table of row choices (see _slice), owned by
-    this call and freed when it returns.
+    Only each rep goes through hom_space.  Every other mu gets only its
+    own slice, which _certify_carried checks is the rep's carried by a
+    row permutation, so it renames the rep's vectors into a basis of mu's
+    hom space.  The slices of one walk share one table of row choices
+    (see _slice), freed when the walk ends.
     """
-    shape = as_partition(lam)
     wm = pad(shape, bim.m)
-    groups = orbits(bim.N, bim.n)
-    # compositions order, on the orbits' own tuples: each is held once
-    dims = dict.fromkeys(sorted(itertools.chain(*groups.values()), reverse=True))
     table: dict = {}
     for rep, members in groups.items():
         hs = hom_space(bim, shape, rep)
         for mu in members:
-            if mu != rep:
+            if mu == rep:
+                yield mu, hs, hs.slice_indices
+            else:
                 subsets = _slice(bim.n, bim.m, mu, wm, table)
-                _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
-            dims[mu] = hs.dim
+                yield mu, hs, _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
+
+
+def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
+    """hom_space(bim, lam, mu).dim for every composition mu of N into n
+    parts, in the order of weights.compositions, read off one
+    _orbit_hom_spaces walk: one elimination per S_n orbit.
+    """
+    shape = as_partition(lam)
+    groups = orbits(bim.N, bim.n)
+    # compositions order, on the orbits' own tuples: each is held once
+    dims = dict.fromkeys(sorted(itertools.chain(*groups.values()), reverse=True))
+    for mu, hs, _ in _orbit_hom_spaces(bim, shape, groups):
+        dims[mu] = hs.dim
     return dims
 
 
-def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> None:
+def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> list[Subset]:
     """Check that mu's slice (subsets) is rep's (rep_subsets) carried by
     the row permutation sigma with mu[sigma(i)] = rep[i] (equal parts keep
-    their order), or raise InvariantViolation.
+    their order), and return the carried rep_subsets; or raise
+    InvariantViolation.
 
     carried(s) moves row i of s to row sigma(i); it is injective, so
     equal sizes and no missing carried subset make the slices equal.  The
     raising rows then agree too: a gl(m) move acts inside one row field,
     so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m, and sigma's
-    wedge sign depends only on the block sizes rep[i], so it cancels.
-    The tests check this on every slice with n, m <= 4.
+    wedge sign depends only on the block sizes rep[i], so it is one
+    constant on the slice and cancels.  sigma commutes with gl(m), so
+    rep's hom-space vectors, each subset s renamed carried(s), span mu's.
+    The tests check both on every slice with n, m <= 4.
 
     The carry works in row runs: consecutive rows that sigma moves by the
     same displacement go as one mask and one shift.  rep is sorted, so
@@ -452,6 +466,7 @@ def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> None:
             f"hom space at mu={mu} is not the one at its sorted representative "
             f"{rep} carried over by a row permutation"
         )
+    return carried
 
 
 def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
@@ -459,11 +474,14 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
 
     Each hom space, in reduced echelon form, is the weight space mu of
     the module; glmodules.submodule restricts the gl(n) generators to
-    them exactly.  submodule generates under F from its seeds, so the
-    hom spaces' total dimension is taken first and the result must
-    match it: a larger module means they were not closed under F, and
-    raises InvariantViolation.  The result is the irreducible with
-    highest weight conjugate(lam).
+    them exactly.  mu's seeds are its sorted rep's hom-space vectors,
+    renamed through the carried slice of _orbit_hom_spaces and inserted
+    last first by leading column, as linalg.kernel inserts its rows.
+    submodule generates under F from its seeds, so the hom spaces' total
+    dimension is taken first and the result must match it: a larger
+    module means they were not closed under F, and raises
+    InvariantViolation.  The result is the irreducible with highest
+    weight conjugate(lam).
     """
     shape = as_partition(lam)
     if sum(shape) != bim.N:
@@ -471,10 +489,12 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     spaces: dict[WeightVec, EchelonBasis] = {}
-    for mu in compositions(bim.N, bim.n):
-        spaces[mu] = EchelonBasis()
-        for vec in hom_space(bim, shape, mu).vectors:
-            spaces[mu].insert(vec)
+    for mu, hs, carried in _orbit_hom_spaces(bim, shape, orbits(bim.N, bim.n)):
+        name = dict(zip(hs.slice_indices, carried))
+        seeds = [{name[s]: v for s, v in vec.items()} for vec in hs.vectors]
+        spaces[mu] = space = EchelonBasis()
+        for vec in sorted(seeds, key=min, reverse=True):
+            space.insert(vec)
     hom_total = sum(len(space.rows) for space in spaces.values())
     mod = submodule(
         bim.n,

@@ -110,6 +110,15 @@ def test_crossval_eliminates_once_per_orbit(calls):
     assert calls["skewhowe.kernel"] == 7
 
 
+def test_induced_module_eliminates_once_per_orbit(calls):
+    # every other mu's hom space is its sorted mu's, carried by the slice
+    # certificate, so the 126 weight spaces take 7 eliminations
+    mod = skewhowe.induced_gln_module(skewhowe.build_bimodule(5, 5, 5), (1, 1, 1, 1, 1))
+    assert mod.dim == 126
+    assert calls["skewhowe.hom_space"] == 7
+    assert calls["skewhowe.kernel"] == 7
+
+
 def test_crossval_tabulates_point_counts_once_per_orbit(calls):
     # only each orbit's sorted mu gets a table, with its counts at the
     # primes and their fit; every other mu gets its polynomial alone

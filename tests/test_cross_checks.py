@@ -53,6 +53,7 @@ FIRING_TESTS = {
     ],
     ("skewhowe", "_certify_carried", "hom space at mu={} is not the one"): [
         "test_skewhowe.py::test_hom_dims_certificate_catches_a_wrong_slice",
+        "test_skewhowe.py::test_induced_module_certificate_catches_a_wrong_slice",
         "test_skewhowe.py::test_hom_dims_certificate_sees_the_interior_row_of_a_run",
     ],
     ("skewhowe", "induced_gln_module", "the hom spaces of lam={} sum to"): [

@@ -542,11 +542,10 @@ def swap_one(subsets, foreign):
     return subsets[1:] + (foreign,)
 
 
-@pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
-def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
-    """An unsorted mu's slice loses a subset, gains one of another
-    weight, or both (so its size is right); only the certificate sees it.
-    The fake forwards hom_dims' shared table to the honest _slice."""
+def damage_the_slice_of_112(monkeypatch, damage):
+    """Make _slice damage the slice of the unsorted mu (1, 1, 2) at
+    n = m = 3, lam (2, 1, 1); the fake forwards the orbit walk's shared
+    table to the honest _slice.  Returns the bimodule and lam."""
     n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
     honest = skewhowe._slice
     foreign = honest(n, m, (2, 1, 1), pad(lam, m))[0]
@@ -555,10 +554,63 @@ def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
         subsets = honest(n_, m_, wn, wm, table)
         return damage(subsets, foreign) if tuple(wn) == target else subsets
 
-    bim = build_bimodule(n, m, sum(lam))
     monkeypatch.setattr(skewhowe, "_slice", wrong_slice)
-    with pytest.raises(InvariantViolation, match=r"mu=\(1, 1, 2\).*\(2, 1, 1\)"):
+    return build_bimodule(n, m, sum(lam)), lam
+
+
+WRONG_SLICE = r"mu=\(1, 1, 2\).*\(2, 1, 1\)"
+
+
+@pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
+def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
+    """An unsorted mu's slice loses a subset, gains one of another
+    weight, or both (so its size is right); only the certificate sees it."""
+    bim, lam = damage_the_slice_of_112(monkeypatch, damage)
+    with pytest.raises(InvariantViolation, match=WRONG_SLICE):
         hom_dims(bim, lam)
+
+
+@pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
+def test_induced_module_certificate_catches_a_wrong_slice(monkeypatch, damage):
+    """The induced module reads the same orbit walk as hom_dims, so the
+    same damaged slice is refused before any seed is renamed."""
+    bim, lam = damage_the_slice_of_112(monkeypatch, damage)
+    with pytest.raises(InvariantViolation, match=WRONG_SLICE):
+        induced_gln_module(bim, lam)
+
+
+def test_carried_seeds_are_the_hom_spaces(monkeypatch):
+    """On every (n, m, lam) with n, m <= 4, the seeds induced_gln_module
+    hands to submodule at each mu, its sorted rep's hom-space vectors
+    renamed through the carried slice, have the RREF rows of
+    hom_space(bim, lam, mu).vectors: the per-mu elimination the induced
+    module no longer runs stays here as the referee."""
+    honest = skewhowe.submodule
+    seeded = {}
+
+    def spy(n, spaces, E, F):
+        for mu, space in spaces.items():
+            seeded[mu] = {p: dict(row) for p, row in space.rows.items()}
+        return honest(n, spaces, E, F)
+
+    monkeypatch.setattr(skewhowe, "submodule", spy)
+    count = carried = 0
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        for N in range(n * m + 1):
+            bim = build_bimodule(n, m, N)
+            for lam in partitions(N, max_parts=m, max_part=n):
+                seeded.clear()
+                induced_gln_module(bim, lam)
+                assert sorted(seeded) == sorted(compositions(N, n))
+                for mu, rows in seeded.items():
+                    referee = EchelonBasis()
+                    for vec in hom_space(bim, lam, mu).vectors:
+                        referee.insert(vec)
+                    assert rows == referee.rows, (n, m, lam, mu)
+                    count += 1
+                    if rows and list(mu) != sorted(mu, reverse=True):
+                        carried += 1
+    assert (count, carried) == (22433, 2521)
 
 
 def test_hom_dims_certificate_sees_the_interior_row_of_a_run():
