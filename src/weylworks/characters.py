@@ -19,8 +19,7 @@ not change the multiplicity, so everything reduces to partition shapes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import comb
 
 from .errors import ResourceLimitError, max_dimension
@@ -179,13 +178,11 @@ def dim_irrep(lam, n: int, *, size_guard: int | None = DEFAULT_SIZE_GUARD) -> in
     return character_table(lam, n, size_guard=size_guard).dim()
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full weight-multiplicity table of one irreducible gl(n) module."""
+class CharacterTable(namedtuple("CharacterTable", "lam n entries")):
+    """Full weight-multiplicity table of one irreducible gl(n) module:
+    entries maps each weight to its multiplicity."""
 
-    lam: WeightVec
-    n: int
-    entries: dict[WeightVec, int]
+    __slots__ = ()
 
     def dim(self) -> int:
         return sum(self.entries.values())

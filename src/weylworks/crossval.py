@@ -15,7 +15,7 @@ through their module attributes (characters.kostka, skewhowe.hom_dims,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import characters, lattice, skewhowe, springercount
 from .errors import (
@@ -27,25 +27,18 @@ from .errors import (
 from .weights import as_partition, conjugate, orbits
 
 
-@dataclass(frozen=True)
-class CrossvalRow:
-    mu: tuple[int, ...]
-    kostka: int
-    skewhowe: int
-    springer: int
-    lattice_mv: int
+class CrossvalRow(
+    namedtuple("CrossvalRow", "mu kostka skewhowe springer lattice_mv")
+):
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.kostka == self.skewhowe == self.springer == self.lattice_mv
 
 
-@dataclass(frozen=True)
-class CrossvalReport:
-    lam: tuple[int, ...]
-    n: int
-    m: int
-    rows: tuple[CrossvalRow, ...]
+class CrossvalReport(namedtuple("CrossvalReport", "lam n m rows")):
+    __slots__ = ()
 
     @property
     def match(self) -> bool:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, prod
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
@@ -62,27 +62,21 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class ExplicitModule:
+class ExplicitModule(namedtuple("ExplicitModule", "n dim basis_weights E F")):
     """A gl(n) module given by basis weights and generator matrices.
 
-    E[i] and F[i] are the matrices of the i-th raising and lowering
-    generators, 0-indexed, acting on column vectors in the stored basis.
+    E[i] and F[i] are the matrices (RatMat) of the i-th raising and
+    lowering generators, 0-indexed, acting on column vectors in the
+    stored basis.
     """
 
-    n: int
-    dim: int
-    basis_weights: tuple[WeightVec, ...]
-    E: tuple[RatMat, ...]
-    F: tuple[RatMat, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "n multiplicities")):
     """Multiset of highest weights with multiplicities, keyed by weight."""
 
-    n: int
-    multiplicities: dict[WeightVec, int]
+    __slots__ = ()
 
 
 # A generator moving one tensor factor from row (along_rows) or column

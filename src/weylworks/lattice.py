@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, character
 from .errors import check_dimension
-from .linalg import EchelonBasis, Scalar, SparseVec, power_ranks
+from .linalg import EchelonBasis, Scalar, power_ranks
 from .weights import Partition, as_partition, conjugate, dominance_leq, pad
 
 
@@ -48,8 +48,7 @@ def shift_vector(vec: dict[int, Scalar], n: int, D: int) -> dict[int, Scalar]:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeSubspace:
+class LatticeSubspace(namedtuple("LatticeSubspace", "n D basis")):
     """A shift-stable subspace, stored as a reduced echelon basis.
 
     basis holds the rows of EchelonBasis in pivot order: sparse vectors
@@ -59,9 +58,7 @@ class LatticeSubspace:
     basis arrived from outside.
     """
 
-    n: int
-    D: int
-    basis: tuple[SparseVec, ...]
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

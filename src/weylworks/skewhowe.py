@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, partial
+from collections import namedtuple
+from functools import partial
 from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
@@ -65,7 +65,7 @@ from .errors import InvariantViolation, check_dimension
 from .glmodules import (
     ExplicitModule, Move, Subset, _mask, _move_images, _moves, submodule
 )
-from .linalg import EchelonBasis, Scalar, SparseVec, _demote, kernel
+from .linalg import EchelonBasis, SparseVec, _demote, kernel
 from .weights import (
     WeightVec,
     as_partition,
@@ -164,26 +164,23 @@ def _slice(n: int, m: int, wn, wm, table: dict | None = None) -> tuple[Subset, .
     return tuple(built.get(start, ()))
 
 
-@dataclass(frozen=True)
-class BiModule:
+class BiModule(namedtuple("BiModule", "n m N")):
     """Lambda^N(C^n (x) C^m), given by its ranks and degree alone.
 
     Every computation reads bi-weight slices, so no basis or generator
     matrix is kept.  dim is the binomial C(nm, N), which takes seconds for
-    huge ranks, so it is computed on first access only.
+    huge ranks, so it is computed from n, m and N when read and never
+    stored.
     """
 
-    n: int
-    m: int
-    N: int
+    __slots__ = ()
 
-    @cached_property
+    @property
     def dim(self) -> int:
         return comb(self.n * self.m, self.N)
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(namedtuple("HomSpace", "lam mu dim vectors slice_indices")):
     """Joint kernel of the gl(m) raising operators in one bi-weight slice.
 
     slice_indices are the slice's wedge basis vectors, as bitmasks, in
@@ -192,11 +189,7 @@ class HomSpace:
     subset by subset; only their span is meaningful.
     """
 
-    lam: tuple[int, ...]
-    mu: WeightVec
-    dim: int
-    vectors: tuple[dict[Subset, Scalar], ...]
-    slice_indices: tuple[Subset, ...]
+    __slots__ = ()
 
 
 def build_bimodule(n: int, m: int, N: int) -> BiModule:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import DEFAULT_SIZE_GUARD, kostka
@@ -355,18 +355,16 @@ def interpolate(points, degree_bound: int) -> tuple[Scalar, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class PointCountTable:
+class PointCountTable(
+    namedtuple("PointCountTable", "nu mu evaluations coefficients")
+):
     """Prime evaluations of a chain count plus its count polynomial.
 
     coefficients are ascending powers of q; evaluations hold the
     (prime, count) pairs, primes ascending, that the fit checked.
     """
 
-    nu: Partition
-    mu: tuple[int, ...]
-    evaluations: tuple[tuple[int, int], ...]
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def lam(self) -> Partition:

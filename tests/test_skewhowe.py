@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -291,7 +290,7 @@ def test_induced_module_rejects_hom_spaces_not_closed_under_f(monkeypatch):
     def short_hom_space(bim, lam, mu):
         hs = honest(bim, lam, mu)
         if mu == (1, 1, 1):  # not the top weight (2, 1, 0): drop one vector
-            return dataclasses.replace(hs, dim=hs.dim - 1, vectors=hs.vectors[1:])
+            return hs._replace(dim=hs.dim - 1, vectors=hs.vectors[1:])
         return hs
 
     # the F images of the weight spaces above regenerate the dropped
