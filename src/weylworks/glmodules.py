@@ -8,14 +8,15 @@ products, so the defining commutation relations hold exactly over the
 rationals, not just numerically.
 
 One builder, _labelled_module, makes a module from its labelled basis,
-the weights, and what a generator does to one basis label: monomials
-(sym_power), multisets of wedge subsets (_sym_ext_power, through
-_move_images, which the skew Howe wedge applies to its subsets too;
-ext_power is its one-subset case) and matrix units (adjoint_module,
-bracketed on labels).
+the weights, and the terms of every generator on one basis label, asked
+once per label.  Monomials (sym_power) and multisets of wedge subsets
+(_sym_ext_power; ext_power is its one-subset case) yield terms only for
+the factors they hold, each moved to an adjacent index; matrix units
+(adjoint_module) are bracketed on labels with every generator.
 A wedge basis vector's only name is its subset's int bitmask, bit p for
 factor p; wedge_replace, the one place wedge signs are computed, flips
 two bits and takes the sign from the popcount of the bits between them.
+_move_images applies it to the skew Howe wedge's subsets.
 tensor lifts its factors' matrices instead: on a labelled basis it ran
 twice as slow.  It builds whole products for decompose; irrep_plucker's
 ambient is never built, and its generators act as a Kronecker sum of two
@@ -23,7 +24,7 @@ tensor-built blocks.  That ambient has one factor Sym^a(Lambda^k C^n) per
 distinct column height k of the shape, a the number of such columns
 (_sym_ext_power): a label is a sorted tuple of a indices into
 Lambda^k's basis, its vector the sum of the label's rearrangements, and
-its terms come from _move_images, so the signs are still wedge_replace's.
+its terms take their signs from wedge_replace.
 
 submodule builds the module generated under the lowering generators by
 seed spaces, one echelon basis per weight, and restricts the ambient
@@ -93,25 +94,21 @@ def _moves(count: int, along_rows: bool, raising: bool) -> list[Move]:
     ]
 
 
-def _labelled_module(n: int, basis, weights, images) -> ExplicitModule:
+def _labelled_module(n: int, basis, weights, terms) -> ExplicitModule:
     """The gl(n) module on a labelled basis: column t is basis[t], of
-    weight weights[t], and images(label, move) lists the (coefficient,
-    image label) terms of one generator applied to one basis label.
-    Repeated terms are summed.
+    weight weights[t], and terms(label), asked once per label, yields the
+    (frm, to, coefficient, image label) terms of every generator on it,
+    one factor moved from index frm to the adjacent index to: a term of
+    E_to when to < frm, of F_frm otherwise.  Repeated terms are summed.
     """
     index = {label: t for t, label in enumerate(basis)}
     dim = len(basis)
-
-    def entries(move: Move):
-        for t, label in enumerate(basis):
-            for coeff, image in images(label, move):
-                yield index[image], t, coeff
-
-    def matrices(raising: bool) -> tuple[RatMat, ...]:
-        moves = _moves(n, True, raising)
-        return tuple(RatMat.from_entries(dim, dim, entries(move)) for move in moves)
-
-    return ExplicitModule(n, dim, tuple(weights), matrices(True), matrices(False))
+    E, F = [[] for _ in range(n - 1)], [[] for _ in range(n - 1)]
+    for t, label in enumerate(basis):
+        for frm, to, coeff, image in terms(label):
+            (E[to] if to < frm else F[frm]).append((index[image], t, coeff))
+    E, F = (tuple(RatMat.from_entries(dim, dim, e) for e in f) for f in (E, F))
+    return ExplicitModule(n, dim, tuple(weights), E, F)
 
 
 def standard_module(n: int) -> ExplicitModule:
@@ -129,13 +126,14 @@ def sym_power(k: int, n: int) -> ExplicitModule:
     check_dimension(comb(k + n - 1, n - 1))
     basis = list(compositions(k, n))
 
-    def images(a: WeightVec, move: Move) -> list[tuple[int, WeightVec]]:
-        _, frm, to = move  # a[frm] ways to turn one factor e_frm into e_to
-        if not a[frm]:
-            return []
-        return [(a[frm], tuple(x - (j == frm) + (j == to) for j, x in enumerate(a)))]
+    def terms(a: WeightVec):
+        for frm, x in enumerate(a):  # x ways to turn one factor e_frm into e_to
+            for to in frm - 1, frm + 1:
+                if x and 0 <= to < n:
+                    image = tuple(y - (j == frm) + (j == to) for j, y in enumerate(a))
+                    yield frm, to, x, image
 
-    return _labelled_module(n, basis, basis, images)
+    return _labelled_module(n, basis, basis, terms)
 
 
 # Wedge factors are pairs (i, a) numbered i*m + a; with m = 1 they are
@@ -204,34 +202,41 @@ def _sym_ext_power(a: int, k: int, n: int) -> ExplicitModule:
     and its vector is the sum of the label's distinct rearrangements in
     the a-th tensor power of Lambda^k.  Labels are in lex order, which is
     compositions(a, C(n, k)) order on their count vectors.  A generator
-    moves one index s to s' with Lambda^k's own sign c (_move_images),
+    moves one index s to s' with Lambda^k's own sign c (wedge_replace),
     and the image label gets c times the number of times s' occurs in
     it: the target's multiplicity, where sym_power's monomials take the
     source's.  ext_power(k, n) is the case a = 1.
-    A label holds a indices, not a count per Lambda^k basis vector, so
-    a = 1 costs what Lambda^k does however large C(n, k) is.
+    A label holds a indices, not a count per Lambda^k basis vector, and
+    its terms and weight are read off the k factors of each index, so
+    a = 1 costs what Lambda^k does however large C(n, k) or n is.
     """
-    subsets = [_mask(c) for c in itertools.combinations(range(n), k)]
+    factors = list(itertools.combinations(range(n), k))
+    subsets = [_mask(c) for c in factors]
     position = {s: t for t, s in enumerate(subsets)}
     basis = list(itertools.combinations_with_replacement(range(len(subsets)), a))
 
-    def images(label: tuple[int, ...], move: Move) -> list[tuple[int, tuple[int, ...]]]:
-        out = []
+    def terms(label: tuple[int, ...]):
         for i, t in enumerate(label):
             if i and label[i - 1] == t:
                 continue  # equal indices give equal terms, counted below
             rest = label[:i] + label[i + 1:]
-            for sign, image in _move_images(subsets[t], 1, move):
-                u = position[image]
-                target = tuple(sorted(rest + (u,)))
-                out.append((sign * target.count(u), target))
-        return out
+            for p in factors[t]:
+                for q in p - 1, p + 1:
+                    hit = 0 <= q < n and wedge_replace(subsets[t], p, q)
+                    if hit:
+                        sign, image = hit
+                        u = position[image]
+                        target = tuple(sorted(rest + (u,)))
+                        yield p, q, sign * target.count(u), target
 
-    weights = tuple(
-        tuple(sum(subsets[t] >> j & 1 for t in label) for j in range(n))
-        for label in basis
-    )
-    return _labelled_module(n, basis, weights, images)
+    def weight(label: tuple[int, ...]) -> WeightVec:
+        w = [0] * n
+        for t in label:
+            for p in factors[t]:
+                w[p] += 1
+        return tuple(w)
+
+    return _labelled_module(n, basis, map(weight, basis), terms)
 
 
 def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
@@ -273,20 +278,23 @@ def adjoint_module(n: int) -> ExplicitModule:
     basis = [(a, b) for a in range(n) for b in range(n) if a != b]
     basis += [(i, i) for i in range(n - 1)]
 
-    def images(label: tuple[int, int], move: Move) -> list:
-        # the move is E_{to,frm}, and
+    def terms(label: tuple[int, int]):
+        # a move is E_{to,frm}, and
         # [E_{to,frm}, E_ab] = [a = frm] E_{to,b} - [b = to] E_{a,frm}
-        _, frm, to = move
         a, b = label
-        if a == b:  # H_a: the E_aa term less the E_{a+1,a+1} term
-            coeff = (frm == a) - (to == a) - (frm == a + 1) + (to == a + 1)
-            return [(coeff, (to, frm))] if coeff else []
-        if (a, b) == (frm, to):  # E_{to,to} - E_{frm,frm} = +-H_min
-            return [(1 if to < frm else -1, (min(a, b),) * 2)]
-        return [(1, (to, b))] * (a == frm) + [(-1, (a, frm))] * (b == to)
+        for _, frm, to in _moves(n, True, True) + _moves(n, True, False):
+            if a == b:  # H_a: the E_aa term less the E_{a+1,a+1} term
+                coeff = (frm == a) - (to == a) - (frm == a + 1) + (to == a + 1)
+                out = [(coeff, (to, frm))] if coeff else []
+            elif (a, b) == (frm, to):  # E_{to,to} - E_{frm,frm} = +-H_min
+                out = [(1 if to < frm else -1, (min(a, b),) * 2)]
+            else:
+                out = [(1, (to, b))] * (a == frm) + [(-1, (a, frm))] * (b == to)
+            for coeff, image in out:
+                yield frm, to, coeff, image
 
     weights = tuple(tuple((j == a) - (j == b) for j in range(n)) for a, b in basis)
-    return _labelled_module(n, basis, weights, images)
+    return _labelled_module(n, basis, weights, terms)
 
 
 def weight_decompose(mod: ExplicitModule) -> dict[WeightVec, tuple[int, ...]]:

@@ -5,8 +5,8 @@ int bitmask with bit i*m + a for pair (i, a), so row i of its 0/1 n x m
 matrix is the mask's m-bit field i.  The mask is the only name of a
 wedge basis vector: hom-space vectors are sparse dicts keyed by mask,
 and a generator acts on each key directly.  Both generator families act
-by derivations through the wedge action shared with glmodules.ext_power
-(glmodules._move_images).
+by derivations through glmodules._move_images, whose signs are
+glmodules.wedge_replace's, as ext_power's are.
 
 A bi-weight slice (gl(n) weight mu, gl(m) weight lam) is the set of 0/1
 n x m matrices with row sums mu and column sums lam (Howe, "Remarks on
@@ -54,7 +54,6 @@ C(nm, N) subsets one at a time and builds no matrix.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from functools import partial
@@ -252,14 +251,12 @@ def verify_commuting_actions(bim: BiModule) -> None:
                     )
 
 
-@functools.lru_cache(maxsize=1 << 14)
 def _field_terms(m: int, field: Subset) -> tuple[tuple[int, int, Subset], ...]:
     """(move number, sign, flip mask) terms of the gl(m) raising moves on
     one m-bit row field, as _move_images (and so wedge_replace) gives
     them on the field taken as a one-row subset.  On a subset whose row i
     is the field, each term flips the mask shifted by i*m.  The signs are
-    all +1.  Cached per (m, field) with a bound, so the 2^m fields of a
-    large m are never tabulated.
+    all +1.  Not cached: _stacked_rows keeps the fields of one call.
     """
     return tuple(
         (k, sign, field ^ image)

@@ -737,6 +737,33 @@ def test_labelled_constructors_match_the_references():
             assert_same_module(ext_power(k, n), reference_ext_power(k, n))
 
 
+def test_labelled_builder_asks_each_label_once_and_moves_only_its_factors(
+    monkeypatch,
+):
+    """ext_power(1, 50) asks terms once per label, in basis order, and each
+    label moves its one factor to at most two neighbours: at most 2n wedge
+    moves in all, not one per label and generator, 2n(n - 1) = 4,900."""
+    n = 50
+    moves = counting(monkeypatch, "_move_images")
+    replaces = counting(monkeypatch, "wedge_replace")
+    mod = ext_power(1, n)
+    assert moves[0] + replaces[0] <= 2 * n
+    assert_same_module(mod, reference_ext_power(1, n))
+    asked = []
+    honest = glmodules._labelled_module
+
+    def asking(rank, basis, weights, terms):
+        def spied(label):
+            asked.append(label)
+            return terms(label)
+
+        return honest(rank, basis, weights, spied)
+
+    monkeypatch.setattr(glmodules, "_labelled_module", asking)
+    ext_power(1, n)
+    assert asked == [(t,) for t in range(n)]
+
+
 def test_labelled_builders_keep_their_pinned_digest():
     """The weights and E/F entries of 99 small labelled modules, pinned by
     one sha256 taken before the four builders shared _labelled_module."""

@@ -43,19 +43,22 @@ def whole_wedge(n, m, N, along_rows):
     (along_rows) or a gl(m) module.  Returns its N-subsets, as bitmasks in
     lexicographic order, and the module on them: weights counted pair by
     pair, generators built by glmodules._labelled_module from
-    _move_images, each move read as a column move for gl(m)."""
+    _move_images, asked for every move of the rank on every subset, each
+    move read as a column move for gl(m)."""
     basis = [sum(1 << p for p in c) for c in itertools.combinations(range(n * m), N)]
     rank = n if along_rows else m
+    moves = _moves(rank, along_rows, True) + _moves(rank, along_rows, False)
 
     def weight(subset):
         sides = [divmod(p, m)[0 if along_rows else 1] for p in bits(subset)]
         return tuple(sides.count(i) for i in range(rank))
 
-    def images(s, move):
-        _, frm, to = move
-        return _move_images(s, m, (along_rows, frm, to))
+    def terms(s):
+        for move in moves:
+            for sign, image in _move_images(s, m, move):
+                yield move[1], move[2], sign, image
 
-    return basis, _labelled_module(rank, basis, map(weight, basis), images)
+    return basis, _labelled_module(rank, basis, map(weight, basis), terms)
 
 
 def test_build_bimodule_dimensions():
@@ -442,6 +445,22 @@ def test_field_terms_are_the_wedge_moves_with_sign_one():
                 for sign, image in _move_images(field, m, move)
             )
             assert all(sign == 1 for _, sign, _ in terms), (m, field)
+
+
+def test_stacked_rows_read_the_wedge_moves_afresh_on_each_call(monkeypatch):
+    """No table of field terms outlives a _stacked_rows call: once the
+    wedge moves change sign, so do the rows, on the very fields an
+    earlier call has read."""
+    subsets = _slice(3, 3, (2, 1, 0), (1, 1, 1))
+    rows = _stacked_rows(3, subsets)
+    honest = skewhowe._move_images
+    monkeypatch.setattr(
+        skewhowe,
+        "_move_images",
+        lambda s, m, move: [(-sign, image) for sign, image in honest(s, m, move)],
+    )
+    flipped = {key: {col: -v for col, v in row.items()} for key, row in rows.items()}
+    assert rows and _stacked_rows(3, subsets) == flipped
 
 
 def stacked_rows_referee(m, subsets):
