@@ -88,7 +88,9 @@ def cross_validate(
 
     The hom space dimensions come first, from one skewhowe.hom_dims
     call: one exact elimination per S_n orbit of mu (weights.orbits), at
-    the sorted mu, and a certified slice carry for every other mu.  The
+    the sorted mu, and one walk per orbit that enumerates every mu's
+    slice already carried into the sorted mu's rows, each certified
+    equal to the sorted mu's slice.  The
     other routes then walk the same orbits: kostka, point_count_table
     (counts at its primes and their fit) and mv_cycle_count run once at
     each sorted mu, and every other mu's own count_polynomial must equal

@@ -16,10 +16,12 @@ slices alone: the slice is enumerated directly, row by row over the
 column capacities each row can leave, and counted before it is built;
 generators are applied to subsets on the fly, and the whole wedge is
 never built.  The row choices out of a column-capacity state do not
-depend on the rest of mu, so the slices of one orbit walk share one
-table of them, which the walk owns and frees.  The dimension guard
-(WEYLWORKS_MAX_DIM) applies to each slice's count, before the slice is
-built.
+depend on the rest of mu, so one helper (_choices) fills a table of
+them for two traversals: _slice, one mu's slice in lexicographic order,
+and the orbit walk (below), every rearrangement of a sorted mu at once,
+whose walks in one call share one table.  The
+dimension guard (WEYLWORKS_MAX_DIM) applies to each slice's count, and
+to each front of the walk, before it is built.
 
 The induced module seeds glmodules.submodule, the same pass that ends
 irrep_plucker, with every hom space in reduced echelon form as its
@@ -39,13 +41,17 @@ linalg.kernel, which picks the row order for every caller.
 A row permutation sigma of C^n commutes with gl(m) and carries the
 (mu, lam) slice onto the (sigma mu, lam) slice, so one walk over the S_n
 orbits (_orbit_hom_spaces) eliminates once per orbit, at the sorted mu,
-through hom_space.  Every other mu gets only its own slice, which
-_certify_carried checks against the sorted mu's slice carried by sigma,
-one run of rows moved by the same displacement at a time; the moves are
-row-local, so its raising rows would be the sorted mu's carried too, and
-the sorted mu's hom-space vectors, renamed through the carried slice,
-span mu's.  The evidence is per orbit.  hom_dims, which crossval reads,
-and induced_gln_module both read that walk.
+through hom_space.  Every member of the orbit, the sorted mu too, gets
+its slice from one walk (_orbit_slices) that enumerates the members row
+by row in their own row order, builds each shared prefix once, and
+writes each row into the sorted mu's row that sigma carries it to, so
+every slice comes out already carried.  Each must be the sorted mu's
+slice; the moves are row-local, so its raising rows would be the sorted
+mu's carried too, and the sorted mu's hom-space vectors, renamed by the
+walk's pairing of rows, span mu's.  The evidence is per orbit.
+hom_dims, which crossval reads, and induced_gln_module both read that
+walk; only the induced module, which renames vectors, asks it for the
+subsets in mu's own rows.
 
 BiModule is only (n, m, N): no command reads more of the wedge than its
 slices.  verify_commuting_actions, a check no command runs, walks all
@@ -60,7 +66,7 @@ from functools import partial
 from math import comb
 
 from .characters import DEFAULT_SIZE_GUARD, dim_irrep
-from .errors import InvariantViolation, check_dimension
+from .errors import InvariantViolation, check_dimension, max_dimension
 from .glmodules import (
     ExplicitModule, Move, Subset, _mask, _move_images, _moves, submodule
 )
@@ -74,67 +80,73 @@ from .weights import (
     partitions,
 )
 
+def _choices(table: dict, m: int, left, v: int, rows_after: int) -> dict:
+    """The row choices out of the column-capacity state left for a row
+    of weight v with rows_after rows of nonzero weight below it: {next
+    state: choice as a column mask}, in itertools.combinations order,
+    without the next states where a column needs more ones than
+    rows_after.  Distinct choices lead to distinct states.  The entry
+    depends only on (left, v, rows_after), not on the rest of the row
+    weights, so it is made in table under that key on first ask and
+    never changed after.
+    """
+    key = (left, v, rows_after)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = {}
+        for cols in itertools.combinations([a for a in range(m) if left[a]], v):
+            after = list(left)
+            choice = 0
+            for a in cols:
+                after[a] -= 1
+                choice |= 1 << a
+            if max(after) <= rows_after:
+                out[tuple(after)] = choice
+    return out
+
+
 def _slice(n: int, m: int, wn, wm, table: dict | None = None) -> tuple[Subset, ...]:
     """Subsets with gl(n) weight wn and gl(m) weight wm, in lexicographic
     order.
 
     A state is the tuple of column capacities left after some rows; row
     i may take wn[i] columns with capacity, and a state where a column
-    needs more ones than rows remain is pruned.  A forward pass records
-    the states each row reaches and the row choices out of each, a
-    backward pass counts each state's completions and skips the dead
-    ones, and the count is checked against the dimension guard before
-    anything is built.  Completions are then built backward, one row's
-    live states at a time, by OR-ing each row choice, shifted to its row,
-    onto the completions of the state it leads to; choices are tried in
-    itertools.combinations order, so the subsets come out in
-    lexicographic order.  A row with wn[i] == 0 only drops the states
-    with an overfull column; the backward passes skip it.  No recursion,
+    needs more ones than rows of nonzero weight remain is pruned
+    (_choices).  A forward pass records the states each row reaches and
+    the row choices out of each, a backward pass counts each state's
+    completions and skips the dead ones, and the count is checked
+    against the dimension guard before anything is built.  Completions
+    are then built backward, one row's live states at a time, by OR-ing
+    each row choice, shifted to its row, onto the completions of the
+    state it leads to; choices are tried in itertools.combinations
+    order, so the subsets come out in lexicographic order.  A row with
+    wn[i] == 0 changes no state, and every pass skips it.  No recursion,
     so n may pass the recursion limit.
 
-    The choices out of a state depend only on (state, wn[i], rows left),
-    not on wn as a whole, so table maps that triple to {next state: row
-    choice as a column mask}, in combinations order; distinct choices
-    lead to distinct states.  A caller may pass one table to many calls
-    (_orbit_hom_spaces shares one across every mu of its walk); entries
-    are never changed once made, so a state dead for one wn stays whole
-    for the next.  Without a table the call makes its own.
+    table holds the row choices (_choices).  A caller may pass one table
+    to many calls; entries are never changed once made, so a state dead
+    for one wn stays whole for the next.  Without a table the call makes
+    its own.
     """
     if len(wn) != n or len(wm) != m or any(x < 0 for x in (*wn, *wm)):
         return ()
     if table is None:
         table = {}
     start = tuple(wm)
+    below = sum(1 for x in wn if x)  # rows of nonzero weight not yet taken
     # per row: {state: {next state: row choice}}, the table's own entries
     rows: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
-    states = [start]
+    states = [start] if max(start) <= below else []
     for i in range(n):
-        rows_after = n - 1 - i
         here = {}
-        if not wn[i]:  # a state goes on as it is unless a column is overfull
-            states = [left for left in states if max(left) <= rows_after]
-            rows.append(here)
-            continue
-        reached = {}
-        for left in states:
-            key = (left, wn[i], rows_after)
-            out = table.get(key)
-            if out is None:
-                out = table[key] = {}
-                for cols in itertools.combinations(
-                    [a for a in range(m) if left[a]], wn[i]
-                ):
-                    after = list(left)
-                    choice = 0
-                    for a in cols:
-                        after[a] -= 1
-                        choice |= 1 << a
-                    if max(after) <= rows_after:
-                        out[tuple(after)] = choice
-            here[left] = out
-            reached.update(out)
+        if wn[i]:
+            below -= 1
+            reached = {}
+            for left in states:
+                here[left] = out = _choices(table, m, left, wn[i], below)
+                reached.update(out)
+            states = list(reached)
         rows.append(here)
-        states = list(reached)
     count = dict.fromkeys(states, 1)  # only the all-zero state is reached
     live: dict[int, dict[tuple[int, ...], int]] = {}  # per row: live state counts
     zero = itertools.repeat(0)
@@ -161,6 +173,96 @@ def _slice(n: int, m: int, wn, wm, table: dict | None = None) -> tuple[Subset, .
                 for left in live[i]
             }
     return tuple(built.get(start, ()))
+
+
+def _first_slots(rep) -> dict[int, int]:
+    """The orbit walk's slot rule: {v: #{parts of rep > v}} for each
+    nonzero part v of the sorted rep, the row of rep that the first row
+    of value v of a rearrangement mu is carried to; the k-th (from 0)
+    goes to that row + k.  This is the inverse of the permutation sigma
+    with mu[sigma(i)] = rep[i] that keeps equal parts in order.  Zero
+    rows hold no bits and get no slot.
+    """
+    return {v: rep.index(v) for v in set(rep) if v}
+
+
+def _orbit_slices(m: int, wm, rep, members, table: dict, own: bool):
+    """(mu, mu's slice in rep's rows, mu's slice in its own rows) for
+    every mu of members, rearrangements of the sorted rep in
+    weights.compositions order; the third is None unless own.
+
+    One walk enumerates every member's slice row by row in mu's own row
+    order, from the row choices of _choices (table, shared with every
+    walk of the caller).  A stack holds the front after each row of the
+    current mu's prefix: {state: partial subsets}.  The next mu pops to
+    the prefix it shares with the last one, so each prefix's partial
+    subsets are built once for all the members that extend it.  A row of
+    value v that is the k-th v so far is written into rep's row
+    _first_slots(rep)[v] + k, a slot the prefix alone fixes, so every
+    slice comes out already carried into rep's rows.  With own, each
+    partial also holds mu's own rows, n*m bits above, and the two are
+    split when mu is yielded, so its two lists are paired by position.
+
+    The states are pruned by the rows of nonzero weight left, so a zero
+    row changes nothing, and mu is yielded as soon as only zero rows
+    remain: its slice is the front's all-zero state.  No recursion, so n
+    may pass the recursion limit.  Each front's size, the sum over its
+    states of partial subsets times row choices, is checked against the
+    dimension guard, read once per walk, before the front is built.
+    Nothing here is checked against rep's slice; _orbit_hom_spaces does
+    that.
+    """
+    n = len(rep)
+    up = n * m
+    low = (1 << up) - 1
+    cap = max_dimension()
+    zero = (0,) * m
+    start = tuple(wm)
+    below = sum(1 for x in rep if x)  # rows of nonzero weight not yet taken
+    root = {start: [0]} if max(start) <= below else {}
+    stack = [(root, _first_slots(rep), below)]
+    prev = ()
+    for mu in members:
+        depth = 0
+        for a, b in zip(mu, prev):
+            if a != b:
+                break
+            depth += 1
+        del stack[depth + 1:]
+        front, slots, below = stack[-1]
+        i = len(stack) - 1
+        while below:
+            v = mu[i]
+            if v:
+                slot = slots[v]
+                slots = {**slots, v: slot + 1}
+                below -= 1
+                place = 1 << slot * m | (1 << up + i * m if own else 0)
+                outs = [
+                    (_choices(table, m, left, v, below), partials)
+                    for left, partials in front.items()
+                ]
+                size = sum(len(out) * len(partials) for out, partials in outs)
+                if size > cap:
+                    check_dimension(size)
+                front = {}
+                for out, partials in outs:
+                    for after, c in out.items():
+                        c *= place  # c shifted to each bit of place
+                        grown = [p | c for p in partials]
+                        have = front.get(after)
+                        if have is None:
+                            front[after] = grown
+                        else:
+                            have += grown
+            stack.append((front, slots, below))
+            i += 1
+        found = front.get(zero, [])
+        if own:
+            yield mu, [s & low for s in found], [s >> up for s in found]
+        else:
+            yield mu, found, None
+        prev = mu
 
 
 class BiModule(namedtuple("BiModule", "n m N")):
@@ -387,76 +489,55 @@ def hom_space(bim: BiModule, lam, mu) -> HomSpace:
     )
 
 
-def _orbit_hom_spaces(bim: BiModule, shape, groups):
-    """(mu, its sorted rep's HomSpace, mu's slice in the rep's slice
-    order) for every mu of groups (weights.orbits).
+def _orbit_hom_spaces(bim: BiModule, shape, groups, own: bool):
+    """(mu, its sorted rep's HomSpace, names) for every mu of groups
+    (weights.orbits); names maps each subset of the rep's slice to mu's
+    subset it is carried to, or is None unless own.
 
-    Only each rep goes through hom_space.  Every other mu gets only its
-    own slice, which _certify_carried checks is the rep's carried by a
-    row permutation, so it renames the rep's vectors into a basis of mu's
-    hom space.  The slices of one walk share one table of row choices
-    (see _slice), freed when the walk ends.
+    Only each rep goes through hom_space.  Every member's slice, the
+    rep's too, comes from one _orbit_slices walk per orbit, already
+    written in the rep's rows, and must have the length of the rep's
+    slice and lie inside the set of it, or InvariantViolation is raised.
+    The walk's list has no repeats (each front keeps one list per state,
+    the choices out of a state are distinct, and each row of mu has its
+    own slot), so that makes it the rep's slice: mu's slice, carried by
+    sigma^-1 (_first_slots), is the rep's.  The raising rows then agree
+    too: a gl(m) move acts inside one row field, so carrying s ^ f << i*m
+    gives the carried s ^ f << sigma(i)*m, and sigma's wedge sign depends
+    only on the block sizes rep[i], so it is one constant on the slice
+    and cancels.  sigma commutes with gl(m), so the rep's hom-space
+    vectors, renamed through names, span mu's hom space.  The tests check
+    both on every slice with n, m <= 4.  The walks of one call share one
+    table of row choices (_choices), freed when the call ends.
     """
     wm = pad(shape, bim.m)
     table: dict = {}
     for rep, members in groups.items():
         hs = hom_space(bim, shape, rep)
-        for mu in members:
-            if mu == rep:
-                yield mu, hs, hs.slice_indices
-            else:
-                subsets = _slice(bim.n, bim.m, mu, wm, table)
-                yield mu, hs, _certify_carried(bim.m, rep, hs.slice_indices, mu, subsets)
+        whole = set(hs.slice_indices)
+        walk = _orbit_slices(bim.m, wm, rep, members, table, own=own)
+        for mu, carried, own_rows in walk:
+            if len(carried) != len(whole) or not whole.issuperset(carried):
+                raise InvariantViolation(
+                    f"hom space at mu={mu} is not the one at its sorted representative "
+                    f"{rep} carried over by a row permutation"
+                )
+            yield mu, hs, dict(zip(carried, own_rows)) if own else None
 
 
 def hom_dims(bim: BiModule, lam) -> dict[WeightVec, int]:
     """hom_space(bim, lam, mu).dim for every composition mu of N into n
     parts, in the order of weights.compositions, read off one
-    _orbit_hom_spaces walk: one elimination per S_n orbit.
+    _orbit_hom_spaces walk without own-row names: one elimination per
+    S_n orbit, and a certified slice in the rep's rows for every mu.
     """
     shape = as_partition(lam)
     groups = orbits(bim.N, bim.n)
     # compositions order, on the orbits' own tuples: each is held once
     dims = dict.fromkeys(sorted(itertools.chain(*groups.values()), reverse=True))
-    for mu, hs, _ in _orbit_hom_spaces(bim, shape, groups):
+    for mu, hs, _ in _orbit_hom_spaces(bim, shape, groups, own=False):
         dims[mu] = hs.dim
     return dims
-
-
-def _certify_carried(m: int, rep, rep_subsets, mu, subsets) -> list[Subset]:
-    """Check that mu's slice (subsets) is rep's (rep_subsets) carried by
-    the row permutation sigma with mu[sigma(i)] = rep[i] (equal parts keep
-    their order), and return the carried rep_subsets; or raise
-    InvariantViolation.
-
-    carried(s) moves row i of s to row sigma(i); it is injective, so
-    equal sizes and no missing carried subset make the slices equal.  The
-    raising rows then agree too: a gl(m) move acts inside one row field,
-    so carried(s ^ f << i*m) = carried(s) ^ f << sigma(i)*m, and sigma's
-    wedge sign depends only on the block sizes rep[i], so it is one
-    constant on the slice and cancels.  sigma commutes with gl(m), so
-    rep's hom-space vectors, each subset s renamed carried(s), span mu's.
-    The tests check both on every slice with n, m <= 4.
-
-    The carry works in row runs: consecutive rows that sigma moves by the
-    same displacement go as one mask and one shift.  rep is sorted, so
-    its empty rows, which hold no bits, are all at the end and left out.
-    """
-    sigma = sorted(range(len(rep)), key=lambda j: -mu[j])
-    blocks = []  # (first row's shift, the run's mask, its image's shift)
-    nonempty = range(sum(1 for x in rep if x))
-    for moved, run in itertools.groupby(nonempty, key=lambda i: sigma[i] - i):
-        run = list(run)
-        blocks.append((run[0] * m, (1 << len(run) * m) - 1, (run[0] + moved) * m))
-    carried = [0] * len(rep_subsets)
-    for frm, mask, to in blocks:
-        carried = [out | (s >> frm & mask) << to for out, s in zip(carried, rep_subsets)]
-    if len(subsets) != len(rep_subsets) or not set(subsets).issuperset(carried):
-        raise InvariantViolation(
-            f"hom space at mu={mu} is not the one at its sorted representative "
-            f"{rep} carried over by a row permutation"
-        )
-    return carried
 
 
 def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
@@ -465,8 +546,9 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
     Each hom space, in reduced echelon form, is the weight space mu of
     the module; glmodules.submodule restricts the gl(n) generators to
     them exactly.  mu's seeds are its sorted rep's hom-space vectors,
-    renamed through the carried slice of _orbit_hom_spaces and inserted
-    last first by leading column, as linalg.kernel inserts its rows.
+    renamed by _orbit_hom_spaces' pairing of the rep's slice with mu's
+    (the one walk builds both) and inserted last first by leading
+    column, as linalg.kernel inserts its rows.
     submodule generates under F from its seeds, so the hom spaces' total
     dimension is taken first and the result must match it: a larger
     module means they were not closed under F, and raises
@@ -479,8 +561,9 @@ def induced_gln_module(bim: BiModule, lam) -> ExplicitModule:
     if len(shape) > bim.m:
         raise ValueError(f"partition {shape} has more than m={bim.m} parts")
     spaces: dict[WeightVec, EchelonBasis] = {}
-    for mu, hs, carried in _orbit_hom_spaces(bim, shape, orbits(bim.N, bim.n)):
-        name = dict(zip(hs.slice_indices, carried))
+    for mu, hs, name in _orbit_hom_spaces(
+        bim, shape, orbits(bim.N, bim.n), own=True
+    ):
         seeds = [{name[s]: v for s, v in vec.items()} for vec in hs.vectors]
         spaces[mu] = space = EchelonBasis()
         for vec in sorted(seeds, key=min, reverse=True):

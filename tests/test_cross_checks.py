@@ -51,7 +51,7 @@ FIRING_TESTS = {
     ("skewhowe", "decompose_howe", "expected one joint highest-weight line"): [
         "test_cli.py::test_skewhowe_pairs_refuse_a_second_joint_highest_weight_line",
     ],
-    ("skewhowe", "_certify_carried", "hom space at mu={} is not the one"): [
+    ("skewhowe", "_orbit_hom_spaces", "hom space at mu={} is not the one"): [
         "test_skewhowe.py::test_hom_dims_certificate_catches_a_wrong_slice",
         "test_skewhowe.py::test_induced_module_certificate_catches_a_wrong_slice",
         "test_skewhowe.py::test_hom_dims_certificate_sees_the_interior_row_of_a_run",

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,9 @@ from weylworks.glmodules import (
 )
 from weylworks.linalg import EchelonBasis, kernel
 from weylworks.skewhowe import (
-    _certify_carried,
     _field_terms,
+    _orbit_hom_spaces,
+    _orbit_slices,
     _slice,
     _stacked_rows,
     build_bimodule,
@@ -30,7 +33,7 @@ from weylworks.skewhowe import (
     joint_highest_weight_dim,
     verify_commuting_actions,
 )
-from weylworks.weights import compositions, conjugate, pad, partitions
+from weylworks.weights import compositions, conjugate, orbits, pad, partitions
 
 
 def bits(subset):
@@ -508,9 +511,9 @@ def test_stacked_rows_and_last_first_kernel_match_the_referees():
     basis vector for basis vector (RREF is canonical), so it spans the
     same space.  When the gl(m) weight is a partition and mu is not
     sorted, mu's raising rows are the sorted mu's with every image
-    subset and every column carried by the row permutation sigma of
-    _certify_carried: the equivariance that lets hom_dims build rows at
-    each orbit's sorted mu only."""
+    subset and every column carried by the row permutation sigma that
+    keeps equal parts in order: the equivariance that lets hom_dims build
+    rows at each orbit's sorted mu only."""
     count = carried = 0
     for n, m in itertools.product(range(1, 5), repeat=2):
         full = (1 << m) - 1
@@ -560,19 +563,24 @@ def swap_one(subsets, foreign):
     return subsets[1:] + (foreign,)
 
 
-def damage_the_slice_of_112(monkeypatch, damage):
-    """Make _slice damage the slice of the unsorted mu (1, 1, 2) at
-    n = m = 3, lam (2, 1, 1); the fake forwards the orbit walk's shared
-    table to the honest _slice.  Returns the bimodule and lam."""
+def damage_the_walk_of_112(monkeypatch, damage):
+    """Make the orbit walk damage both of its lists for the unsorted mu
+    (1, 1, 2) at n = m = 3, lam (2, 1, 1).  foreign is a subset of mu's
+    own weight, so written in the rep's rows it lies outside the rep's
+    slice.  Returns the bimodule and lam."""
     n, m, lam, target = 3, 3, (2, 1, 1), (1, 1, 2)
-    honest = skewhowe._slice
-    foreign = honest(n, m, (2, 1, 1), pad(lam, m))[0]
+    honest = skewhowe._orbit_slices
+    foreign = _slice(n, m, target, pad(lam, m))[0]
+    assert foreign not in _slice(n, m, (2, 1, 1), pad(lam, m))
 
-    def wrong_slice(n_, m_, wn, wm, table=None):
-        subsets = honest(n_, m_, wn, wm, table)
-        return damage(subsets, foreign) if tuple(wn) == target else subsets
+    def wrong_walk(*args, **kwargs):
+        for mu, carried, own in honest(*args, **kwargs):
+            if mu == target:
+                carried = list(damage(tuple(carried), foreign))
+                own = None if own is None else list(damage(tuple(own), foreign))
+            yield mu, carried, own
 
-    monkeypatch.setattr(skewhowe, "_slice", wrong_slice)
+    monkeypatch.setattr(skewhowe, "_orbit_slices", wrong_walk)
     return build_bimodule(n, m, sum(lam)), lam
 
 
@@ -581,9 +589,10 @@ WRONG_SLICE = r"mu=\(1, 1, 2\).*\(2, 1, 1\)"
 
 @pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
 def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
-    """An unsorted mu's slice loses a subset, gains one of another
-    weight, or both (so its size is right); only the certificate sees it."""
-    bim, lam = damage_the_slice_of_112(monkeypatch, damage)
+    """The walk's list for an unsorted mu loses a subset, gains one of
+    another weight, or both (so its size is right); only the certificate
+    sees it."""
+    bim, lam = damage_the_walk_of_112(monkeypatch, damage)
     with pytest.raises(InvariantViolation, match=WRONG_SLICE):
         hom_dims(bim, lam)
 
@@ -591,8 +600,8 @@ def test_hom_dims_certificate_catches_a_wrong_slice(monkeypatch, damage):
 @pytest.mark.parametrize("damage", [lose_one, gain_foreign, swap_one])
 def test_induced_module_certificate_catches_a_wrong_slice(monkeypatch, damage):
     """The induced module reads the same orbit walk as hom_dims, so the
-    same damaged slice is refused before any seed is renamed."""
-    bim, lam = damage_the_slice_of_112(monkeypatch, damage)
+    same damaged walk is refused before any seed is renamed."""
+    bim, lam = damage_the_walk_of_112(monkeypatch, damage)
     with pytest.raises(InvariantViolation, match=WRONG_SLICE):
         induced_gln_module(bim, lam)
 
@@ -631,30 +640,97 @@ def test_carried_seeds_are_the_hom_spaces(monkeypatch):
     assert (count, carried) == (22433, 2521)
 
 
-def test_hom_dims_certificate_sees_the_interior_row_of_a_run():
+def test_hom_dims_certificate_sees_the_interior_row_of_a_run(monkeypatch):
     """At lam (2,2,1), n = 5, m = 3, mu (2,0,1,1,1) is its sorted rep
-    (2,1,1,1,0) carried by sigma = [0,2,3,4,1]: row 0 stays and rows 1-3
-    move down one, so the carry is two runs.  One subset changed in row 2
-    of rep, the interior row of the moved run, or in its image, row 3 of
-    mu, keeps the slice's size and is still caught."""
+    (2,1,1,1,0) carried by sigma = [0,2,3,4,1]: row 0 stays and the run
+    of 1s, rows 1-3 of rep, moves down one.  A slot rule displaced by
+    one row writes the 1s into rep's rows 2-4 instead, so every row of
+    the run, its interior row too, gets the wrong field.  Every list
+    keeps the slice's size, and the certificate still sees it: at the
+    rep, which the walk meets first, and at mu on its own."""
     n, m, lam, rep, mu = 5, 3, (2, 2, 1), (2, 1, 1, 1, 0), (2, 0, 1, 1, 1)
-    rep_subsets, subsets = (_slice(n, m, wn, pad(lam, m)) for wn in (rep, mu))
-    assert len(rep_subsets) == len(subsets) == 12
-    _certify_carried(m, rep, rep_subsets, mu, subsets)
+    bim, wm = build_bimodule(n, m, sum(lam)), pad(lam, m)
+    honest = skewhowe._first_slots
+    spaces = _orbit_hom_spaces(bim, lam, {rep: [rep, mu]}, own=False)
+    assert [(nu, len(hs.slice_indices)) for nu, hs, _ in spaces] == [(rep, 12), (mu, 12)]
 
-    def damaged(slice_, row):
-        """slice_ with its first subset's row field replaced by another
-        field of the same weight."""
-        s = slice_[0]
-        field = s >> row * m & (1 << m) - 1
-        weight = bin(field).count("1")
-        other = next(f for f in range(1 << m) if f != field and bin(f).count("1") == weight)
-        wrong = s ^ (field ^ other) << row * m
-        assert wrong not in slice_
-        return (wrong, *slice_[1:])
+    def displaced(rep_):
+        slots = honest(rep_)
+        slots[1] += 1
+        return slots
 
-    message = r"mu=\(2, 0, 1, 1, 1\).*\(2, 1, 1, 1, 0\)"
-    with pytest.raises(InvariantViolation, match=message):
-        _certify_carried(m, rep, damaged(rep_subsets, 2), mu, subsets)
-    with pytest.raises(InvariantViolation, match=message):
-        _certify_carried(m, rep, rep_subsets, mu, damaged(subsets, 3))
+    monkeypatch.setattr(skewhowe, "_first_slots", displaced)
+    rep_slice = set(_slice(n, m, rep, wm))
+    for nu, carried, _ in _orbit_slices(m, wm, rep, [rep, mu], {}, own=False):
+        assert len(carried) == 12 and rep_slice.isdisjoint(carried), nu
+    for members in ([rep, mu], [mu]):
+        message = rf"mu={re.escape(str(members[0]))}.*\(2, 1, 1, 1, 0\)"
+        with pytest.raises(InvariantViolation, match=message):
+            list(_orbit_hom_spaces(bim, lam, {rep: members}, own=False))
+
+
+def carry(s, sigma, m):
+    """Referee: the subset s with row i moved to row sigma[i]."""
+    full = (1 << m) - 1
+    return sum((s >> i * m & full) << to * m for i, to in enumerate(sigma))
+
+
+def test_orbit_walk_matches_the_referees():
+    """On every (n, m, lam) with n, m <= 4, one _orbit_slices walk per S_n
+    orbit, with own-row names and without, and one table shared by the
+    walks of each lam: the members come in weights.orbits order; each
+    member's own-row list is its own _slice and its rep-row list the
+    rep's _slice, as sets and without repeats; and the two are paired by
+    the carry by sigma (mu[sigma(i)] = rep[i], equal parts kept in
+    order), computed here row by row."""
+    count = 0
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        for N in range(n * m + 1):
+            groups = orbits(N, n)
+            for lam in partitions(N, max_parts=m, max_part=n):
+                wm, table = pad(lam, m), {}
+                for rep, members in groups.items():
+                    rep_slice = set(_slice(n, m, rep, wm))
+                    named = list(_orbit_slices(m, wm, rep, members, table, own=True))
+                    bare = list(_orbit_slices(m, wm, rep, members, table, own=False))
+                    assert [mu for mu, _, _ in named] == members
+                    assert [mu for mu, _, _ in bare] == members
+                    for (mu, carried, own), (_, alone, none) in zip(named, bare):
+                        assert (alone, none) == (carried, None), (n, m, lam, mu)
+                        assert len(own) == len(set(own)), (n, m, lam, mu)
+                        assert set(own) == set(_slice(n, m, mu, wm)), (n, m, lam, mu)
+                        assert len(carried) == len(rep_slice), (n, m, lam, mu)
+                        assert set(carried) == rep_slice, (n, m, lam, mu)
+                        sigma = sorted(range(n), key=lambda j: -mu[j])
+                        assert own == [carry(s, sigma, m) for s in carried], (n, m, lam, mu)
+                        count += 1
+    assert count == 22433
+
+
+# (n, m, lam, rep): each slice of rep's orbit has 10 subsets, but rows
+# of 4 and 3 taken first build a front of 100 partial subsets, most in
+# states that the row of 6, which needs every column, cannot complete
+FRONT_CASE = (4, 6, (4, 2, 2, 2, 2, 2), (6, 4, 3, 1))
+FRONT_GUARD = 50
+
+
+def test_orbit_walk_guards_each_front_before_it_is_built(monkeypatch):
+    """Inside one orbit a front can outgrow every slice of the orbit, and
+    the guard sees it before the front is built."""
+    n, m, lam, rep = FRONT_CASE
+    wm = pad(lam, m)
+    members = orbits(sum(rep), n)[rep]
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", str(FRONT_GUARD))
+    assert max(len(_slice(n, m, mu, wm)) for mu in members) < FRONT_GUARD
+    message = rf"dimension \d+, above the guard {FRONT_GUARD}"
+    with pytest.raises(ResourceLimitError, match=message):
+        list(_orbit_slices(m, wm, rep, members, {}, own=False))
+
+
+def test_orbit_walk_passes_the_recursion_limit(monkeypatch):
+    """The walk keeps its fronts on a list, and a member whose last rows
+    are zero is yielded at once, so n past the recursion limit answers."""
+    n = sys.getrecursionlimit() + 10
+    monkeypatch.setenv("WEYLWORKS_MAX_DIM", str(n * (n + 1)))
+    report = cross_validate((1,), n, 1)
+    assert len(report.rows) == n and report.match
